@@ -138,4 +138,5 @@ __all__ = [
     "second_order_cosine_index",
     "synthetic_ensemble",
     "validate_ensemble",
+    "wasserstein_index",
 ]

@@ -6,6 +6,9 @@ pairs excluded) and aggregate by the mean over pairs, averaging over
 nodes first where the index is node-wise. None of them preprocess their
 inputs by default; pass ``preprocess=True`` to apply the same
 center-normalize step the Gram index uses, for controlled comparisons.
+
+scipy is imported inside the functions that call it, so that importing
+the package, and every command but ``baseline``, does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .alignment import procrustes_align
 from .core import ConfigurationEnsemble, center_normalize_inplace, matrix_values
@@ -133,6 +134,8 @@ def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
         np.fill_diagonal(scores, -np.inf)
         indices = np.argsort(-scores, axis=1, kind="stable")[:, :params.k]
     else:
+        from scipy.spatial.distance import cdist
+
         dists = cdist(values, values)
         np.fill_diagonal(dists, np.inf)
         indices = np.argsort(dists, axis=1, kind="stable")[:, :params.k]
@@ -243,6 +246,8 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     d_H is the larger of the two directed sup-inf Euclidean point-to-set
     distances; 0 exactly when the two clouds coincide as sets.
     """
+    from scipy.spatial.distance import cdist
+
     values = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "hausdorff")
     pair_scores: dict[tuple[int, int], float] = {}
@@ -266,6 +271,9 @@ def wasserstein_index(
     assignment on the dense squared-distance cost matrix. The cost
     matrix is |V| x |V|, hence the ``max_nodes`` cap.
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     values = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]

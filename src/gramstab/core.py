@@ -32,6 +32,22 @@ def _as_matrix(values) -> np.ndarray:
     return arr
 
 
+def _sorted_unique(keys) -> np.ndarray:
+    """Sorted distinct values of ``keys``, flattened; equal to ``np.unique``.
+
+    A sort plus a first-difference mask: recent numpy releases take a
+    hash path in ``np.unique`` on integer input that is many times
+    slower than this.
+    """
+    keys = np.sort(keys, axis=None)
+    if keys.size < 2:
+        return keys
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def matrix_values(mat: MatrixLike) -> np.ndarray:
     """Return the validated float64 array behind any matrix-like input."""
     if isinstance(mat, EmbeddingMatrix):
@@ -114,13 +130,13 @@ class GraphTopology:
             raise ShapeMismatch(
                 f"edge endpoint out of range for node_count={node_count}"
             )
-        lo = arr.min(axis=1)
-        hi = arr.max(axis=1)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
         self_mask = lo == hi
         n_self = int(np.count_nonzero(self_mask))
         lo, hi = lo[~self_mask], hi[~self_mask]
         keys = lo * np.int64(node_count) + hi
-        uniq = np.unique(keys)
+        uniq = _sorted_unique(keys)
         n_dup = int(keys.size - uniq.size)
         edges = np.column_stack([uniq // node_count, uniq % node_count])
         return cls(node_count, edges), n_self, n_dup

@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GraphTopology
+from .core import EmbeddingMatrix, GraphTopology, _sorted_unique
 from .errors import (
     BadMagic,
     EmptyGraph,
@@ -31,6 +32,7 @@ from .errors import (
 
 GGE1_MAGIC = b"GGE1"
 _HEADER = struct.Struct("<QQ")
+_INT64_MAX = np.iinfo(np.int64).max
 
 # %.17g round-trips any float64 exactly.
 _CSV_FORMAT = "%.17g"
@@ -100,8 +102,86 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
     mapping is returned. With one, ids are looked up in it (and the map
     also fixes the node count, so isolated nodes survive). Self-loops
     and duplicate or reversed pairs are dropped and tallied.
+
+    The file is parsed in one bulk call to numpy's C reader, and the ids
+    are checked and remapped with array operations. When the bulk parse
+    or a bulk check fails, the file is rescanned line by line: the
+    rescan raises the exact ParseError with its line number, and also
+    accepts the few integer spellings Python's ``int`` takes and numpy
+    does not (``1_000``, non-ASCII digits), so the result never depends
+    on which path ran.
     """
     path = Path(path)
+    pairs = _read_pairs(path)
+    if pairs is not None and id_map is not None:
+        pairs = _lookup_ids(pairs, id_map)
+    elif pairs is not None and pairs.size and pairs.min() < 0:
+        pairs = None
+    if pairs is None:
+        pairs = _scan_edge_lines(path, id_map)
+    if not pairs.size:
+        raise EmptyGraph(f"{path}: no edges found")
+    if id_map is None:
+        original = _sorted_unique(pairs)
+        pairs = np.searchsorted(original, pairs)
+        id_map = dict(zip(original.tolist(), range(original.size)))
+        node_count = original.size
+    else:
+        node_count = len(id_map)
+    graph, n_self, n_dup = GraphTopology.from_pairs(node_count, pairs)
+    if graph.edge_count == 0:
+        raise EmptyGraph(f"{path}: no edges left after dropping self-loops")
+    return EdgeListResult(
+        graph=graph,
+        id_map=id_map,
+        self_loops_dropped=n_self,
+        duplicates_dropped=n_dup,
+    )
+
+
+def _read_pairs(path: Path) -> np.ndarray | None:
+    """The first two columns as an (E, 2) int64 array, or None if the
+    bulk parse fails (the rescan then finds out why)."""
+    try:
+        with warnings.catch_warnings():
+            # A file without edges is reported as EmptyGraph by the caller.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(
+                path,
+                dtype=np.int64,
+                comments="#",
+                usecols=(0, 1),
+                ndmin=2,
+                encoding="utf-8",
+            )
+    except (OSError, ValueError):
+        return None
+
+
+def _lookup_ids(pairs: np.ndarray, id_map: dict) -> np.ndarray | None:
+    """Map ids to rows through ``id_map``; None if an id is missing."""
+    keys = np.array(list(id_map))
+    if keys.dtype != np.int64:
+        # Keys beyond int64 (numpy would compare them with int64 ids as
+        # float64) or keys that are not integers: the rescan looks them
+        # up exactly.
+        return None
+    rows = np.array(list(id_map.values()), dtype=np.int64)
+    order = np.argsort(keys)
+    keys, rows = keys[order], rows[order]
+    pos = np.searchsorted(keys, pairs)
+    found = pos < keys.size
+    if not found.all() or (keys[pos] != pairs).any():
+        return None
+    return rows[pos]
+
+
+def _scan_edge_lines(path: Path, id_map: dict | None) -> np.ndarray:
+    """Line-by-line parse behind :func:`load_edge_list`'s bulk path.
+
+    Raises the ParseError of the first bad line. Returns the pairs as an
+    (E, 2) int64 array, already mapped through ``id_map`` if one is given.
+    """
     sources: list[int] = []
     targets: list[int] = []
     with path.open("r", encoding="utf-8") as handle:
@@ -139,28 +219,16 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
                     path=str(path),
                     line=line_number,
                 )
+            elif max(a, b) > _INT64_MAX:
+                raise ParseError(
+                    f"node id {max(a, b)} does not fit in a signed 64-bit integer",
+                    path=str(path),
+                    line=line_number,
+                )
             sources.append(a)
             targets.append(b)
-    if not sources:
-        raise EmptyGraph(f"{path}: no edges found")
-    pairs = np.column_stack(
+    return np.column_stack(
         [np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)]
-    )
-    if id_map is None:
-        original = np.unique(pairs)
-        pairs = np.searchsorted(original, pairs)
-        id_map = {int(orig): int(row) for row, orig in enumerate(original)}
-        node_count = original.size
-    else:
-        node_count = len(id_map)
-    graph, n_self, n_dup = GraphTopology.from_pairs(node_count, pairs)
-    if graph.edge_count == 0:
-        raise EmptyGraph(f"{path}: no edges left after dropping self-loops")
-    return EdgeListResult(
-        graph=graph,
-        id_map=id_map,
-        self_loops_dropped=n_self,
-        duplicates_dropped=n_dup,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GraphTopology, matrix_values
+from .core import EmbeddingMatrix, GraphTopology, _sorted_unique, matrix_values
 from .errors import NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
@@ -204,9 +204,9 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     while keys.size < target:
         pairs = rng.integers(0, node_count, size=(draw, 2), dtype=np.int64)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        keys = np.unique(np.concatenate([keys, lo * node_count + hi]))
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = _sorted_unique(np.concatenate([keys, lo * node_count + hi]))
         draw *= 2
     chosen = rng.permutation(keys)[:target]
     chosen.sort()

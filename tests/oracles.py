@@ -156,3 +156,63 @@ def wasserstein_brute(a, b):
             total += float(np.dot(diff, diff))
         best = min(best, total)
     return math.sqrt(best)
+
+
+class EdgeListRejected(Exception):
+    """The oracle refused an edge list: ``kind`` is "parse" or "empty",
+    ``line`` the 1-based number of the first bad line for "parse"."""
+
+    def __init__(self, kind, line=None):
+        super().__init__(kind, line)
+        self.kind = kind
+        self.line = line
+
+
+def edge_list_brute(path, id_map=None):
+    """Edge-list parse as plain python, one line at a time.
+
+    Each line of the text file (universal newlines) loses everything
+    from the first ``#``, is split by ``str.split()``, and its first two
+    tokens go through ``int()``. Without an id map, ids must be in
+    0..2**63-1 and are renumbered in ascending order. Pairs become
+    (min, max) tuples in a set. Returns ``(edges, id_map, self_loops,
+    duplicates)`` with ``edges`` a sorted list of [i, j] lists.
+    """
+    pairs = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if len(tokens) < 2:
+                raise EdgeListRejected("parse", number)
+            try:
+                a, b = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise EdgeListRejected("parse", number) from None
+            if id_map is not None:
+                if a not in id_map or b not in id_map:
+                    raise EdgeListRejected("parse", number)
+                a, b = id_map[a], id_map[b]
+            elif not (0 <= a < 2**63 and 0 <= b < 2**63):
+                raise EdgeListRejected("parse", number)
+            pairs.append((a, b))
+    if not pairs:
+        raise EdgeListRejected("empty")
+    if id_map is None:
+        distinct = sorted({node for pair in pairs for node in pair})
+        id_map = {node: row for row, node in enumerate(distinct)}
+        pairs = [(id_map[a], id_map[b]) for a, b in pairs]
+    seen = set()
+    self_loops = duplicates = 0
+    for a, b in pairs:
+        if a == b:
+            self_loops += 1
+            continue
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            duplicates += 1
+        seen.add(key)
+    if not seen:
+        raise EdgeListRejected("empty")
+    return [list(edge) for edge in sorted(seen)], id_map, self_loops, duplicates

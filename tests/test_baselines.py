@@ -1,5 +1,7 @@
 """Comparison indices against brute-force oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +176,20 @@ def test_identical_configs_are_perfectly_stable():
         1.0, abs=1e-12
     )
     assert aligned_cosine_index(ens).aggregate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_public_index_function_is_exported():
+    import gramstab
+    from gramstab import baselines, ggi
+
+    names = {
+        name
+        for module in (baselines, ggi)
+        for name, obj in vars(module).items()
+        if name.endswith("_index")
+        and not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+    }
+    assert {"ggi_index", "wasserstein_index"} <= names
+    assert sorted(names - set(gramstab.__all__)) == []

@@ -1,5 +1,6 @@
 """Command line behavior: pipelines, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,44 @@ def test_synth_writes_complete_ensemble(workspace):
     for path in manifest.embedding_paths:
         assert path.exists()
     assert manifest.extra["generator"]["seed"] == 17
+
+
+# Digests of graph.edges as written by synth --nodes 300 --avg-degree 6
+# --dim 4 --configs 2 --seed SEED. They pin random_graph's draws and the
+# edge-list writer byte for byte across refactors.
+@pytest.mark.parametrize("seed, digest", [
+    (3, "bed9a6af9d8e98891d9f3058445667be721a4ced29f9503ad9d9d2fa2a51f70a"),
+    (11, "5b712f91ff30ee9df0d03b84950f3afc2cee73c6ac087d023ce6dd1ca11a4792"),
+])
+def test_synth_graph_bytes_are_pinned(tmp_path, seed, digest):
+    code = run_cli([
+        "synth", "--nodes", "300", "--avg-degree", "6", "--dim", "4",
+        "--configs", "2", "--seed", str(seed), "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "graph.edges").read_bytes()).hexdigest() == digest
+
+
+def test_ggi_synth_validate_do_not_load_scipy(tmp_path):
+    # scipy costs more to import than a small ggi run; only the
+    # baselines need it.
+    script = (
+        "import sys\n"
+        "from gramstab.cli import run_cli\n"
+        "out = sys.argv[1]\n"
+        "manifest = out + '/manifest.json'\n"
+        "for argv in (['synth', '--nodes', '20', '--dim', '3', '--configs', '2',\n"
+        "              '--out-dir', out],\n"
+        "             ['validate', '--manifest', manifest, '--out', out + '/v.json'],\n"
+        "             ['ggi', '--manifest', manifest, '--out', out + '/g.json']):\n"
+        "    assert run_cli(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_validate_reports_shapes(workspace):
@@ -187,6 +226,21 @@ def test_non_bijective_id_map_exits_2(workspace, tmp_path):
     result = _run(["ggi", "--manifest", str(bad)])
     assert result.returncode == 2
     assert "bijection" in result.stderr.lower()
+
+
+def test_node_id_beyond_int64_exits_2(workspace, tmp_path):
+    manifest = load_manifest(workspace / "manifest.json")
+    graph = tmp_path / "big.edges"
+    graph.write_text("0 1\n99999999999999999999 1\n")
+    doc = {
+        "graph_path": str(graph),
+        "embedding_paths": [str(p) for p in manifest.embedding_paths],
+    }
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    result = _run(["ggi", "--manifest", str(bad)])
+    assert result.returncode == 2
+    assert f"{graph}:2:" in result.stderr
 
 
 def test_k_at_node_count_exits_2(workspace):

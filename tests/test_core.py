@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -16,6 +16,7 @@ from gramstab import (
     preprocess_center_normalize,
     validate_ensemble,
 )
+from gramstab.core import _sorted_unique
 
 import oracles
 
@@ -137,3 +138,24 @@ def test_validate_ensemble_checks_graph_rows():
     )
     with pytest.raises(ShapeMismatch):
         validate_ensemble(bad, graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        ),
+        max_size=60,
+    )
+)
+@example([])
+@example([5])
+@example([7] * 9)
+def test_sorted_unique_equals_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    expected = np.unique(keys)
+    for got in (_sorted_unique(keys), _sorted_unique(keys.reshape(-1, 1))):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)

@@ -1,9 +1,13 @@
 """File formats: binary and CSV embeddings, edge lists, manifests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gramstab import (
     BadMagic,
@@ -22,6 +26,8 @@ from gramstab import (
 )
 from gramstab.fileio import GGE1_MAGIC, report_to_json
 from gramstab.transforms import random_graph
+
+import oracles
 
 
 @pytest.fixture
@@ -174,6 +180,126 @@ def test_edge_list_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_edge_list(missing, id_map={0: 0, 1: 1})
     assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        load_edge_list(missing, id_map={"0": 0, "1": 1})  # keys must be ints
+    assert err.value.line == 1
+
+    with pytest.raises(FileNotFoundError, match="No such file or directory"):
+        load_edge_list(tmp_path / "absent.edges")
+
+
+def test_edge_list_id_beyond_int64_is_a_parse_error(tmp_path):
+    path = tmp_path / "big.edges"
+    path.write_text("0 1\n99999999999999999999 1\n")
+    with pytest.raises(ParseError) as err:
+        load_edge_list(path)
+    assert err.value.line == 2
+    assert err.value.path == str(path)
+
+
+# Edge-list texts for the differential test against the per-line oracle.
+# Separators include \r and \r\n, which end the line in text mode, and
+# \x0b, \x0c, \xa0 and \x1c, which str.split() treats as whitespace.
+_SEPARATORS = [" ", "\t", "\r", "\r\n", "\x0b", "\x0c", "\xa0", "\x1c"]
+_COMMON_IDS = [0, 1, 2, 3, 7, 10, 1000]
+_ODD_IDS = [-4, 2**40 + 3, 2**63 - 1, 2**63]
+_NON_NUMERIC = ["a", "1.5", "nan", "0x1f", "--1", "\u200b1"]
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+@st.composite
+def _id_token(draw):
+    if draw(st.integers(0, 39)) == 0:
+        return draw(st.sampled_from(_NON_NUMERIC))
+    node = draw(st.sampled_from(_ODD_IDS if draw(st.integers(0, 5)) == 0 else _COMMON_IDS))
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(node))
+    spelling = draw(st.integers(0, 39))
+    if spelling == 0 and len(digits) > 1:
+        digits = digits[0] + "_" + digits[1:]  # int() accepts, numpy does not
+    elif spelling == 1:
+        digits = digits.translate(_ARABIC_INDIC)
+    if node < 0:
+        return "-" + digits
+    return draw(st.sampled_from(["", "+", "-"] if node == 0 else ["", "+"])) + digits
+
+
+@st.composite
+def _edge_list_text(draw):
+    separators = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=1, unique=True))
+    if draw(st.integers(0, 3)):
+        # Most texts keep each edge on one line, so most of them parse.
+        separators = [s for s in separators if "\r" not in s] or [" "]
+
+    def sep():
+        return "".join(draw(st.lists(st.sampled_from(separators), min_size=1, max_size=2)))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 19))
+        if kind < 2:
+            line = draw(st.sampled_from(["", " ", "\t"])) + "# note 1 2"
+        elif kind < 4:
+            line = draw(st.sampled_from(["", " ", "\xa0"]))
+        elif kind == 4:
+            line = draw(_id_token())
+        else:
+            line = draw(_id_token()) + sep() + draw(_id_token())
+            for _ in range(draw(st.integers(0, 2))):
+                line += sep() + draw(st.sampled_from(["0.75", "w", "3", "#x"]))
+            if draw(st.booleans()):
+                line += draw(st.sampled_from(["#", " # ", "\t#"])) + "tail 5 6"
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + "".join(lines)
+
+
+@st.composite
+def _maybe_id_map(draw):
+    if draw(st.booleans()):
+        return None
+    keys = _COMMON_IDS + draw(st.lists(st.sampled_from(_ODD_IDS), unique=True))
+    if draw(st.booleans()):
+        keys.remove(draw(st.sampled_from(keys)))
+    rows = draw(st.permutations(range(len(keys))))
+    return dict(zip(keys, rows))
+
+
+def _library_outcome(path, id_map):
+    try:
+        result = load_edge_list(path, id_map=id_map)
+    except ParseError as err:
+        return ("parse", err.line)
+    except EmptyGraph:
+        return ("empty", None)
+    return (
+        result.graph.edges.tolist(),
+        result.id_map,
+        result.graph.node_count,
+        result.self_loops_dropped,
+        result.duplicates_dropped,
+    )
+
+
+def _oracle_outcome(path, id_map):
+    try:
+        edges, ids, n_self, n_dup = oracles.edge_list_brute(path, id_map)
+    except oracles.EdgeListRejected as err:
+        return (err.kind, err.line)
+    return (edges, ids, len(ids), n_self, n_dup)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edge_list_text(), id_map=_maybe_id_map())
+@example(text="0 1\n-4 1\n", id_map=None)
+@example(text="1_000 7\n\u0663 1\n", id_map=None)
+# 2**63 makes the keys uint64, and numpy compares uint64 with int64 as
+# float64, where 2**63 - 1 and 2**63 are equal.
+@example(text="0 1\n9223372036854775807 1\n", id_map={0: 0, 1: 1, 2**63: 2})
+def test_edge_list_matches_per_line_oracle(text, id_map):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
 
 
 def test_save_edge_list_round_trips(tmp_path):
