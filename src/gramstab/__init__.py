@@ -43,10 +43,12 @@ from .errors import (
     KTooLarge,
     ManifestError,
     NonFiniteInput,
+    NonFiniteScore,
     NotABijection,
     ParseError,
     ShapeMismatch,
     TooFewConfigs,
+    TrailingBytes,
     TruncatedFile,
 )
 from .fileio import (
@@ -102,6 +104,7 @@ __all__ = [
     "NeighborParams",
     "NodePermutation",
     "NonFiniteInput",
+    "NonFiniteScore",
     "NotABijection",
     "PairwiseIndexReport",
     "ParseError",
@@ -109,6 +112,7 @@ __all__ = [
     "ShapeMismatch",
     "StabilityReport",
     "TooFewConfigs",
+    "TrailingBytes",
     "TruncatedFile",
     "ValidationSummary",
     "aligned_cosine_index",

@@ -14,10 +14,8 @@ included when explicitly requested with ``--timings``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +29,7 @@ from .baselines import (
     wasserstein_index,
 )
 from .core import ConfigurationEnsemble, validate_ensemble
-from .errors import GramstabError, InternalInvariant, ParseError
+from .errors import GramstabError, InternalInvariant
 from .fileio import (
     EdgeListResult,
     Manifest,
@@ -46,7 +44,7 @@ from .fileio import (
     save_manifest,
     sha256_file,
 )
-from .ggi import GgiOptions, report_from_scores, score_configuration
+from .ggi import GgiOptions, ggi_index
 from .transforms import (
     GENERATOR_NAME,
     TRANSFORM_KINDS,
@@ -63,20 +61,6 @@ _BASELINES = (
 )
 
 _NEIGHBOR_BASELINES = ("knn-jaccard", "second-order-cosine")
-
-
-def _thread_count() -> int:
-    """Worker count from GGI_THREADS; 0 or unset means sequential."""
-    raw = os.environ.get("GGI_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError(f"GGI_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ParseError(f"GGI_THREADS must be >= 0, got {n}")
-    return n
 
 
 def _load_graph(manifest: Manifest) -> EdgeListResult:
@@ -105,31 +89,14 @@ def _cmd_ggi(args) -> int:
     manifest = load_manifest(args.manifest)
     graph = _load_graph(manifest).graph
     opts = GgiOptions(preprocess=not args.no_preprocess, std=args.std)
-    n_threads = _thread_count()
-    if n_threads > 1:
-        # Loaded arrays are owned by this process, so the scoring
-        # pipeline may preprocess them in place (copy=False).
-        def one(item):
-            idx, path = item
-            values = load_embedding_values(path)
-            return score_configuration(
-                values, graph, idx, preprocess=opts.preprocess, copy=False
-            )
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            scores = list(pool.map(one, enumerate(manifest.embedding_paths)))
-    else:
-        scores = [
-            score_configuration(
-                load_embedding_values(path),
-                graph,
-                idx,
-                preprocess=opts.preprocess,
-                copy=False,
-            )
-            for idx, path in enumerate(manifest.embedding_paths)
-        ]
-    report = report_from_scores(scores, opts)
+    # Loaded arrays are owned by this process, so the scoring pipeline
+    # may preprocess them in place (copy=False); one is alive at a time.
+    report = ggi_index(
+        (load_embedding_values(path) for path in manifest.embedding_paths),
+        graph,
+        opts,
+        copy=False,
+    )
     document = {
         "tool": "gramstab",
         "version": __version__,

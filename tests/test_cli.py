@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -13,16 +12,11 @@ from gramstab import load_manifest, save_embeddings
 from gramstab.cli import run_cli
 
 
-def _run(argv, env=None):
-    merged = dict(os.environ)
-    merged.pop("GGI_THREADS", None)
-    if env:
-        merged.update(env)
+def _run(argv):
     return subprocess.run(
         [sys.executable, "-m", "gramstab.cli", *argv],
         capture_output=True,
         text=True,
-        env=merged,
     )
 
 
@@ -115,23 +109,6 @@ def test_reports_are_byte_identical_across_runs(workspace):
     assert first.stdout  # nonempty
 
 
-def test_thread_count_does_not_change_bytes(workspace):
-    argv = ["ggi", "--manifest", str(workspace / "manifest.json")]
-    sequential = _run(argv)
-    threaded = _run(argv, env={"GGI_THREADS": "4"})
-    assert threaded.returncode == 0, threaded.stderr
-    assert sequential.stdout == threaded.stdout
-
-
-def test_bad_thread_count_is_an_input_error(workspace):
-    result = _run(
-        ["ggi", "--manifest", str(workspace / "manifest.json")],
-        env={"GGI_THREADS": "many"},
-    )
-    assert result.returncode == 2
-    assert "GGI_THREADS" in result.stderr
-
-
 def test_timings_flag_adds_wall_clock(workspace):
     result = _run(["ggi", "--manifest", str(workspace / "manifest.json"), "--timings"])
     doc = json.loads(result.stdout)
@@ -210,6 +187,43 @@ def test_truncated_embedding_exits_2_with_named_error(workspace, tmp_path):
     result = _run(["ggi", "--manifest", str(bad)])
     assert result.returncode == 2
     assert "truncated" in result.stderr.lower()
+
+
+def test_overflowing_raw_scores_exit_2_with_named_error(tmp_path):
+    # Finite entries near 1e200 pass input validation, but their inner
+    # products overflow float64; without preprocessing the edge summary
+    # is not finite. That is an input problem, named, not a crash.
+    rng = np.random.default_rng(5)
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n3 0\n")
+    for name in ("a", "b"):
+        save_embeddings(tmp_path / f"{name}.gge1", 1e200 * rng.normal(size=(4, 3)))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "graph_path": "g.edges", "embedding_paths": ["a.gge1", "b.gge1"],
+    }))
+    result = _run(["ggi", "--manifest", str(manifest), "--no-preprocess"])
+    assert result.returncode == 2, result.stderr
+    assert "config 0" in result.stderr
+    assert "internal error" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
+    # "c0.gge1" and "./c0.gge1" are one file; scoring it twice would
+    # report index_value 0.0, "perfectly stable".
+    manifest = load_manifest(workspace / "manifest.json")
+    (tmp_path / "c0.gge1").write_bytes(manifest.embedding_paths[0].read_bytes())
+    doc = {
+        "graph_path": str(manifest.graph_path),
+        "node_id_map": str(manifest.node_id_map),
+        "embedding_paths": ["c0.gge1", "./c0.gge1"],
+    }
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    result = _run(["ggi", "--manifest", str(bad)])
+    assert result.returncode == 2
+    assert "distinct" in result.stderr
+    assert result.stdout == ""
 
 
 def test_non_bijective_id_map_exits_2(workspace, tmp_path):

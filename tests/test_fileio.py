@@ -15,6 +15,7 @@ from gramstab import (
     ManifestError,
     NotABijection,
     ParseError,
+    TrailingBytes,
     TruncatedFile,
     load_edge_list,
     load_embeddings,
@@ -102,6 +103,15 @@ def test_truncated_header_and_payload(tmp_path, values):
         load_embeddings(payload_cut)
     assert err.value.expected_bytes == len(whole)
     assert err.value.actual_bytes == len(whole) - 8
+
+    # A longer file is as wrong as a shorter one: the header no longer
+    # describes what the file holds.
+    padded = tmp_path / "t.gge1"
+    padded.write_bytes(whole + b"\0" * 8)
+    with pytest.raises(TrailingBytes) as err:
+        load_embeddings(padded)
+    assert err.value.expected_bytes == len(whole)
+    assert err.value.actual_bytes == len(whole) + 8
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):
@@ -367,6 +377,11 @@ def test_manifest_errors(tmp_path):
         load_manifest(path)
 
     path.write_text(json.dumps({"graph_path": "g", "embedding_paths": ["a", "a"]}))
+    with pytest.raises(ManifestError):
+        load_manifest(path)
+
+    # Two spellings of one file are not distinct configurations.
+    path.write_text(json.dumps({"graph_path": "g", "embedding_paths": ["a", "./a"]}))
     with pytest.raises(ManifestError):
         load_manifest(path)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -11,6 +11,7 @@ from gramstab import (
     EmptyGraph,
     GgiOptions,
     GraphTopology,
+    NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
     edge_gram_sum,
@@ -52,20 +53,77 @@ def test_edge_summary_matches_dense_mask_property(seed):
     assert abs(fast - slow) <= 1e-12
 
 
-def test_blockwise_accumulation_is_exact():
-    # Force many blocks by shrinking the block size; totals must agree
+def test_blockwise_accumulation_is_exact(monkeypatch):
+    # Force many blocks by shrinking the block sizes; totals must agree
     # with the single-pass value bit for bit is too strict, 1e-12 is not.
+    # The gather block alone never changes the sum's order, so shrinking
+    # only it must leave the score bit for bit unchanged.
     import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
     whole = edge_gram_sum(configs[0], graph).score
-    original = ggi_mod._BLOCK_ELEMENTS
-    try:
-        ggi_mod._BLOCK_ELEMENTS = 16
-        chunked = edge_gram_sum(configs[0], graph).score
-    finally:
-        ggi_mod._BLOCK_ELEMENTS = original
+    monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 8)
+    assert edge_gram_sum(configs[0], graph).score == whole
+    monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
+    chunked = edge_gram_sum(configs[0], graph).score
     assert abs(whole - chunked) <= 1e-12
+
+
+def _grouped_gather_mean(values, edges, block_elements):
+    """The kernel as it was before gathers were split from summation
+    groups: gather, dot and sum one group of edges at a time."""
+    block = max(1, block_elements // values.shape[1])
+    total = 0.0
+    for start in range(0, edges.shape[0], block):
+        chunk = edges[start : start + block]
+        total += float(
+            np.einsum("ij,ij->i", values[chunk[:, 0]], values[chunk[:, 1]]).sum()
+        )
+    return total / edges.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_edges=st.integers(min_value=1, max_value=600),
+    dim=st.integers(min_value=1, max_value=24),
+    gather_elements=st.integers(min_value=1, max_value=400),
+    block_elements=st.integers(min_value=1, max_value=3000),
+)
+# |E| below one gather block (the module's real block sizes)
+@example(seed=1, n_edges=37, dim=5, gather_elements=32_768, block_elements=2_097_152)
+# |E| not a multiple of the gather block
+@example(seed=2, n_edges=203, dim=4, gather_elements=64, block_elements=2_097_152)
+# d beyond the gather budget: one edge per gather
+@example(seed=3, n_edges=50, dim=13, gather_elements=8, block_elements=2_097_152)
+# several summation groups, not aligned to gather blocks
+@example(seed=4, n_edges=500, dim=3, gather_elements=40, block_elements=100)
+def test_edge_mean_matches_grouped_gather_exactly(
+    seed, n_edges, dim, gather_elements, block_elements
+):
+    import gramstab.ggi as ggi_mod
+
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(20, dim))
+    edges = rng.integers(0, 20, size=(n_edges, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ggi_mod, "_GATHER_ELEMENTS", gather_elements)
+        mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
+        fast = ggi_mod._edge_mean_inner(values, edges)
+    assert fast == _grouped_gather_mean(values, edges, block_elements)
+
+
+@pytest.mark.parametrize("dim", [8, 128, 512])
+def test_edge_mean_matches_grouped_gather_at_scale(dim):
+    # The module's own block sizes over several gather blocks and, at
+    # d >= 128, several summation groups.
+    import gramstab.ggi as ggi_mod
+
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(2000, dim))
+    edges = rng.integers(0, 2000, size=(40_003, 2))
+    fast = ggi_mod._edge_mean_inner(values, edges)
+    assert fast == _grouped_gather_mean(values, edges, ggi_mod._BLOCK_ELEMENTS)
 
 
 def test_ggi_matches_dense_oracle():
@@ -110,6 +168,20 @@ def test_empty_graph_and_shape_mismatch():
     real = GraphTopology.from_pairs(3, np.array([[0, 1]]))[0]
     with pytest.raises(ShapeMismatch) as err:
         score_configuration(np.ones((4, 2)), real, config_index=2)
+    assert "config 2" in str(err.value)
+
+
+@pytest.mark.parametrize("preprocess", [False, True])
+def test_overflowing_score_is_a_named_error(preprocess):
+    # Finite entries too large for float64 arithmetic must not come back
+    # as a NaN or infinite score: without preprocessing the inner
+    # products overflow, with it the column sums behind the mean do.
+    graph, _ = _random_instance(15)
+    rng = np.random.default_rng(15)
+    huge = 1e308 * (1.0 + 0.5 * rng.random((graph.node_count, 4)))
+    with pytest.raises(NonFiniteScore) as err:
+        score_configuration(huge, graph, config_index=2, preprocess=preprocess)
+    assert err.value.config_index == 2
     assert "config 2" in str(err.value)
 
 
