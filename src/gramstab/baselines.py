@@ -7,6 +7,11 @@ nodes first where the index is node-wise. None of them preprocess their
 inputs by default; pass ``preprocess=True`` to apply the same
 center-normalize step the Gram index uses, for controlled comparisons.
 
+Memory: kNN search and Hausdorff take rows in blocks of ``_BLOCK_ELEMENTS``
+(2M) keys against all |V| columns. Their peak is about two 16 MB blocks plus
+the (|V|, k) neighbor lists, under ten blocks when whole rows tie. Only
+Wasserstein, whose assignment needs the dense cost matrix, forms |V| x |V|.
+
 scipy is imported inside the functions that call it, so that importing
 the package, and every command but ``baseline``, does not load it.
 """
@@ -14,16 +19,19 @@ the package, and every command but ``baseline``, does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import ConfigurationEnsemble, center_normalize_inplace, matrix_values
+from .core import ConfigurationEnsemble, matrix_values, preprocess_center_normalize
 from .errors import InstanceTooLarge, KTooLarge, ShapeMismatch
 
 _METRICS = ("cosine", "euclidean")
 
 PAIR_CONVENTION = "unordered pairs l < m, self-pairs excluded"
+
+_BLOCK_ELEMENTS = 1 << 21  # keys per row block: 16 MB of float64
 
 
 @dataclass(frozen=True)
@@ -65,31 +73,39 @@ class PairwiseIndexReport:
     metadata: dict = field(default_factory=dict)
 
 
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Row slices of about ``_BLOCK_ELEMENTS`` elements. A one-row tail
+    joins the block before it: a one-row product goes through gemv, whose
+    last bit can differ from the full product's."""
+    step = max(2, _BLOCK_ELEMENTS // max(row_size, 1))
+    cuts = [*range(step, n_rows - 1, step), n_rows]
+    return [slice(a, b) for a, b in zip([0, *cuts], cuts)]
+
+
 def _unit_rows(values: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", values, values))
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return values / norms[:, None]
+    return values / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
-def _cosine_guarded(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Cosine of two vectors; an all-zero vector scores 0 and is flagged."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0, True
-    return float(np.dot(a, b) / (na * nb)), False
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cosines of matching rows; a pair with a zero vector scores 0, counted."""
+    na, nb = (np.sqrt(np.einsum("ij,ij->i", x, x)) for x in (a, b))
+    zero = (na == 0.0) | (nb == 0.0)
+    scores = np.einsum("ij,ij->i", a, b) / np.where(zero, 1.0, na * nb)
+    return np.where(zero, 0.0, scores), int(np.count_nonzero(zero))
+
+
+def _node_mean(scores: np.ndarray) -> float:
+    """Mean over nodes, summed in node order as a running total would."""
+    return float(np.cumsum(scores)[-1] / len(scores))
 
 
 def _prepared_values(ensemble, preprocess: bool) -> list[np.ndarray]:
     if not isinstance(ensemble, ConfigurationEnsemble):
         ensemble = ConfigurationEnsemble(tuple(ensemble))
-    out = []
-    for cfg in ensemble.configs:
-        values = cfg.values.copy()
-        if preprocess:
-            center_normalize_inplace(values)
-        out.append(values)
-    return out
+    # Center-normalizing works on a copy; unprocessed values are only read.
+    return [preprocess_center_normalize(c)[0].values if preprocess else c.values
+            for c in ensemble.configs]
 
 
 def _require_equal_dims(values: list[np.ndarray], index_name: str) -> None:
@@ -103,15 +119,12 @@ def _require_equal_dims(values: list[np.ndarray], index_name: str) -> None:
             )
 
 
-def _report(index_name, pair_scores, n_configs, metadata) -> PairwiseIndexReport:
+def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexReport:
+    """Report ``score_pair(l, m)`` for every pair l < m, and their mean;
+    ``score_pair`` may add to counters in ``metadata`` as it goes."""
+    pair_scores = {pair: score_pair(*pair) for pair in combinations(range(n_configs), 2)}
     aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
-    return PairwiseIndexReport(
-        index_name=index_name,
-        per_pair=pair_scores,
-        aggregate=aggregate,
-        n_configs=n_configs,
-        metadata=metadata,
-    )
+    return PairwiseIndexReport(index_name, pair_scores, aggregate, n_configs, metadata=metadata)
 
 
 def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
@@ -119,27 +132,28 @@ def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
 
     Under the cosine metric "nearest" means highest cosine similarity;
     under euclidean, smallest distance. Self is excluded. Ties are
-    broken by ascending node id via a stable sort, which is what makes
-    downstream neighborhood indices permutation-invariant.
+    broken by ascending node id, which is what makes downstream
+    neighborhood indices permutation-invariant: per row block, the keys
+    up to each row's k-th smallest, boundary ties included, are sorted
+    on (key, node id).
     """
     values = matrix_values(mat)
-    n = values.shape[0]
-    if not 1 <= params.k < n:
-        raise KTooLarge(f"k={params.k} must satisfy 1 <= k < node_count={n}")
-    if params.metric == "cosine":
-        unit = _unit_rows(values)
-        scores = unit @ unit.T
-        # Self must sort last: -inf similarity becomes +inf after the
-        # negation that turns "most similar first" into an ascending sort.
-        np.fill_diagonal(scores, -np.inf)
-        indices = np.argsort(-scores, axis=1, kind="stable")[:, :params.k]
-    else:
+    n, k = values.shape[0], params.k
+    if not 1 <= k < n:
+        raise KTooLarge(f"k={k} must satisfy 1 <= k < node_count={n}")
+    unit = _unit_rows(values) if params.metric == "cosine" else None
+    if unit is None:
         from scipy.spatial.distance import cdist
-
-        dists = cdist(values, values)
-        np.fill_diagonal(dists, np.inf)
-        indices = np.argsort(dists, axis=1, kind="stable")[:, :params.k]
-    return NeighborList(indices=indices, k=params.k, metric=params.metric)
+    indices = np.empty((n, k), dtype=np.intp)
+    for rows in _row_blocks(n, n):
+        keys = cdist(values[rows], values) if unit is None else -(unit[rows] @ unit.T)
+        local = np.arange(keys.shape[0])
+        keys[local, local + rows.start] = np.inf  # self sorts last
+        kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
+        row, col = np.nonzero(keys <= kth)
+        order = np.lexsort((col, keys[row, col], row))
+        indices[rows] = col[order][np.searchsorted(row, local)[:, None] + np.arange(k)]
+    return NeighborList(indices=indices, k=k, metric=params.metric)
 
 
 def knn_jaccard_index(
@@ -152,20 +166,19 @@ def knn_jaccard_index(
     neighborhoods everywhere.
     """
     values = _prepared_values(ensemble, preprocess)
-    neighbor_lists = [knn_neighbors(v, params).indices for v in values]
-    n_nodes = values[0].shape[0]
-    pair_scores: dict[tuple[int, int], float] = {}
-    for l in range(len(values)):
-        for m in range(l + 1, len(values)):
-            nl, nm = neighbor_lists[l], neighbor_lists[m]
-            total = 0.0
-            for i in range(n_nodes):
-                inter = np.intersect1d(nl[i], nm[i], assume_unique=True).size
-                union = np.union1d(nl[i], nm[i]).size
-                total += inter / union
-            pair_scores[(l, m)] = total / n_nodes
-    metadata = {"k": params.k, "metric": params.metric, "preprocess": preprocess}
-    return _report("knn-jaccard", pair_scores, len(values), metadata)
+    neighbors = [knn_neighbors(v, params).indices for v in values]
+    n, k = len(neighbors[0]), params.k
+
+    def jaccard(l, m):
+        inter = np.concatenate([
+            (neighbors[l][rows, :, None] == neighbors[m][rows, None, :]).sum(axis=(1, 2))
+            for rows in _row_blocks(n, k * k)
+        ])
+        # Each list holds k distinct ids, so the union has 2k - inter.
+        return _node_mean(inter / (2 * k - inter))
+
+    metadata = {"k": k, "metric": params.metric, "preprocess": preprocess}
+    return _pairwise("knn-jaccard", len(values), jaccard, metadata)
 
 
 def second_order_cosine_index(
@@ -182,29 +195,24 @@ def second_order_cosine_index(
     """
     values = _prepared_values(ensemble, preprocess)
     units = [_unit_rows(v) for v in values]
-    neighbor_lists = [knn_neighbors(v, params).indices for v in values]
-    n_nodes = values[0].shape[0]
-    pair_scores: dict[tuple[int, int], float] = {}
-    zero_vectors = 0
-    for l in range(len(values)):
-        for m in range(l + 1, len(values)):
-            nl, nm = neighbor_lists[l], neighbor_lists[m]
-            total = 0.0
-            for i in range(n_nodes):
-                joined = np.union1d(nl[i], nm[i])
-                profile_l = units[l][joined] @ units[l][i]
-                profile_m = units[m][joined] @ units[m][i]
-                score, degenerate = _cosine_guarded(profile_l, profile_m)
-                zero_vectors += degenerate
-                total += score
-            pair_scores[(l, m)] = total / n_nodes
-    metadata = {
-        "k": params.k,
-        "metric": params.metric,
-        "preprocess": preprocess,
-        "zero_vector_scores": zero_vectors,
-    }
-    return _report("second-order-cosine", pair_scores, len(values), metadata)
+    neighbors = [knn_neighbors(v, params).indices for v in values]
+    n, k = len(neighbors[0]), params.k
+    metadata = {"k": k, "metric": params.metric, "preprocess": preprocess, "zero_vector_scores": 0}
+
+    def profile_cosine(l, m):
+        pair, scores = (units[l], units[m]), np.empty(n)
+        for rows in _row_blocks(n, 2 * k * max(u.shape[1] for u in pair)):
+            joined = np.sort(np.hstack([neighbors[l][rows], neighbors[m][rows]]), axis=1)
+            # A node in both lists is listed once in the union: its repeat
+            # becomes zero padding, which no dot product or norm sees.
+            once = np.ones(joined.shape, dtype=bool)
+            once[:, 1:] = joined[:, 1:] != joined[:, :-1]
+            profiles = [np.einsum("ijd,id->ij", u[joined], u[rows]) * once for u in pair]
+            scores[rows], zeros = _row_cosines(*profiles)
+            metadata["zero_vector_scores"] += zeros
+        return _node_mean(scores)
+
+    return _pairwise("second-order-cosine", len(values), profile_cosine, metadata)
 
 
 def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
@@ -217,27 +225,16 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     """
     values = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "aligned-cosine")
-    n_nodes = values[0].shape[0]
-    pair_scores: dict[tuple[int, int], float] = {}
-    zero_vectors = 0
-    degenerate_alignments = 0
-    for l in range(len(values)):
-        for m in range(l + 1, len(values)):
-            alignment = procrustes_align(values[l], values[m])
-            degenerate_alignments += alignment.degenerate
-            mapped = values[l] @ alignment.q
-            total = 0.0
-            for i in range(n_nodes):
-                score, degenerate = _cosine_guarded(mapped[i], values[m][i])
-                zero_vectors += degenerate
-                total += score
-            pair_scores[(l, m)] = total / n_nodes
-    metadata = {
-        "preprocess": preprocess,
-        "zero_vector_scores": zero_vectors,
-        "degenerate_alignments": degenerate_alignments,
-    }
-    return _report("aligned-cosine", pair_scores, len(values), metadata)
+    metadata = {"preprocess": preprocess, "zero_vector_scores": 0, "degenerate_alignments": 0}
+
+    def aligned_cosine(l, m):
+        alignment = procrustes_align(values[l], values[m])
+        metadata["degenerate_alignments"] += alignment.degenerate
+        scores, zeros = _row_cosines(values[l] @ alignment.q, values[m])
+        metadata["zero_vector_scores"] += zeros
+        return _node_mean(scores)
+
+    return _pairwise("aligned-cosine", len(values), aligned_cosine, metadata)
 
 
 def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
@@ -250,15 +247,17 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
 
     values = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "hausdorff")
-    pair_scores: dict[tuple[int, int], float] = {}
-    for l in range(len(values)):
-        for m in range(l + 1, len(values)):
-            dists = cdist(values[l], values[m])
-            forward = dists.min(axis=1).max()
-            backward = dists.min(axis=0).max()
-            pair_scores[(l, m)] = float(max(forward, backward))
-    metadata = {"preprocess": preprocess}
-    return _report("hausdorff", pair_scores, len(values), metadata)
+
+    def hausdorff(l, m):
+        a, b = values[l], values[m]
+        forward, backward = 0.0, np.full(len(b), np.inf)
+        for rows in _row_blocks(len(a), len(b)):
+            dists = cdist(a[rows], b)
+            forward = max(forward, dists.min(axis=1).max())
+            np.minimum(backward, dists.min(axis=0), out=backward)
+        return float(max(forward, backward.max()))
+
+    return _pairwise("hausdorff", len(values), hausdorff, {"preprocess": preprocess})
 
 
 def wasserstein_index(
@@ -282,11 +281,11 @@ def wasserstein_index(
             f"wasserstein needs a dense {n_nodes} x {n_nodes} cost matrix; "
             f"cap is {max_nodes} nodes"
         )
-    pair_scores: dict[tuple[int, int], float] = {}
-    for l in range(len(values)):
-        for m in range(l + 1, len(values)):
-            cost = cdist(values[l], values[m], metric="sqeuclidean")
-            rows, cols = linear_sum_assignment(cost)
-            pair_scores[(l, m)] = float(np.sqrt(cost[rows, cols].sum()))
+
+    def wasserstein(l, m):
+        cost = cdist(values[l], values[m], metric="sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        return float(np.sqrt(cost[rows, cols].sum()))
+
     metadata = {"preprocess": preprocess, "max_nodes": max_nodes}
-    return _report("wasserstein", pair_scores, len(values), metadata)
+    return _pairwise("wasserstein", len(values), wasserstein, metadata)

@@ -212,6 +212,14 @@ def center_normalize_inplace(arr: np.ndarray) -> int:
     """
     arr -= arr.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    overflow = np.isinf(norms)
+    if overflow.any():
+        # Squares of entries beyond about 1e154 leave the float64 range;
+        # scale those rows by their largest magnitude first, as dnrm2 does.
+        rows = arr[overflow]
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        rows /= scale
+        norms[overflow] = scale[:, 0] * np.sqrt(np.einsum("ij,ij->i", rows, rows))
     degenerate = norms < DEGENERATE_ROW_NORM
     n_degenerate = int(np.count_nonzero(degenerate))
     if n_degenerate:

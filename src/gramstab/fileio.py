@@ -353,6 +353,13 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: missing required key {exc.args[0]!r}") from exc
     if not isinstance(embedding_paths, list) or len(embedding_paths) < 2:
         raise ManifestError(f"{path}: embedding_paths must list at least 2 files")
+    node_id_map = raw.get("node_id_map")
+    named = [("graph_path", graph_path), *(("embedding_paths", p) for p in embedding_paths)]
+    if node_id_map is not None:
+        named.append(("node_id_map", node_id_map))
+    for key, value in named:
+        if not isinstance(value, str):
+            raise ManifestError(f"{path}: {key}: expected a path string, got {value!r}")
     base = path.parent
     embeddings = tuple(base / p for p in embedding_paths)
     # Spellings such as "a.gge1" and "./a.gge1" name one file; counting
@@ -363,10 +370,11 @@ def load_manifest(path) -> Manifest:
     if labels is None:
         labels = tuple(Path(p).stem for p in embedding_paths)
     else:
+        if not isinstance(labels, list):
+            raise ManifestError(f"{path}: labels must be a list, got {labels!r}")
         if len(labels) != len(embedding_paths):
             raise ManifestError(f"{path}: labels must match embedding_paths in length")
         labels = tuple(str(label) for label in labels)
-    node_id_map = raw.get("node_id_map")
     extra = {
         k: v
         for k, v in raw.items()

@@ -96,6 +96,14 @@ def jaccard_brute(values_l, values_m, k, metric="cosine"):
     return total / len(nl)
 
 
+def _cos_or_zero(a, b):
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b)) / (na * nb)
+
+
 def second_order_brute(values_l, values_m, k, metric="cosine"):
     """Mean per-node cosine of similarity profiles over unioned neighbors.
 
@@ -104,26 +112,39 @@ def second_order_brute(values_l, values_m, k, metric="cosine"):
     own space; the node's score is the cosine between the two profiles,
     with an all-zero profile scoring 0.
     """
+    return second_order_brute_with_zeros(values_l, values_m, k, metric)[0]
+
+
+def second_order_brute_with_zeros(values_l, values_m, k, metric="cosine"):
+    """``second_order_brute`` plus the count of nodes with an all-zero
+    profile in either configuration."""
     values_l = np.asarray(values_l, dtype=np.float64)
     values_m = np.asarray(values_m, dtype=np.float64)
     nl = knn_brute(values_l, k, metric)
     nm = knn_brute(values_m, k, metric)
-
-    def cos(a, b):
-        na = math.sqrt(float(np.dot(a, a)))
-        nb = math.sqrt(float(np.dot(b, b)))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.dot(a, b)) / (na * nb)
-
     total = 0.0
+    zeros = 0
     n = values_l.shape[0]
     for i in range(n):
         joined = sorted(set(nl[i]) | set(nm[i]))
-        profile_l = np.array([cos(values_l[i], values_l[j]) for j in joined])
-        profile_m = np.array([cos(values_m[i], values_m[j]) for j in joined])
-        total += cos(profile_l, profile_m)
-    return total / n
+        profile_l = np.array([_cos_or_zero(values_l[i], values_l[j]) for j in joined])
+        profile_m = np.array([_cos_or_zero(values_m[i], values_m[j]) for j in joined])
+        zeros += not profile_l.any() or not profile_m.any()
+        total += _cos_or_zero(profile_l, profile_m)
+    return total / n, zeros
+
+
+def aligned_cosine_brute(a, b, q):
+    """Mean per-node cosine of (a @ q)[i] and b[i], a zero vector scoring
+    0, and the count of such nodes. ``q`` is the pair's rotation."""
+    mapped = np.asarray(a, dtype=np.float64) @ q
+    b = np.asarray(b, dtype=np.float64)
+    total = 0.0
+    zeros = 0
+    for i in range(b.shape[0]):
+        zeros += not mapped[i].any() or not b[i].any()
+        total += _cos_or_zero(mapped[i], b[i])
+    return total / b.shape[0], zeros
 
 
 def hausdorff_brute(a, b):

@@ -1,10 +1,11 @@
 """Comparison indices against brute-force oracles."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -18,12 +19,14 @@ from gramstab import (
     hausdorff_index,
     knn_jaccard_index,
     knn_neighbors,
+    procrustes_align,
     random_orthogonal,
     second_order_cosine_index,
     wasserstein_index,
 )
 
 import oracles
+from gramstab import baselines
 
 
 def _ensemble(seed, n=12, dim=3, n_configs=3, noise=0.3):
@@ -193,3 +196,97 @@ def test_every_public_index_function_is_exported():
     }
     assert {"ggi_index", "wasserstein_index"} <= names
     assert sorted(names - set(gramstab.__all__)) == []
+
+
+def _tie_heavy(rng, n, dim, metric):
+    """A configuration whose neighbor keys tie often, at the k-th place too.
+
+    Euclidean: points on a {0, 1, 2} grid, so many distances are equal.
+    Cosine: copies of a few distinct rows, so whole groups of similarities
+    are equal. Both get some all-zero rows.
+    """
+    if metric == "euclidean":
+        values = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    else:
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), dim))
+        values = distinct[rng.integers(0, len(distinct), size=n)]
+    values[rng.random(n) < 0.15] = 0.0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    metric=st.sampled_from(["cosine", "euclidean"]),
+    step=st.integers(min_value=2, max_value=4),
+    n_blocks=st.integers(min_value=1, max_value=4),
+    tail=st.integers(min_value=0, max_value=3),
+)
+@example(seed=3, metric="cosine", step=3, n_blocks=3, tail=1)
+@example(seed=4, metric="euclidean", step=2, n_blocks=4, tail=1)
+def test_blocked_search_matches_oracles_under_ties(seed, metric, step, n_blocks, tail):
+    # Blocks of ``step`` rows, with a tail of ``tail`` rows; a one-row
+    # tail must join the block before it.
+    rng = np.random.default_rng(seed)
+    n = max(step * n_blocks + tail % step, 4)
+    dim = int(rng.integers(1, 4))
+    k = int(rng.integers(1, n))
+    configs = [_tie_heavy(rng, n, dim, metric) for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_BLOCK_ELEMENTS", step * n)
+        blocks = baselines._row_blocks(n, n)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert min(b.stop - b.start for b in blocks) >= 2
+        _check_against_oracles(configs, k, metric)
+
+
+def _check_against_oracles(configs, k, metric):
+    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
+    params = NeighborParams(k=k, metric=metric)
+    for values in configs:
+        fast = knn_neighbors(values, params).indices.tolist()
+        assert fast == oracles.knn_brute(values, k, metric)
+
+    a, b = configs
+    # Both sum the same per-node ratios in node order: equal bit for bit.
+    assert knn_jaccard_index(ens, params).per_pair[(0, 1)] == oracles.jaccard_brute(a, b, k, metric)
+    report = second_order_cosine_index(ens, params)
+    expected, zeros = oracles.second_order_brute_with_zeros(a, b, k, metric)
+    assert abs(report.per_pair[(0, 1)] - expected) <= 1e-12
+    assert report.metadata["zero_vector_scores"] == zeros
+    assert abs(hausdorff_index(ens).per_pair[(0, 1)] - oracles.hausdorff_brute(a, b)) <= 1e-12
+    # The rotation is procrustes_align's, checked in test_alignment; here
+    # the row cosines, the zero-vector rule and the node mean are checked.
+    report = aligned_cosine_index(ens)
+    expected, zeros = oracles.aligned_cosine_brute(a, b, procrustes_align(a, b).q)
+    assert abs(report.per_pair[(0, 1)] - expected) <= 1e-12
+    assert report.metadata["zero_vector_scores"] == zeros
+
+
+def test_blocked_search_memory_stays_bounded():
+    # Dense search would hold |V| x |V| float64, 512 MB (32 blocks) at
+    # |V| = 8000. The blocked search holds about two blocks plus the
+    # neighbor lists; when every key of a row ties, all of them are kept
+    # for the final sort, which takes about nine.
+    n, dim, k = 8000, 16, 10
+    rng = np.random.default_rng(21)
+    configs = [rng.normal(size=(n, dim)) for _ in range(2)]
+    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
+    block = baselines._BLOCK_ELEMENTS * 8
+    # Fewer rows keep the all-ties sort short; its blocks are still full.
+    tied = np.zeros((3000, dim))
+    for blocks, run in (
+        (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="cosine"))),
+        (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="euclidean"))),
+        (3, lambda: hausdorff_index(ens)),
+        (10, lambda: knn_neighbors(tied, NeighborParams(k=k, metric="cosine"))),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = blocks * block + n * k * 8
+        assert peak < budget, f"peak {peak / 1e6:.1f} MB over {budget / 1e6:.1f} MB"

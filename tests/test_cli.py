@@ -226,6 +226,32 @@ def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"embedding_paths": [1, 2]}, "embedding_paths"),
+        ({"graph_path": 7}, "graph_path"),
+        ({"node_id_map": 3}, "node_id_map"),
+        ({"labels": 5}, "labels"),
+    ],
+)
+def test_manifest_field_of_wrong_type_exits_2(workspace, tmp_path, fields, key):
+    manifest = load_manifest(workspace / "manifest.json")
+    doc = {
+        "graph_path": str(manifest.graph_path),
+        "node_id_map": str(manifest.node_id_map),
+        "embedding_paths": [str(p) for p in manifest.embedding_paths],
+        **fields,
+    }
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    result = _run(["ggi", "--manifest", str(bad)])
+    assert result.returncode == 2
+    assert key in result.stderr
+    assert "internal error" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_non_bijective_id_map_exits_2(workspace, tmp_path):
     manifest = load_manifest(workspace / "manifest.json")
     ids = tmp_path / "ids.json"

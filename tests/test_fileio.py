@@ -391,6 +391,17 @@ def test_manifest_errors(tmp_path):
     with pytest.raises(ManifestError):
         load_manifest(path)
 
+    # Fields of the wrong JSON type are manifest errors, not TypeErrors.
+    for doc in (
+        {"graph_path": "g", "embedding_paths": [1, 2]},
+        {"graph_path": 7, "embedding_paths": ["a", "b"]},
+        {"graph_path": "g", "embedding_paths": ["a", "b"], "node_id_map": 3},
+        {"graph_path": "g", "embedding_paths": ["a", "b"], "labels": 5},
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+
 
 def test_report_json_is_deterministic():
     doc = {"b": 1, "a": [1.5, 2.25], "nested": {"z": True, "y": None}}

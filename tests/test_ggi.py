@@ -185,6 +185,19 @@ def test_overflowing_score_is_a_named_error(preprocess):
     assert "config 2" in str(err.value)
 
 
+def test_huge_entries_score_as_their_rescaled_copy():
+    # Rows of entries near 1e160 have squared norms past the float64
+    # range; they must still normalize to the rows of the unscaled
+    # ensemble, not collapse to zero and score a "perfectly stable" 0.0.
+    graph, configs = _random_instance(16, noise=0.3)
+    plain = ggi_index(iter(configs), graph)
+    huge = ggi_index(iter([c * 1e160 for c in configs]), graph)
+    assert huge.scores == pytest.approx(plain.scores, abs=1e-12)
+    assert abs(huge.index_value - plain.index_value) <= 1e-12
+    assert plain.index_value > 1e-3
+    assert [s.degenerate_rows for s in huge.per_config] == [0, 0, 0]
+
+
 def test_too_few_configs():
     graph, configs = _random_instance(1)
     with pytest.raises(TooFewConfigs):
