@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import ConfigurationEnsemble, matrix_values, preprocess_center_normalize
-from .errors import InstanceTooLarge, KTooLarge, ShapeMismatch
+from .core import ConfigurationEnsemble, magnitude_scale, matrix_values, preprocess_center_normalize
+from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch
 
 _METRICS = ("cosine", "euclidean")
 
@@ -100,12 +100,20 @@ def _node_mean(scores: np.ndarray) -> float:
     return float(np.cumsum(scores)[-1] / len(scores))
 
 
-def _prepared_values(ensemble, preprocess: bool) -> list[np.ndarray]:
+def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[list, float]:
+    """Each configuration, center-normalized if asked, divided by its
+    :func:`~gramstab.core.magnitude_scale`; with ``shared``, all by the largest
+    one, which is returned so that distances can be multiplied back."""
     if not isinstance(ensemble, ConfigurationEnsemble):
         ensemble = ConfigurationEnsemble(tuple(ensemble))
     # Center-normalizing works on a copy; unprocessed values are only read.
-    return [preprocess_center_normalize(c)[0].values if preprocess else c.values
-            for c in ensemble.configs]
+    values = [preprocess_center_normalize(c)[0].values if preprocess else c.values
+              for c in ensemble.configs]
+    scales = [magnitude_scale(v) for v in values]
+    if shared:
+        scales = [max(scales)] * len(values)
+    values = [v if s == 1.0 else v / s for v, s in zip(values, scales)]
+    return values, scales[0]
 
 
 def _require_equal_dims(values: list[np.ndarray], index_name: str) -> None:
@@ -121,9 +129,14 @@ def _require_equal_dims(values: list[np.ndarray], index_name: str) -> None:
 
 def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexReport:
     """Report ``score_pair(l, m)`` for every pair l < m, and their mean;
-    ``score_pair`` may add to counters in ``metadata`` as it goes."""
+    ``score_pair`` may add to counters in ``metadata`` as it goes. A pair
+    score or mean past the float64 range raises NonFiniteScore."""
     pair_scores = {pair: score_pair(*pair) for pair in combinations(range(n_configs), 2)}
     aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
+    if not np.isfinite(aggregate):
+        bad = [f"pair {p} scores {s!r}" for p, s in pair_scores.items() if not np.isfinite(s)]
+        where = bad[0] if bad else f"the mean over pairs is {aggregate!r}"
+        raise NonFiniteScore(f"{index_name}: {where}, past float64; rescale the embeddings")
     return PairwiseIndexReport(index_name, pair_scores, aggregate, n_configs, metadata=metadata)
 
 
@@ -165,7 +178,7 @@ def knn_jaccard_index(
     averaged over nodes, then over unordered pairs. 1 means identical
     neighborhoods everywhere.
     """
-    values = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble, preprocess)
     neighbors = [knn_neighbors(v, params).indices for v in values]
     n, k = len(neighbors[0]), params.k
 
@@ -193,7 +206,7 @@ def second_order_cosine_index(
     cosine of those two vectors. An all-zero similarity vector scores 0
     and is counted in the report metadata.
     """
-    values = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble, preprocess)
     units = [_unit_rows(v) for v in values]
     neighbors = [knn_neighbors(v, params).indices for v in values]
     n, k = len(neighbors[0]), params.k
@@ -223,7 +236,7 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     orthogonal discrepancy between the spaces scores 1. Requires equal
     embedding dimensions across configurations.
     """
-    values = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "aligned-cosine")
     metadata = {"preprocess": preprocess, "zero_vector_scores": 0, "degenerate_alignments": 0}
 
@@ -245,7 +258,7 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     """
     from scipy.spatial.distance import cdist
 
-    values = _prepared_values(ensemble, preprocess)
+    values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "hausdorff")
 
     def hausdorff(l, m):
@@ -255,7 +268,7 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
             dists = cdist(a[rows], b)
             forward = max(forward, dists.min(axis=1).max())
             np.minimum(backward, dists.min(axis=0), out=backward)
-        return float(max(forward, backward.max()))
+        return scale * float(max(forward, backward.max()))
 
     return _pairwise("hausdorff", len(values), hausdorff, {"preprocess": preprocess})
 
@@ -273,7 +286,7 @@ def wasserstein_index(
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    values = _prepared_values(ensemble, preprocess)
+    values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]
     if n_nodes > max_nodes:
@@ -285,7 +298,7 @@ def wasserstein_index(
     def wasserstein(l, m):
         cost = cdist(values[l], values[m], metric="sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(cost[rows, cols].sum()))
+        return scale * float(np.sqrt(cost[rows, cols].sum()))
 
     metadata = {"preprocess": preprocess, "max_nodes": max_nodes}
     return _pairwise("wasserstein", len(values), wasserstein, metadata)

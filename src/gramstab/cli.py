@@ -68,20 +68,28 @@ def _load_graph(manifest: Manifest) -> EdgeListResult:
     return load_edge_list(manifest.graph_path, id_map=id_map)
 
 
-def _emit(document: dict, out: str | None) -> None:
+def _load_ensemble(manifest: Manifest) -> ConfigurationEnsemble:
+    return ConfigurationEnsemble(tuple(load_embeddings(p) for p in manifest.embedding_paths))
+
+
+def _emit(command: str, body: dict, args, manifest: Manifest | None = None,
+          started: float = 0.0) -> None:
+    """Write a report: the shared head, ``body``, then, given the manifest of
+    the inputs scored, their hashes and, if requested, the timings."""
+    document = {"tool": "gramstab", "version": __version__, "command": command, **body}
+    if manifest is not None:
+        document["inputs"] = {
+            "manifest": str(args.manifest),
+            "graph_sha256": sha256_file(manifest.graph_path),
+            "embeddings_sha256": [sha256_file(p) for p in manifest.embedding_paths],
+        }
+        if args.timings:
+            document["timings"] = {"wall_seconds": time.perf_counter() - started}
     text = report_to_json(document)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _input_block(args, manifest: Manifest) -> dict:
-    return {
-        "manifest": str(args.manifest),
-        "graph_sha256": sha256_file(manifest.graph_path),
-        "embeddings_sha256": [sha256_file(p) for p in manifest.embedding_paths],
-    }
 
 
 def _cmd_ggi(args) -> int:
@@ -97,10 +105,7 @@ def _cmd_ggi(args) -> int:
         opts,
         copy=False,
     )
-    document = {
-        "tool": "gramstab",
-        "version": __version__,
-        "command": "ggi",
+    _emit("ggi", {
         "index_name": report.index_name,
         "index_value": report.index_value,
         "index_percent": report.index_percent,
@@ -116,11 +121,7 @@ def _cmd_ggi(args) -> int:
             for s in report.per_config
         ],
         "options": {"preprocess": opts.preprocess, "std": opts.std},
-        "inputs": _input_block(args, manifest),
-    }
-    if args.timings:
-        document["timings"] = {"wall_seconds": time.perf_counter() - started}
-    _emit(document, args.out)
+    }, args, manifest, started)
     return 0
 
 
@@ -142,19 +143,14 @@ def _cmd_baseline(args) -> int:
     started = time.perf_counter()
     manifest = load_manifest(args.manifest)
     graph = _load_graph(manifest).graph
-    ensemble = ConfigurationEnsemble(
-        tuple(load_embeddings(p) for p in manifest.embedding_paths)
-    )
+    ensemble = _load_ensemble(manifest)
     validate_ensemble(ensemble, graph)
     report = _run_baseline(args.index, ensemble, args)
     options: dict = {"preprocess": args.preprocess}
     if args.index in _NEIGHBOR_BASELINES:
         options["k"] = args.k
         options["metric"] = args.metric
-    document = {
-        "tool": "gramstab",
-        "version": __version__,
-        "command": "baseline",
+    _emit("baseline", {
         "index_name": report.index_name,
         "aggregate": report.aggregate,
         "n_configs": report.n_configs,
@@ -169,25 +165,15 @@ def _cmd_baseline(args) -> int:
         ],
         "options": options,
         "metadata": {k: report.metadata[k] for k in sorted(report.metadata)},
-        "inputs": _input_block(args, manifest),
-    }
-    if args.timings:
-        document["timings"] = {"wall_seconds": time.perf_counter() - started}
-    _emit(document, args.out)
+    }, args, manifest, started)
     return 0
 
 
 def _cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
     parsed = _load_graph(manifest)
-    ensemble = ConfigurationEnsemble(
-        tuple(load_embeddings(p) for p in manifest.embedding_paths)
-    )
-    summary = validate_ensemble(ensemble, parsed.graph)
-    document = {
-        "tool": "gramstab",
-        "version": __version__,
-        "command": "validate",
+    summary = validate_ensemble(_load_ensemble(manifest), parsed.graph)
+    _emit("validate", {
         "ok": True,
         "n_configs": summary.n_configs,
         "node_count": summary.node_count,
@@ -196,8 +182,7 @@ def _cmd_validate(args) -> int:
         "labels": list(manifest.labels),
         "self_loops_dropped": parsed.self_loops_dropped,
         "duplicates_dropped": parsed.duplicates_dropped,
-    }
-    _emit(document, args.out)
+    }, args)
     return 0
 
 

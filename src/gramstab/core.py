@@ -8,15 +8,20 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch, TooFewConfigs
 
-# Rows whose post-centering L2 norm falls below this are zeroed out and
-# counted as degenerate instead of being divided by a near-zero norm.
+# A row whose centered norm is below this times its configuration's magnitude
+# (the larger of its largest centered row norm and largest |column mean|) is
+# centering's rounding error: it is zeroed and counted as degenerate, in any units.
 DEGENERATE_ROW_NORM = 1e-15
+
+# Magnitudes outside this window are divided by a power of two (exactly) first,
+# so that squares, inner products and distances stay inside the float64 range.
+MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 
 MatrixLike = Union["EmbeddingMatrix", np.ndarray, Sequence[Sequence[float]]]
 
@@ -168,10 +173,6 @@ class ConfigurationEnsemble:
                     config_index=idx,
                 )
 
-    @classmethod
-    def from_arrays(cls, arrays: Iterable) -> "ConfigurationEnsemble":
-        return cls(tuple(arrays))
-
     @property
     def n_configs(self) -> int:
         return len(self.configs)
@@ -204,27 +205,41 @@ class ValidationSummary:
     dims: tuple[int, ...]
 
 
+def magnitude_scale(values: np.ndarray) -> float:
+    """The power of two to divide ``values`` by before any arithmetic on them:
+    1.0 when max |values| lies inside ``MAGNITUDE_WINDOW`` (or is 0 or not
+    finite), else the largest power of two not above it. The division is
+    exact, so cosines are unchanged and distances shrink by the scale.
+    """
+    peak = float(np.abs(values).max())
+    low, high = MAGNITUDE_WINDOW
+    if low <= peak <= high or not 0.0 < peak < np.inf:
+        return 1.0
+    return float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
+
+
 def center_normalize_inplace(arr: np.ndarray) -> int:
     """Center columns and L2-normalize rows of a writable array, in place.
 
-    Rows whose post-centering norm is below ``DEGENERATE_ROW_NORM`` are
-    set to exact zeros. Returns the count of such degenerate rows.
+    When the row norms leave ``MAGNITUDE_WINDOW``, the centered array is
+    first divided by its :func:`magnitude_scale`. Rows that are degenerate
+    (see ``DEGENERATE_ROW_NORM``) are set to exact zeros; returns their count.
     """
-    arr -= arr.mean(axis=0)
+    mean = arr.mean(axis=0)
+    arr -= mean
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
-    overflow = np.isinf(norms)
-    if overflow.any():
-        # Squares of entries beyond about 1e154 leave the float64 range;
-        # scale those rows by their largest magnitude first, as dnrm2 does.
-        rows = arr[overflow]
-        scale = np.abs(rows).max(axis=1, keepdims=True)
-        rows /= scale
-        norms[overflow] = scale[:, 0] * np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    degenerate = norms < DEGENERATE_ROW_NORM
+    scale = 1.0
+    if not MAGNITUDE_WINDOW[0] <= norms.max() <= MAGNITUDE_WINDOW[1]:
+        scale = magnitude_scale(arr)
+        arr /= scale
+        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    magnitude = max(norms.max(), np.abs(mean).max() / scale)
+    # Strictly below, so that rows left infinite by an overflowed mean are
+    # not zeroed but turn NaN; all-zero rows have no norm to be below.
+    degenerate = (norms < DEGENERATE_ROW_NORM * magnitude) | (norms == 0.0)
     n_degenerate = int(np.count_nonzero(degenerate))
     if n_degenerate:
         arr[degenerate] = 0.0
-        norms = norms.copy()
         norms[degenerate] = 1.0
     arr /= norms[:, None]
     return n_degenerate

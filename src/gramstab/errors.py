@@ -32,11 +32,11 @@ class ShapeMismatch(GramstabError):
 
 
 class NonFiniteScore(GramstabError):
-    """A configuration's edge summary is NaN or infinite.
+    """A score or index is NaN or infinite although every entry is finite.
 
-    The entries were finite but too large for float64 arithmetic, so
-    the inner products (or the preprocessing) overflowed.
-    ``config_index`` names the configuration.
+    The result is too large for float64: a raw edge summary, a pair's
+    distance, or their spread. ``config_index`` names the configuration
+    of an edge summary; the message names the pair of a pair score.
     """
 
     def __init__(self, message: str, config_index: int | None = None):

@@ -20,6 +20,7 @@ from .core import (
     EmbeddingMatrix,
     GraphTopology,
     center_normalize_inplace,
+    magnitude_scale,
     matrix_values,
 )
 from .errors import (
@@ -180,13 +181,15 @@ def dispersion(scores: np.ndarray, std: str = "population") -> float:
     """Standard deviation of per-configuration scores.
 
     Bit-identical inputs must yield exactly 0.0, which naive mean/std
-    arithmetic does not guarantee, so that case is short-circuited.
+    arithmetic does not guarantee, so that case is short-circuited. Scores
+    are divided by their :func:`~gramstab.core.magnitude_scale` first.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.max() == scores.min():
         return 0.0
     ddof = 0 if std == "population" else 1
-    return float(scores.std(ddof=ddof))
+    scale = magnitude_scale(scores)
+    return scale * float((scores / scale).std(ddof=ddof))
 
 
 def ggi_index(
@@ -228,25 +231,12 @@ def ggi_index(
         )
         del mat
         idx += 1
-    return report_from_scores(scores, opts)
-
-
-def report_from_scores(
-    scores: Iterable[EdgeSummaryScore], opts: GgiOptions | None = None
-) -> StabilityReport:
-    """Assemble the index report from already-computed per-config scores.
-
-    Lets callers that schedule :func:`score_configuration` themselves
-    (in threads, say) share the exact reduction and report layout of
-    :func:`ggi_index`.
-    """
-    if opts is None:
-        opts = GgiOptions()
-    scores = sorted(scores, key=lambda s: s.config_index)
     if len(scores) < 2:
         raise TooFewConfigs(f"need at least 2 configurations, got {len(scores)}")
-    values = np.array([s.score for s in scores])
-    index_value = dispersion(values, opts.std)
+    index_value = dispersion(np.array([s.score for s in scores]), opts.std)
+    if not np.isfinite(index_value * 100.0):
+        raise NonFiniteScore(f"the index is {index_value!r}; in percent it is too "
+                             f"large for float64 (rescale the embeddings)")
     metadata = {
         "preprocess": opts.preprocess,
         "std": opts.std,

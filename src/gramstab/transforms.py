@@ -73,10 +73,6 @@ class Isometry:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "Isometry":
-        return cls(np.eye(dim), np.zeros(dim))
-
     def then(self, other: "Isometry") -> "Isometry":
         """Composition: applying self and then other."""
         if other.dim != self.dim:

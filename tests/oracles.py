@@ -17,15 +17,24 @@ DEGENERATE_ROW_NORM = 1e-15
 
 
 def center_normalize_dense(values):
-    """Column-center then row-normalize, written out row by row."""
+    """Column-center then row-normalize, written out row by row.
+
+    A row is degenerate, and becomes all zeros, when its centered norm is
+    zero or below DEGENERATE_ROW_NORM times the configuration's magnitude:
+    the larger of the largest centered row norm and the largest |column
+    mean|. Norms come from ``math.hypot``, which neither over- nor
+    underflows on finite entries.
+    """
     out = np.array(values, dtype=np.float64, copy=True)
-    out = out - out.mean(axis=0, keepdims=True)
+    mean = out.mean(axis=0, keepdims=True)
+    out = out - mean
+    norms = [math.hypot(*row) for row in out]
+    magnitude = max(max(norms), float(np.abs(mean).max()))
     for i in range(out.shape[0]):
-        norm = math.sqrt(float(np.dot(out[i], out[i])))
-        if norm < DEGENERATE_ROW_NORM:
+        if norms[i] == 0.0 or norms[i] < DEGENERATE_ROW_NORM * magnitude:
             out[i] = 0.0
         else:
-            out[i] = out[i] / norm
+            out[i] = out[i] / norms[i]
     return out
 
 

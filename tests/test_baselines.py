@@ -14,6 +14,7 @@ from gramstab import (
     InstanceTooLarge,
     KTooLarge,
     NeighborParams,
+    NonFiniteScore,
     aligned_cosine_index,
     apply_isometry,
     hausdorff_index,
@@ -121,6 +122,19 @@ def test_wasserstein_instance_cap():
     ens = ConfigurationEnsemble((EmbeddingMatrix(big), EmbeddingMatrix(big.copy())))
     with pytest.raises(InstanceTooLarge):
         wasserstein_index(ens, max_nodes=10)
+
+
+def test_scores_past_float64_are_named_errors():
+    # Finite entries whose distances leave the float64 range must not be
+    # reported as inf (or crash the solver): the index names the pair.
+    rng = np.random.default_rng(3)
+    far = [1e307 * rng.normal(size=(60, 8)), 1e307 * (rng.normal(size=(60, 8)) + 2.0)]
+    with pytest.raises(NonFiniteScore, match=r"wasserstein: pair \(0, 1\) scores inf"):
+        wasserstein_index(far)
+    # Here every pair is 1e308 apart, in range, but their sum is not.
+    triangle = [np.array([[0.0, 0.0]]), np.array([[1e308, 0.0]]), np.array([[5e307, 8.66e307]])]
+    with pytest.raises(NonFiniteScore, match="hausdorff: the mean over pairs is inf"):
+        hausdorff_index(triangle)
 
 
 def test_aligned_cosine_is_one_under_pure_rotation():

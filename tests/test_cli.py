@@ -208,6 +208,23 @@ def test_overflowing_raw_scores_exit_2_with_named_error(tmp_path):
     assert result.stdout == ""
 
 
+def test_baseline_score_past_float64_exits_2_with_named_error(tmp_path):
+    # Every entry is finite, but the Wasserstein distance of these clouds
+    # is past the float64 range: a named input error, not a crash.
+    rng = np.random.default_rng(3)
+    (tmp_path / "g.edges").write_text("".join(f"{i} {i + 1}\n" for i in range(59)))
+    save_embeddings(tmp_path / "a.gge1", 1e307 * rng.normal(size=(60, 8)))
+    save_embeddings(tmp_path / "b.gge1", 1e307 * (rng.normal(size=(60, 8)) + 2.0))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "graph_path": "g.edges", "embedding_paths": ["a.gge1", "b.gge1"],
+    }))
+    result = _run(["baseline", "--manifest", str(manifest), "--index", "wasserstein"])
+    assert result.returncode == 2, result.stderr
+    assert "wasserstein: pair (0, 1)" in result.stderr
+    assert result.stdout == ""
+
+
 def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
     # "c0.gge1" and "./c0.gge1" are one file; scoring it twice would
     # report index_value 0.0, "perfectly stable".

@@ -107,6 +107,24 @@ def test_center_normalize_zeroes_degenerate_rows():
     assert np.all(mat.values == 0.0)
 
 
+@pytest.mark.parametrize("scale", [10.0**e for e in range(-300, 301, 50)])
+def test_degenerate_rows_are_relative_to_the_configuration(scale):
+    # A constant configuration centers to rounding error at every scale;
+    # a row equal to the column mean does too, alone among random rows.
+    # Absolute thresholds miss both: at 1e16 the rounding error is above
+    # 1e-15, at 1e-16 every row is below it.
+    constant = np.full((6, 3), 2.5 * scale)
+    assert center_normalize_inplace(constant.copy()) == 6
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(20, 5))
+    values[7] = np.delete(values, 7, axis=0).mean(axis=0)
+    values *= scale
+    work = values.copy()
+    assert center_normalize_inplace(work) == 1
+    assert not work[7].any()
+    np.testing.assert_allclose(work, oracles.center_normalize_dense(values), atol=1e-14)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     rows=st.integers(min_value=2, max_value=30),

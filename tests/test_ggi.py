@@ -19,7 +19,7 @@ from gramstab import (
     random_graph,
     score_configuration,
 )
-from gramstab.ggi import dispersion, report_from_scores
+from gramstab.ggi import dispersion
 
 import oracles
 
@@ -185,6 +185,15 @@ def test_overflowing_score_is_a_named_error(preprocess):
     assert "config 2" in str(err.value)
 
 
+def test_index_past_float64_is_a_named_error():
+    # Raw scores of +-3e307 are finite, but their spread, in percent, is not.
+    graph = GraphTopology.from_pairs(2, np.array([[0, 1]]))[0]
+    root = np.sqrt(3e307)
+    configs = [np.array([[root], [root]]), np.array([[root], [-root]])]
+    with pytest.raises(NonFiniteScore, match="the index is"):
+        ggi_index(iter(configs), graph, GgiOptions(preprocess=False))
+
+
 def test_huge_entries_score_as_their_rescaled_copy():
     # Rows of entries near 1e160 have squared norms past the float64
     # range; they must still normalize to the rows of the unscaled
@@ -246,20 +255,6 @@ def test_no_preprocess_uses_raw_inner_products():
     raw = ggi_index(ens, graph, GgiOptions(preprocess=False)).index_value
     expected = oracles.ggi_dense(scaled, graph.edges, graph.node_count, preprocess=False)
     assert abs(raw - expected) <= 1e-10
-
-
-def test_report_from_scores_sorts_by_config_index():
-    graph, configs = _random_instance(6, n_configs=3)
-    scores = [
-        score_configuration(c, graph, config_index=idx)
-        for idx, c in enumerate(configs)
-    ]
-    shuffled = [scores[2], scores[0], scores[1]]
-    report = report_from_scores(shuffled)
-    assert [s.config_index for s in report.per_config] == [0, 1, 2]
-    assert report.index_value == ggi_index(
-        ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs)), graph
-    ).index_value
 
 
 def test_report_metadata_names_conventions():
