@@ -29,7 +29,6 @@ from .core import (
     ConfigurationEnsemble,
     EmbeddingMatrix,
     GraphTopology,
-    ValidationSummary,
     center_normalize_inplace,
     preprocess_center_normalize,
     validate_ensemble,
@@ -114,7 +113,6 @@ __all__ = [
     "TooFewConfigs",
     "TrailingBytes",
     "TruncatedFile",
-    "ValidationSummary",
     "aligned_cosine_index",
     "apply_isometry",
     "apply_permutation",

@@ -68,10 +68,6 @@ def _load_graph(manifest: Manifest) -> EdgeListResult:
     return load_edge_list(manifest.graph_path, id_map=id_map)
 
 
-def _load_ensemble(manifest: Manifest) -> ConfigurationEnsemble:
-    return ConfigurationEnsemble(tuple(load_embeddings(p) for p in manifest.embedding_paths))
-
-
 def _emit(command: str, body: dict, args, manifest: Manifest | None = None,
           started: float = 0.0) -> None:
     """Write a report: the shared head, ``body``, then, given the manifest of
@@ -143,7 +139,7 @@ def _cmd_baseline(args) -> int:
     started = time.perf_counter()
     manifest = load_manifest(args.manifest)
     graph = _load_graph(manifest).graph
-    ensemble = _load_ensemble(manifest)
+    ensemble = ConfigurationEnsemble(map(load_embeddings, manifest.embedding_paths))
     validate_ensemble(ensemble, graph)
     report = _run_baseline(args.index, ensemble, args)
     options: dict = {"preprocess": args.preprocess}
@@ -172,13 +168,13 @@ def _cmd_baseline(args) -> int:
 def _cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
     parsed = _load_graph(manifest)
-    summary = validate_ensemble(_load_ensemble(manifest), parsed.graph)
+    dims = validate_ensemble(map(load_embeddings, manifest.embedding_paths), parsed.graph)
     _emit("validate", {
         "ok": True,
-        "n_configs": summary.n_configs,
-        "node_count": summary.node_count,
-        "edge_count": summary.edge_count,
-        "dims": list(summary.dims),
+        "n_configs": len(dims),
+        "node_count": parsed.graph.node_count,
+        "edge_count": parsed.graph.edge_count,
+        "dims": list(dims),
         "labels": list(manifest.labels),
         "self_loops_dropped": parsed.self_loops_dropped,
         "duplicates_dropped": parsed.duplicates_dropped,

@@ -8,7 +8,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -195,16 +195,6 @@ class ConfigurationEnsemble:
         return self.configs[idx]
 
 
-@dataclass(frozen=True)
-class ValidationSummary:
-    """Shape summary of an ensemble checked against a graph."""
-
-    n_configs: int
-    node_count: int
-    edge_count: int
-    dims: tuple[int, ...]
-
-
 def magnitude_scale(values: np.ndarray) -> float:
     """The power of two to divide ``values`` by before any arithmetic on them:
     1.0 when max |values| lies inside ``MAGNITUDE_WINDOW`` (or is 0 or not
@@ -269,24 +259,24 @@ def preprocess_center_normalize(mat: MatrixLike) -> tuple[EmbeddingMatrix, int]:
     return EmbeddingMatrix(work), n_degenerate
 
 
-def validate_ensemble(ensemble, graph: GraphTopology) -> ValidationSummary:
-    """Check that every configuration matches the graph's node count.
+def validate_ensemble(configs: Iterable, graph: GraphTopology) -> tuple[int, ...]:
+    """Check each configuration's row count against the graph; return the dims.
 
-    Accepts a ConfigurationEnsemble or any iterable of matrices. Raises
-    ShapeMismatch naming the first offending configuration index.
+    Takes a ConfigurationEnsemble or any iterable of matrices, consumed one
+    at a time, so a lazy iterable holds one matrix. Raises ShapeMismatch
+    naming the first mismatched configuration, TooFewConfigs for under two.
     """
-    if not isinstance(ensemble, ConfigurationEnsemble):
-        ensemble = ConfigurationEnsemble(tuple(ensemble))
-    for idx, cfg in enumerate(ensemble.configs):
-        if cfg.rows != graph.node_count:
+    dims: list[int] = []
+    for mat in configs:
+        rows, cols = matrix_values(mat).shape
+        if rows != graph.node_count:
             raise ShapeMismatch(
-                f"config {idx} has {cfg.rows} rows but the graph has "
+                f"config {len(dims)} has {rows} rows but the graph has "
                 f"{graph.node_count} nodes",
-                config_index=idx,
+                config_index=len(dims),
             )
-    return ValidationSummary(
-        n_configs=ensemble.n_configs,
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        dims=ensemble.dims,
-    )
+        dims.append(cols)
+        del mat  # before the iterable reads the next one
+    if len(dims) < 2:
+        raise TooFewConfigs(f"need at least 2 configurations, got {len(dims)}")
+    return tuple(dims)

@@ -12,11 +12,14 @@ with ``#`` comments; extra columns are ignored.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -68,19 +71,21 @@ class Manifest:
 def load_id_map(path) -> dict:
     """Read a JSON object mapping original node ids to row indices.
 
-    The values must form a bijection onto 0..n-1; anything else raises
-    NotABijection.
+    Values must be integers (a float or boolean is a ParseError) forming
+    a bijection onto 0..n-1; anything else raises NotABijection.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON id map: {exc}", path=str(path)) from exc
     if not isinstance(raw, dict) or not raw:
         raise ParseError("id map must be a non-empty JSON object", path=str(path))
     mapping = {}
     for key, value in raw.items():
         try:
+            if isinstance(value, (bool, float)):  # int() makes 1.9 row 1, false row 0
+                raise TypeError(f"row {value!r} is not an integer")
             mapping[int(key)] = int(value)
         except (TypeError, ValueError) as exc:
             raise ParseError(
@@ -185,8 +190,8 @@ def _scan_edge_lines(path: Path, id_map: dict | None) -> np.ndarray:
     """
     sources: list[int] = []
     targets: list[int] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
+    with path.open("rb") as handle:
+        for line_number, line in enumerate(_text_lines(path, handle), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
@@ -233,6 +238,22 @@ def _scan_edge_lines(path: Path, id_map: dict | None) -> np.ndarray:
     )
 
 
+def _text_lines(path: Path, handle) -> Iterator[str]:
+    """Lines of the binary ``handle`` from its start, as a UTF-8 text-mode
+    file reads them; bytes that are not UTF-8 are a ParseError naming
+    their line."""
+    handle.seek(0)
+    # Each byte that is not UTF-8 decodes to a lone surrogate, which does not encode.
+    text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
+    for number, line in enumerate(text, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise ParseError(f"not UTF-8 text: byte {byte:#04x}", path=str(path), line=number)
+        yield line
+
+
 def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
@@ -262,54 +283,51 @@ def load_embedding_values(path, fmt: str = "auto") -> np.ndarray:
         raise ValueError(f"unknown format {fmt!r}")
     with path.open("rb") as handle:
         magic = handle.read(len(GGE1_MAGIC))
-    if fmt == "gge1" and magic != GGE1_MAGIC:
-        raise BadMagic(f"{path}: expected magic {GGE1_MAGIC!r}, found {magic!r}")
-    if magic == GGE1_MAGIC and fmt in ("auto", "gge1"):
-        return _read_gge1(path)
-    return _read_csv(path)
+        if fmt == "gge1" and magic != GGE1_MAGIC:
+            raise BadMagic(f"{path}: expected magic {GGE1_MAGIC!r}, found {magic!r}")
+        if magic == GGE1_MAGIC and fmt in ("auto", "gge1"):
+            return _read_gge1(path, handle)
+        return _read_csv(path, _text_lines(path, handle))
 
 
-def _read_gge1(path: Path) -> np.ndarray:
-    actual = path.stat().st_size
+def _read_gge1(path: Path, handle) -> np.ndarray:
+    """The matrix behind a GGE1 header; ``handle`` is just past the magic."""
+    actual = os.fstat(handle.fileno()).st_size
     header_bytes = len(GGE1_MAGIC) + _HEADER.size
     if actual < header_bytes:
         raise TruncatedFile(str(path), header_bytes, actual)
-    with path.open("rb") as handle:
-        handle.seek(len(GGE1_MAGIC))
-        rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
-        expected = header_bytes + rows * cols * 8
-        if actual < expected:
-            raise TruncatedFile(str(path), expected, actual)
-        if actual > expected:
-            raise TrailingBytes(str(path), expected, actual)
-        values = np.fromfile(handle, dtype="<f8", count=rows * cols)
-    return values.reshape(rows, cols)
+    rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
+    expected = header_bytes + rows * cols * 8
+    if actual < expected:
+        raise TruncatedFile(str(path), expected, actual)
+    if actual > expected:
+        raise TrailingBytes(str(path), expected, actual)
+    return np.fromfile(handle, dtype="<f8", count=rows * cols).reshape(rows, cols)
 
 
-def _read_csv(path: Path) -> np.ndarray:
+def _read_csv(path: Path, lines: Iterator[str]) -> np.ndarray:
     rows: list[np.ndarray] = []
     cols: int | None = None
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            body = line.strip()
-            if not body:
-                continue
-            tokens = body.split(",")
-            try:
-                row = np.array([float(tok) for tok in tokens], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(
-                    f"could not parse value: {exc}", path=str(path), line=line_number
-                ) from exc
-            if cols is None:
-                cols = row.size
-            elif row.size != cols:
-                raise ParseError(
-                    f"expected {cols} columns, got {row.size}",
-                    path=str(path),
-                    line=line_number,
-                )
-            rows.append(row)
+    for line_number, line in enumerate(lines, start=1):
+        body = line.strip()
+        if not body:
+            continue
+        tokens = body.split(",")
+        try:
+            row = np.array([float(tok) for tok in tokens], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(
+                f"could not parse value: {exc}", path=str(path), line=line_number
+            ) from exc
+        if cols is None:
+            cols = row.size
+        elif row.size != cols:
+            raise ParseError(
+                f"expected {cols} columns, got {row.size}",
+                path=str(path),
+                line=line_number,
+            )
+        rows.append(row)
     if not rows:
         raise ParseError("file contains no data rows", path=str(path))
     return np.vstack(rows)
@@ -341,8 +359,8 @@ def load_manifest(path) -> Manifest:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")

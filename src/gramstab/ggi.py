@@ -11,13 +11,11 @@ float64 per edge plus two gather blocks of ``_GATHER_ELEMENTS`` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .core import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     GraphTopology,
     center_normalize_inplace,
     magnitude_scale,
@@ -193,7 +191,7 @@ def dispersion(scores: np.ndarray, std: str = "population") -> float:
 
 
 def ggi_index(
-    configs: Union[ConfigurationEnsemble, Iterable],
+    configs: Iterable,
     graph: GraphTopology,
     opts: GgiOptions | None = None,
     *,
@@ -217,13 +215,12 @@ def ggi_index(
     """
     if opts is None:
         opts = GgiOptions()
-    iterable = configs.configs if isinstance(configs, ConfigurationEnsemble) else configs
     scores: list[EdgeSummaryScore] = []
     # Deliberately not enumerate(): its cached result tuple keeps the
     # previous matrix alive while the iterable builds the next one,
     # which doubles peak memory when streaming large ensembles.
     idx = 0
-    for mat in iterable:
+    for mat in configs:
         scores.append(
             score_configuration(
                 mat, graph, idx, preprocess=opts.preprocess, copy=copy

@@ -4,11 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gramstab import load_manifest, save_embeddings
+from gramstab import load_edge_list, load_embeddings, load_manifest, save_embeddings
 from gramstab.cli import run_cli
 
 
@@ -339,3 +341,102 @@ def test_synth_manifest_loads_csv_too(tmp_path):
     result = _run(["ggi", "--manifest", str(manifest)])
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["n_configs"] == 2
+
+
+def _manifest_doc(workspace) -> dict:
+    manifest = load_manifest(workspace / "manifest.json")
+    return {
+        "graph_path": str(manifest.graph_path),
+        "node_id_map": str(manifest.node_id_map),
+        "embedding_paths": [str(p) for p in manifest.embedding_paths],
+    }
+
+
+@pytest.mark.parametrize("bad_file", ["embedding", "edge list", "manifest", "id map"])
+def test_non_utf8_input_exits_2_with_named_error(workspace, tmp_path, bad_file):
+    doc = _manifest_doc(workspace)
+    path = tmp_path / "manifest.json"
+    where = str(path)
+    if bad_file == "embedding":
+        # A NumPy .npy file is neither GGE1 nor UTF-8 CSV.
+        npy = tmp_path / "run.npy"
+        np.save(npy, np.ones((40, 5)))
+        doc["embedding_paths"][1] = str(npy)
+        where = f"{npy}:1:"
+    elif bad_file == "edge list":
+        graph = tmp_path / "g.edges"
+        lines = Path(doc["graph_path"]).read_bytes().splitlines(keepends=True)
+        graph.write_bytes(b"".join(lines[:3]) + b"# caf\xe9\n" + b"".join(lines[3:]))
+        doc["graph_path"] = str(graph)
+        where = f"{graph}:4:"
+    elif bad_file == "id map":
+        ids = tmp_path / "ids.json"
+        ids.write_bytes(b'{"0": 0, "1\xff": 1}')
+        doc["node_id_map"] = str(ids)
+        where = str(ids)
+    text = json.dumps(doc).encode()
+    if bad_file == "manifest":
+        text = text[:-1] + b', "note": "\xff"}'
+    path.write_bytes(text)
+    result = _run(["ggi", "--manifest", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert "internal error" not in result.stderr
+    assert where in result.stderr
+    assert "utf-8" in result.stderr.lower()
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["gge1", "csv"])
+def test_report_hashes_are_the_input_files_sha256(tmp_path, fmt):
+    rng = np.random.default_rng(2)
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    names = [f"c{i}.{fmt}" for i in range(3)]
+    for name in names:
+        save_embeddings(tmp_path / name, rng.normal(size=(5, 3)), fmt=fmt)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"graph_path": "g.edges", "embedding_paths": names}))
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    for argv in (["ggi"], ["baseline", "--index", "aligned-cosine"]):
+        result = _run([*argv, "--manifest", str(manifest)])
+        assert result.returncode == 0, result.stderr
+        inputs = json.loads(result.stdout)["inputs"]
+        assert inputs["graph_sha256"] == digest("g.edges")
+        assert inputs["embeddings_sha256"] == [digest(name) for name in names]
+
+
+@pytest.mark.parametrize("argv", [["ggi"], ["baseline", "--index", "hausdorff"], ["validate"]])
+def test_configuration_with_a_missing_row_exits_2(workspace, tmp_path, argv):
+    doc = _manifest_doc(workspace)
+    short = tmp_path / "short.gge1"
+    save_embeddings(short, load_embeddings(doc["embedding_paths"][1]).values[:-1])
+    doc["embedding_paths"][1] = str(short)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    result = _run([*argv, "--manifest", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert "config 1 has 39 rows" in result.stderr
+    assert result.stdout == ""
+
+
+def test_validate_holds_one_configuration_at_a_time(tmp_path):
+    nodes, dim, configs = 5000, 64, 6
+    assert run_cli([
+        "synth", "--nodes", str(nodes), "--dim", str(dim), "--configs", str(configs),
+        "--avg-degree", "7", "--out-dir", str(tmp_path),
+    ]) == 0
+    manifest = str(tmp_path / "manifest.json")
+    edges = load_edge_list(tmp_path / "graph.edges").graph.edges.nbytes
+    budget = 2 * nodes * dim * 8 + edges
+    tracemalloc.start()
+    try:
+        code = run_cli(["validate", "--manifest", manifest, "--out", str(tmp_path / "v.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "v.json").read_text())["dims"] == [dim] * configs
+    # Loading all six matrices at once peaks at about three times this.
+    assert peak < budget, (peak, budget)

@@ -145,17 +145,20 @@ def test_validate_ensemble_checks_graph_rows():
     good = ConfigurationEnsemble(
         (EmbeddingMatrix(np.ones((4, 2))), EmbeddingMatrix(np.ones((4, 3))))
     )
-    summary = validate_ensemble(good, graph)
-    assert summary.n_configs == 2
-    assert summary.node_count == 4
-    assert summary.edge_count == 2
-    assert summary.dims == (2, 3)
+    assert validate_ensemble(good, graph) == (2, 3)
+    # A lazy iterable of plain arrays is checked the same way.
+    assert validate_ensemble(iter([np.ones((4, 2)), np.ones((4, 3))]), graph) == (2, 3)
 
     bad = ConfigurationEnsemble(
         (EmbeddingMatrix(np.ones((5, 2))), EmbeddingMatrix(np.ones((5, 2))))
     )
     with pytest.raises(ShapeMismatch):
         validate_ensemble(bad, graph)
+    with pytest.raises(ShapeMismatch, match="config 1 has 3 rows") as info:
+        validate_ensemble(iter([np.ones((4, 2)), np.ones((3, 2))]), graph)
+    assert info.value.config_index == 1
+    with pytest.raises(TooFewConfigs):
+        validate_ensemble(iter([np.ones((4, 2))]), graph)
 
 
 @settings(max_examples=100, deadline=None)

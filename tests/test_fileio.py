@@ -331,6 +331,28 @@ def test_id_map_must_be_bijection(tmp_path):
         load_id_map(path)
     path.write_text(json.dumps({"0": 0, "1": 1}))
     assert load_id_map(path) == {0: 0, 1: 1}
+    path.write_text(json.dumps({"0": "1", "1": 0}))  # integer strings still load
+    assert load_id_map(path) == {0: 1, 1: 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.permutations(range(6)),
+    slot=st.integers(min_value=0, max_value=5),
+    bad=st.one_of(st.booleans(), st.floats()),
+)
+def test_id_map_rejects_float_and_bool_rows(rows, slot, bad):
+    # int() would read 1.9 as row 1 and false as row 0, so a map such as
+    # {"10": false, "20": 1.9, "30": 2.5, "40": 3} used to load.
+    doc = {str(10 * key): row for key, row in enumerate(rows)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.json"
+        path.write_text(json.dumps(doc))
+        assert sorted(load_id_map(path).values()) == list(range(6))
+        doc[str(10 * slot)] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"'{10 * slot}'"):
+            load_id_map(path)
 
 
 def test_manifest_round_trip(tmp_path):
