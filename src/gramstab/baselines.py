@@ -7,19 +7,24 @@ nodes first where the index is node-wise. None of them preprocess their
 inputs by default; pass ``preprocess=True`` to apply the same
 center-normalize step the Gram index uses, for controlled comparisons.
 
-Memory: kNN search and Hausdorff take rows in blocks of ``_BLOCK_ELEMENTS``
-(2M) keys against all |V| columns. Their peak is about two 16 MB blocks plus
-the (|V|, k) neighbor lists, under ten blocks when whole rows tie. Only
-Wasserstein, whose assignment needs the dense cost matrix, forms |V| x |V|.
+Memory: kNN search and the Hausdorff screen take rows in blocks of
+``_BLOCK_ELEMENTS`` (2M) keys against all |V| columns, and Hausdorff's exact
+recompute takes tiles of 1/64 block. The peak is about two 16 MB blocks plus
+the (|V|, k) neighbor lists, under ten blocks when whole rows tie; Hausdorff
+adds a copy of each configuration without repeated rows, and three of each
+of the two it is comparing. Only Wasserstein, whose assignment needs the
+dense cost matrix, forms |V| x |V|.
 
-scipy is imported inside the functions that call it, so that importing
-the package, and every command but ``baseline``, does not load it.
+scipy is imported only inside the Wasserstein index and the Euclidean kNN
+search, so that importing the package, every command but ``baseline``, and
+the Hausdorff, aligned-cosine and cosine kNN indices do not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,25 +255,118 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     return _pairwise("aligned-cosine", len(values), aligned_cosine, metadata)
 
 
+class _Cloud(NamedTuple):
+    """One configuration as the Hausdorff screen and recompute read it."""
+
+    norms: np.ndarray  # squared row norms |x_i|^2
+    left: np.ndarray  # [-2x, |x|^2, 1]
+    right: np.ndarray  # [x, 1, |x|^2]
+    columns: np.ndarray  # x.T, contiguous
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "_Cloud":
+        norms = np.einsum("ij,ij->i", x, x)[:, None]
+        ones = np.ones_like(norms)
+        return cls(norms[:, 0], np.hstack([-2 * x, norms, ones]),
+                   np.hstack([x, ones, norms]), np.ascontiguousarray(x.T))
+
+
+def _distinct_rows(values: np.ndarray) -> np.ndarray:
+    """One copy of each row, compared as bytes (a sort of void scalars is
+    several times faster than ``np.unique(..., axis=0)``)."""
+    values = np.ascontiguousarray(values)
+    rows = values.view(np.dtype((np.void, values.itemsize * values.shape[1])))
+    return np.unique(rows).view(values.dtype).reshape(-1, values.shape[1])
+
+
+def _screen_tolerance(a: _Cloud, b: _Cloud) -> np.ndarray:
+    """Per row i of ``a``, a bound on |approx_ij - exact_ij| over every j,
+    where approx_ij = a.left[i] . b.right[j] and exact_ij comes from
+    :func:`_exact_sq`.
+
+    With u = eps/2, gamma_n = n u / (1 - n u), D = |a_i - b_j|^2 and
+    S = |a_i|^2 + |b_j|^2 <= |a_i|^2 + max_j |b_j|^2: each computed norm is
+    within gamma_d of its own value, and the GEMM sum of d + 2 terms is
+    within gamma_(d+2) of their absolute sum 2|a_i.b_j| + |a_i|^2 + |b_j|^2
+    <= 2S (any summation order, with or without FMA; -2x is exact), so
+    approx is within (3d + 4) u S of D. The column-order sum rounds each
+    difference, each square and d - 1 additions once, so it is within
+    gamma_(d+2) D <= (2d + 4) u S of D. Together that is (5d + 8) u S plus
+    O(d^2 u^2 S). The bound c (d + 4) eps S with c = 3 is (6d + 24) u S,
+    leaving at least 17u S for the rounding of the candidate tests in
+    :func:`_directed_sq`, which is at most 2u S on each side. Underflow
+    adds at most 2^-1075 per product, 4d of them in all, well under
+    3 (d + 4) 2^-1072. Values come from ``_prepared_values``, so
+    max |v| <= 2^100 and nothing overflows.
+    """
+    eps = np.finfo(np.float64).eps
+    return 3 * (len(a.columns) + 4) * (eps * (a.norms + b.norms.max()) + 2.0**-1072)
+
+
+def _exact_sq(a_columns: np.ndarray, b_columns: np.ndarray) -> np.ndarray:
+    """Squared distances from every row of a to every row of b, given their
+    columns as rows, summed over the columns in order: scipy's
+    ``cdist(..., "euclidean")`` sums them so before its square root."""
+    total = np.zeros((a_columns.shape[1], b_columns.shape[1]))
+    for x, y in zip(a_columns, b_columns):
+        diff = np.subtract.outer(x, y)
+        diff *= diff
+        total += diff
+    return total
+
+
+def _directed_sq(a: _Cloud, b: _Cloud, low: np.ndarray) -> float:
+    """max_i min_j of the exact squared distance from the rows of ``a`` to
+    those of ``b``, given each row's screened minimum ``low``.
+
+    Only a row whose screened minimum plus the tolerance reaches the
+    largest screened minimum less its tolerance can hold the maximum, and
+    in it only a column within twice the tolerance of its minimum can hold
+    the row's minimum; those pairs are recomputed exactly. Candidate rows go
+    in tiles of 1/64 block (256 KB), which stay in cache over the d column
+    passes.
+    """
+    tol = _screen_tolerance(a, b)
+    rows = np.flatnonzero(low + tol >= (low - tol).max())
+    worst = 0.0
+    for tile in _row_blocks(len(rows), 64 * len(b.norms)):
+        r = rows[tile]
+        near = a.left[r] @ b.right.T <= (low[r] + 2 * tol[r])[:, None]
+        cols = np.flatnonzero(near.any(axis=0))
+        exact = np.where(near[:, cols], _exact_sq(a.columns[:, r], b.columns[:, cols]), np.inf)
+        worst = max(worst, float(exact.min(axis=1).max()))
+    return worst
+
+
 def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
     """Mean symmetric Hausdorff distance between pairs of point clouds.
 
     d_H is the larger of the two directed sup-inf Euclidean point-to-set
     distances; 0 exactly when the two clouds coincide as sets.
-    """
-    from scipy.spatial.distance import cdist
 
+    Exact without a dense distance matrix, pruning candidates as Taha and
+    Hanbury do ("An Efficient Algorithm for Calculating the Exact Hausdorff
+    Distance", IEEE TPAMI 2015): one GEMM per row block screens every pair
+    as |a_i|^2 + |b_j|^2 - 2 a_i.b_j, and only the pairs that the screen's
+    error bound cannot rule out are recomputed, in cdist's column order.
+    The square root is monotone, so each distance equals cdist's bit for bit.
+    """
     values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "hausdorff")
+    # d_H compares point sets, so a repeated point changes no distance.
+    # Dropping repeats keeps a collapsed configuration from tying every
+    # pair, which would send them all to the exact recompute.
+    values = [_distinct_rows(v) for v in values]
 
     def hausdorff(l, m):
-        a, b = values[l], values[m]
-        forward, backward = 0.0, np.full(len(b), np.inf)
-        for rows in _row_blocks(len(a), len(b)):
-            dists = cdist(a[rows], b)
-            forward = max(forward, dists.min(axis=1).max())
-            np.minimum(backward, dists.min(axis=0), out=backward)
-        return scale * float(max(forward, backward.max()))
+        a, b = _Cloud.of(values[l]), _Cloud.of(values[m])
+        row_low, col_low = np.empty(len(a.norms)), np.full(len(b.norms), np.inf)
+        for rows in _row_blocks(len(a.norms), len(b.norms)):
+            approx = a.left[rows] @ b.right.T
+            approx.min(axis=1, out=row_low[rows])
+            np.minimum(col_low, approx.min(axis=0), out=col_low)
+        worst = max(_directed_sq(a, b, row_low), _directed_sq(b, a, col_low))
+        return scale * float(np.sqrt(worst))
 
     return _pairwise("hausdorff", len(values), hausdorff, {"preprocess": preprocess})
 

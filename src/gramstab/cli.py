@@ -168,16 +168,20 @@ def _cmd_baseline(args) -> int:
 def _cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
     parsed = _load_graph(manifest)
-    dims = validate_ensemble(map(load_embeddings, manifest.embedding_paths), parsed.graph)
+    # The id map is not reported: let it go before the configurations stream.
+    graph = parsed.graph
+    tallies = {"self_loops_dropped": parsed.self_loops_dropped,
+               "duplicates_dropped": parsed.duplicates_dropped}
+    del parsed
+    dims = validate_ensemble(map(load_embeddings, manifest.embedding_paths), graph)
     _emit("validate", {
         "ok": True,
         "n_configs": len(dims),
-        "node_count": parsed.graph.node_count,
-        "edge_count": parsed.graph.edge_count,
+        "node_count": graph.node_count,
+        "edge_count": graph.edge_count,
         "dims": list(dims),
         "labels": list(manifest.labels),
-        "self_loops_dropped": parsed.self_loops_dropped,
-        "duplicates_dropped": parsed.duplicates_dropped,
+        **tallies,
     }, args)
     return 0
 

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GraphTopology, _sorted_unique
+from .core import EmbeddingMatrix, GraphTopology
 from .errors import (
     BadMagic,
     EmptyGraph,
@@ -128,8 +128,7 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
     if not pairs.size:
         raise EmptyGraph(f"{path}: no edges found")
     if id_map is None:
-        original = _sorted_unique(pairs)
-        pairs = np.searchsorted(original, pairs)
+        original = _rank_ids(pairs)
         id_map = dict(zip(original.tolist(), range(original.size)))
         node_count = original.size
     else:
@@ -162,6 +161,23 @@ def _read_pairs(path: Path) -> np.ndarray | None:
             )
     except (OSError, ValueError):
         return None
+
+
+def _rank_ids(pairs: np.ndarray) -> np.ndarray:
+    """Replace each id in ``pairs``, in place, by its rank among the
+    distinct ids, and return those, sorted. One sort, whose order carries
+    the ranks back; ranks need no stable sort, and numpy's default kind
+    sorts int64 several times faster than ``kind="stable"``."""
+    order = np.argsort(pairs, axis=None)
+    ids = pairs.ravel()[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    distinct = ids[first]
+    np.cumsum(first, out=ids)  # the sorted ids are spent: their ranks + 1
+    ids -= 1
+    np.put(pairs, order, ids)
+    return distinct
 
 
 def _lookup_ids(pairs: np.ndarray, id_map: dict) -> np.ndarray | None:

@@ -173,6 +173,28 @@ def hausdorff_brute(a, b):
     return max(directed(a, b), directed(b, a))
 
 
+def hausdorff_columnwise(a, b):
+    """Symmetric Hausdorff distance by double loop, each squared distance
+    summed column by column with one rounding per step, as scipy's
+    ``cdist(..., "euclidean")`` sums it. Written as ``total += diff * diff``
+    rather than ``sum()``, which compensates its rounding from Python 3.12 on.
+    """
+    a = np.asarray(a, dtype=np.float64).tolist()
+    b = np.asarray(b, dtype=np.float64).tolist()
+
+    def distance(p, q):
+        total = 0.0
+        for x, y in zip(p, q):
+            diff = x - y
+            total += diff * diff
+        return math.sqrt(total)
+
+    def directed(src, dst):
+        return max(min(distance(p, q) for q in dst) for p in src)
+
+    return max(directed(a, b), directed(b, a))
+
+
 def wasserstein_brute(a, b):
     """Exhaustive minimum over all node bijections, then square root."""
     a = np.asarray(a, dtype=np.float64)

@@ -20,6 +20,7 @@ from gramstab import (
     hausdorff_index,
     knn_jaccard_index,
     knn_neighbors,
+    preprocess_center_normalize,
     procrustes_align,
     random_orthogonal,
     second_order_cosine_index,
@@ -28,6 +29,7 @@ from gramstab import (
 
 import oracles
 from gramstab import baselines
+from gramstab.core import magnitude_scale
 
 
 def _ensemble(seed, n=12, dim=3, n_configs=3, noise=0.3):
@@ -93,6 +95,46 @@ def test_hausdorff_matches_brute_force():
     for (l, m), score in report.per_pair.items():
         expected = oracles.hausdorff_brute(configs[l], configs[m])
         assert abs(score - expected) <= 1e-12
+
+
+@st.composite
+def _hausdorff_ensembles(draw):
+    """Small ensembles with zero and duplicate rows, Gaussian or on a
+    half-integer grid (many rows tie at the maximum), shifted so that the
+    screen's norms are large against the distances, and scaled by 2^k
+    across and beyond MAGNITUDE_WINDOW, down to subnormal entries; one
+    scale for all configurations or one each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim, count = draw(st.integers(1, 12)), draw(st.integers(1, 16)), draw(st.integers(2, 3))
+    grid = draw(st.booleans())
+    shift = draw(st.sampled_from([0.0, 1.0, 2.0**20, 2.0**40]))
+    exponents = draw(st.lists(st.integers(-1100, 960), min_size=1, max_size=count))
+    configs = []
+    for idx in range(count):
+        values = rng.integers(-3, 4, size=(n, dim)) / 2 if grid else rng.normal(size=(n, dim))
+        values[rng.random(n) < 0.2] = 0.0
+        values[rng.random(n) < 0.2] = values[0]
+        configs.append((values + shift) * 2.0 ** exponents[idx % len(exponents)])
+    return configs
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs=_hausdorff_ensembles(), preprocess=st.booleans())
+@example(configs=[np.array([[0.5]]), np.array([[-1.25]])], preprocess=False)
+@example(configs=[_ensemble(8)[0][0]] * 2, preprocess=False)
+@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0][0]], preprocess=False)
+@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0][0]], preprocess=True)
+def test_hausdorff_equals_the_columnwise_oracle_bit_for_bit(configs, preprocess):
+    # The oracle sees what the index sees: each configuration center-
+    # normalized if asked, all divided by the largest magnitude scale.
+    values = [preprocess_center_normalize(EmbeddingMatrix(c))[0].values if preprocess else c
+              for c in configs]
+    scale = max(magnitude_scale(v) for v in values)
+    report = hausdorff_index(configs, preprocess=preprocess)
+    for (l, m), score in report.per_pair.items():
+        assert score == scale * oracles.hausdorff_columnwise(values[l] / scale, values[m] / scale)
+    if all(np.array_equal(c, configs[0]) for c in configs):
+        assert report.aggregate == 0.0
 
 
 def test_wasserstein_matches_enumeration():

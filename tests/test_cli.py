@@ -59,26 +59,42 @@ def test_synth_graph_bytes_are_pinned(tmp_path, seed, digest):
     assert hashlib.sha256((tmp_path / "graph.edges").read_bytes()).hexdigest() == digest
 
 
-def test_ggi_synth_validate_do_not_load_scipy(tmp_path):
-    # scipy costs more to import than a small ggi run; only the
-    # baselines need it.
+def _scipy_modules_after(tmp_path, *argvs):
+    """The scipy modules one fresh interpreter has loaded after ``synth``
+    and then each of ``argvs`` on the synthetic ensemble."""
     script = (
         "import sys\n"
         "from gramstab.cli import run_cli\n"
         "out = sys.argv[1]\n"
-        "manifest = out + '/manifest.json'\n"
-        "for argv in (['synth', '--nodes', '20', '--dim', '3', '--configs', '2',\n"
-        "              '--out-dir', out],\n"
-        "             ['validate', '--manifest', manifest, '--out', out + '/v.json'],\n"
-        "             ['ggi', '--manifest', manifest, '--out', out + '/g.json']):\n"
-        "    assert run_cli(argv) == 0, argv\n"
+        "manifest = ['--manifest', out + '/manifest.json', '--out', out + '/report.json']\n"
+        "assert run_cli(['synth', '--nodes', '20', '--dim', '3', '--configs', '2',\n"
+        "                '--out-dir', out]) == 0\n"
+        "for argv in sys.argv[2:]:\n"
+        "    assert run_cli(argv.split() + manifest) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+        [sys.executable, "-c", script, str(tmp_path), *argvs], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_ggi_synth_validate_do_not_load_scipy(tmp_path):
+    # scipy costs more to import than a small ggi run; only the
+    # baselines need it.
+    assert _scipy_modules_after(tmp_path, "validate", "ggi") == "[]"
+
+
+def test_baselines_load_scipy_only_for_wasserstein_and_euclidean_knn(tmp_path):
+    assert _scipy_modules_after(
+        tmp_path,
+        "baseline --index hausdorff",
+        "baseline --index hausdorff --preprocess",
+        "baseline --index aligned-cosine",
+        "baseline --index knn-jaccard --k 3",
+    ) == "[]"
+    assert _scipy_modules_after(tmp_path, "baseline --index wasserstein") != "[]"
 
 
 def test_validate_reports_shapes(workspace):
