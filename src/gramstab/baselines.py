@@ -151,9 +151,9 @@ def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
     Under the cosine metric "nearest" means highest cosine similarity;
     under euclidean, smallest distance. Self is excluded. Ties are
     broken by ascending node id, which is what makes downstream
-    neighborhood indices permutation-invariant: per row block, the keys
-    up to each row's k-th smallest, boundary ties included, are sorted
-    on (key, node id).
+    neighborhood indices permutation-invariant: per row block, each
+    row's keys below its k-th smallest plus the lowest-id keys equal to
+    it, k in all, are sorted on (key, node id).
     """
     values = matrix_values(mat)
     n, k = values.shape[0], params.k
@@ -168,10 +168,28 @@ def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
         local = np.arange(keys.shape[0])
         keys[local, local + rows.start] = np.inf  # self sorts last
         kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
-        row, col = np.nonzero(keys <= kth)
-        order = np.lexsort((col, keys[row, col], row))
-        indices[rows] = col[order][np.searchsorted(row, local)[:, None] + np.arange(k)]
+        near = keys <= kth
+        if np.count_nonzero(near) > k * local.size:  # some row ties at its k-th key
+            _keep_lowest_id_ties(near, keys, kth, k)
+        # k candidates per row, in id order: a stable sort on key breaks ties by id.
+        col = np.nonzero(near)[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(keys, col, axis=1), axis=1, kind="stable")
+        indices[rows] = np.take_along_axis(col, order, axis=1)
     return NeighborList(indices=indices, k=k, metric=params.metric)
+
+
+def _keep_lowest_id_ties(near, keys, kth, k):
+    """Cut each row of ``near`` (``keys <= kth``) that holds more than k
+    entries down to k: the keys below the row's k-th key, then its
+    lowest-id keys equal to it."""
+    counts = np.count_nonzero(near, axis=1)
+    heavy = np.flatnonzero(counts > k)
+    tie = (keys == kth)[heavy]
+    # Every key below the k-th stays, so ``need`` ties do.
+    need = k - counts[heavy] + np.count_nonzero(tie, axis=1)
+    drop = np.cumsum(tie, axis=1, dtype=np.int32) > need[:, None]
+    drop &= tie
+    near[heavy] &= ~drop
 
 
 def knn_jaccard_index(

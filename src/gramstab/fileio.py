@@ -41,6 +41,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # %.17g round-trips any float64 exactly.
 _CSV_FORMAT = "%.17g"
 
+# Node ids per formatted chunk of an edge list written by save_edge_list.
+_EDGE_CHUNK_IDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EdgeListResult:
@@ -271,12 +274,24 @@ def _text_lines(path: Path, handle) -> Iterator[str]:
 
 
 def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> None:
+    """Write ``graph`` as a text edge list :func:`load_edge_list` reads back.
+
+    The file is an optional ``# comment`` line, then one ``i j`` line per
+    edge, in decimal, in the graph's canonical order. Edges are formatted
+    ``_EDGE_CHUNK_IDS`` ids (32,768 edges) at a time, by one ``%`` over the
+    chunk's ids and one write. The chunks are bounded because formatting
+    the whole list at once holds every id as a Python int, and the
+    format string and text of the whole file: 20 MB at 200k edges,
+    against about 3 MB for one chunk.
+    """
     path = Path(path)
+    ids = graph.edges.ravel()
     with path.open("w", encoding="utf-8") as handle:
         if comment:
             handle.write(f"# {comment}\n")
-        for i, j in graph.edges:
-            handle.write(f"{i} {j}\n")
+        for start in range(0, ids.size, _EDGE_CHUNK_IDS):
+            chunk = ids[start:start + _EDGE_CHUNK_IDS].tolist()
+            handle.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 
 
 def load_embeddings(path, fmt: str = "auto") -> EmbeddingMatrix:
@@ -358,7 +373,7 @@ def save_embeddings(path, mat, fmt: str = "gge1") -> None:
         with path.open("wb") as handle:
             handle.write(GGE1_MAGIC)
             handle.write(_HEADER.pack(values.shape[0], values.shape[1]))
-            handle.write(values.astype("<f8", copy=False).tobytes())
+            handle.write(memoryview(values.astype("<f8", copy=False)).cast("B"))
     elif fmt == "csv":
         np.savetxt(path, values, fmt=_CSV_FORMAT, delimiter=",")
     else:

@@ -268,3 +268,35 @@ def edge_list_brute(path, id_map=None):
     if not seen:
         raise EdgeListRejected("empty")
     return [list(edge) for edge in sorted(seen)], id_map, self_loops, duplicates
+
+
+def edge_list_text_brute(edges, comment=None):
+    """The text of an edge list written one f-string per edge row: an
+    optional ``# comment`` line, then ``i j`` for each row of ``edges``."""
+    lines = [f"# {comment}\n"] if comment else []
+    for i, j in np.asarray(edges, dtype=np.int64):
+        lines.append(f"{i} {j}\n")
+    return "".join(lines)
+
+
+def random_graph_brute(node_count, avg_degree, seed):
+    """random_graph's edges as a sorted list of [i, j] lists, drawn from
+    the same stream (the root seed, then tag 0) by rejection: each draw's
+    rows with equal endpoints are masked out before the pairs become
+    keys i * node_count + j, and the distinct keys collected so far are
+    shuffled once and their first ``target`` kept."""
+    entropy = [seed] if isinstance(seed, int) else list(seed)
+    rng = np.random.default_rng([*entropy, 0])
+    max_edges = node_count * (node_count - 1) // 2
+    target = max(1, min(int(round(node_count * avg_degree / 2.0)), max_edges))
+    keys = np.empty(0, dtype=np.int64)
+    draw = max(4 * target, 1024)
+    while keys.size < target:
+        pairs = rng.integers(0, node_count, size=(draw, 2), dtype=np.int64)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = np.unique(np.concatenate([keys, lo * node_count + hi]))
+        draw *= 2
+    chosen = sorted(rng.permutation(keys)[:target].tolist())
+    return [[key // node_count, key % node_count] for key in chosen]

@@ -59,6 +59,25 @@ def test_synth_graph_bytes_are_pinned(tmp_path, seed, digest):
     assert hashlib.sha256((tmp_path / "graph.edges").read_bytes()).hexdigest() == digest
 
 
+# Digests of graph.edges and config_00.gge1 as written by synth --nodes
+# 20000 --avg-degree 10 --dim 4 --configs 2 --seed 5: 100k edges, so the
+# edge-list writer goes through several of its formatting chunks.
+def test_synth_multi_chunk_bytes_are_pinned(tmp_path):
+    code = run_cli([
+        "synth", "--nodes", "20000", "--avg-degree", "10", "--dim", "4",
+        "--configs", "2", "--seed", "5", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("graph.edges", "config_00.gge1")
+    }
+    assert digests == {
+        "graph.edges": "b9c577668fafce580cda969f802c0960894ea4193ffecc400c6386979fa44d8a",
+        "config_00.gge1": "ec643e38c67f6862591f9b894b8ea9c24f69dc8424129379505f1932a72c9c2b",
+    }
+
+
 def _scipy_modules_after(tmp_path, *argvs):
     """The scipy modules one fresh interpreter has loaded after ``synth``
     and then each of ``argvs`` on the synthetic ensemble."""

@@ -3,6 +3,7 @@
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gramstab import (
     save_embeddings,
     save_manifest,
 )
-from gramstab.fileio import GGE1_MAGIC, report_to_json
+from gramstab.fileio import _EDGE_CHUNK_IDS, GGE1_MAGIC, report_to_json
 from gramstab.transforms import random_graph
 
 import oracles
@@ -310,6 +311,31 @@ def test_edge_list_matches_per_line_oracle(text, id_map):
         path = Path(tmp) / "g.edges"
         path.write_bytes(text.encode("utf-8"))
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
+
+
+_CHUNK_EDGES = _EDGE_CHUNK_IDS // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.sampled_from(
+        [0, 1, 2, _CHUNK_EDGES - 1, _CHUNK_EDGES, _CHUNK_EDGES + 1, 3 * _CHUNK_EDGES + 7]
+    ),
+    top=st.sampled_from([1, 9, 10, 2**31, 2**62]),
+    comment=st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(count=_CHUNK_EDGES + 1, top=2**62, comment="x", seed=0)
+def test_save_edge_list_matches_per_edge_oracle(count, top, comment, seed):
+    # The writer reads only ``edges``: ids up to 2**62 need not form a
+    # graph whose node count GraphTopology can check without overflow.
+    edges = np.random.default_rng(seed).integers(0, top, size=(count, 2), endpoint=True)
+    edges[:1] = [0, top]  # the widest id, whenever there is a row
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        save_edge_list(path, SimpleNamespace(edges=edges), comment=comment)
+        expected = oracles.edge_list_text_brute(edges, comment)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_save_edge_list_round_trips(tmp_path):

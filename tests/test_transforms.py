@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -21,6 +21,9 @@ from gramstab import (
     random_translation,
     synthetic_ensemble,
 )
+from gramstab.transforms import TRANSFORM_KINDS
+
+import oracles
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,6 +136,22 @@ def test_random_graph_is_simple_and_sized():
     assert np.array_equal(random_graph(100, 6.0, 11).edges, edges)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    node_count=st.integers(min_value=2, max_value=500),
+    degree_share=st.floats(min_value=0.0, max_value=1.2),
+    seed=st.integers(min_value=0, max_value=2**32)
+    | st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
+)
+@example(node_count=2, degree_share=1.0, seed=0)
+@example(node_count=500, degree_share=1.0, seed=[7, 8])
+def test_random_graph_matches_row_masking_oracle(node_count, degree_share, seed):
+    # degree_share 1 asks for the complete graph; past it, for more.
+    avg_degree = degree_share * (node_count - 1)
+    graph = random_graph(node_count, avg_degree, seed)
+    assert graph.edges.tolist() == oracles.random_graph_brute(node_count, avg_degree, seed)
+
+
 def test_random_graph_caps_at_complete_graph():
     graph = random_graph(5, 100.0, 0)
     assert graph.edge_count == 10  # 5 choose 2
@@ -143,6 +162,17 @@ def test_synthetic_zero_noise_yields_identical_configs():
     configs, _ = synthetic_ensemble(graph, 5, 4, noise=0.0, seed=3)
     for cfg in configs[1:]:
         np.testing.assert_array_equal(cfg.values, configs[0].values)
+
+
+def test_synthetic_zero_noise_configs_share_no_memory():
+    graph = random_graph(30, 4.0, 2)
+    for kind in TRANSFORM_KINDS:
+        configs, _ = synthetic_ensemble(graph, 5, 3, noise=0.0, transform=kind, seed=3)
+        for idx, cfg in enumerate(configs):
+            # A view would be a view of the base embedding.
+            assert cfg.values.base is None, kind
+            for other in configs[idx + 1:]:
+                assert not np.shares_memory(cfg.values, other.values), kind
 
 
 def test_synthetic_transforms_keep_index_at_zero():
