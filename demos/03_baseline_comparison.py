@@ -24,8 +24,9 @@ from gramstab import (
     wasserstein_index,
 )
 
-# Small ensemble: Wasserstein solves a |V| x |V| assignment per pair,
-# so keep |V| modest for a demo that finishes in seconds.
+# Small ensemble: Wasserstein solves a |V| x |V| assignment for each pair
+# whose nearest-neighbour certificate fails, so keep |V| modest for a demo
+# that finishes in seconds.
 graph = random_graph(150, 6.0, seed=5)
 params = NeighborParams(k=10)
 

@@ -7,17 +7,19 @@ nodes first where the index is node-wise. None of them preprocess their
 inputs by default; pass ``preprocess=True`` to apply the same
 center-normalize step the Gram index uses, for controlled comparisons.
 
-Memory: kNN search and the Hausdorff screen take rows in blocks of
-``_BLOCK_ELEMENTS`` (2M) keys against all |V| columns, and Hausdorff's exact
-recompute takes tiles of 1/64 block. The peak is about two 16 MB blocks plus
-the (|V|, k) neighbor lists, under ten blocks when whole rows tie; Hausdorff
-adds a copy of each configuration without repeated rows, and three of each
-of the two it is comparing. Only Wasserstein, whose assignment needs the
-dense cost matrix, forms |V| x |V|.
+Memory: kNN search, the Hausdorff screen and the Wasserstein certificate
+take rows in blocks of ``_BLOCK_ELEMENTS`` (2M) keys against all |V|
+columns, and Hausdorff's exact recompute takes tiles of 1/64 block. The peak
+is about two 16 MB blocks plus the (|V|, k) neighbor lists, about 2.3 blocks
+when whole rows tie; Hausdorff adds a copy of each configuration without
+repeated rows, and Hausdorff and Wasserstein three copies of each of the two
+they are comparing. Only a Wasserstein pair whose certificate fails forms
+the dense |V| x |V| cost matrix.
 
-scipy is imported only inside the Wasserstein index and the Euclidean kNN
-search, so that importing the package, every command but ``baseline``, and
-the Hausdorff, aligned-cosine and cosine kNN indices do not load it.
+scipy is imported only by the Euclidean kNN search and by a Wasserstein pair
+whose nearest-neighbour certificate fails, so that importing the package,
+every command but ``baseline``, the Hausdorff, aligned-cosine and cosine kNN
+indices, and Wasserstein on ensembles of near-copies do not load it.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
 
 
 class _Cloud(NamedTuple):
-    """One configuration as the Hausdorff screen and recompute read it."""
+    """One configuration as the screen and the exact recompute read it."""
 
     norms: np.ndarray  # squared row norms |x_i|^2
     left: np.ndarray  # [-2x, |x|^2, 1]
@@ -311,8 +313,8 @@ def _screen_tolerance(a: _Cloud, b: _Cloud) -> np.ndarray:
     difference, each square and d - 1 additions once, so it is within
     gamma_(d+2) D <= (2d + 4) u S of D. Together that is (5d + 8) u S plus
     O(d^2 u^2 S). The bound c (d + 4) eps S with c = 3 is (6d + 24) u S,
-    leaving at least 17u S for the rounding of the candidate tests in
-    :func:`_directed_sq`, which is at most 2u S on each side. Underflow
+    leaving at least 17u S for the rounding of the candidate test in
+    :func:`_may_be_row_minimum`, which is at most 2u S on each side. Underflow
     adds at most 2^-1075 per product, 4d of them in all, well under
     3 (d + 4) 2^-1072. Values come from ``_prepared_values``, so
     max |v| <= 2^100 and nothing overflows.
@@ -321,16 +323,27 @@ def _screen_tolerance(a: _Cloud, b: _Cloud) -> np.ndarray:
     return 3 * (len(a.columns) + 4) * (eps * (a.norms + b.norms.max()) + 2.0**-1072)
 
 
-def _exact_sq(a_columns: np.ndarray, b_columns: np.ndarray) -> np.ndarray:
-    """Squared distances from every row of a to every row of b, given their
-    columns as rows, summed over the columns in order: scipy's
-    ``cdist(..., "euclidean")`` sums them so before its square root."""
-    total = np.zeros((a_columns.shape[1], b_columns.shape[1]))
+def _exact_sq(a_columns: np.ndarray, b_columns: np.ndarray,
+              pair=np.subtract.outer) -> np.ndarray:
+    """Squared distances between rows of a and rows of b, given their columns
+    as rows, summed over the columns in order from 0.0: scipy's ``cdist``
+    sums them so, for "sqeuclidean" and for "euclidean" before its square
+    root. ``pair`` takes every row of a with every row of b; ``np.subtract``
+    takes row i with row i."""
+    total = 0.0
     for x, y in zip(a_columns, b_columns):
-        diff = np.subtract.outer(x, y)
+        diff = pair(x, y)
         diff *= diff
-        total += diff
+        total += diff  # the first column makes the array
     return total
+
+
+def _may_be_row_minimum(approx: np.ndarray, low: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The entries of a screened block that may hold their row's exact
+    minimum, given each row's screened minimum ``low`` and tolerance ``tol``:
+    every entry within twice the tolerance of its row's minimum. Any other
+    entry is exactly larger than the row's minimum."""
+    return approx <= (low + 2 * tol)[:, None]
 
 
 def _directed_sq(a: _Cloud, b: _Cloud, low: np.ndarray) -> float:
@@ -349,7 +362,7 @@ def _directed_sq(a: _Cloud, b: _Cloud, low: np.ndarray) -> float:
     worst = 0.0
     for tile in _row_blocks(len(rows), 64 * len(b.norms)):
         r = rows[tile]
-        near = a.left[r] @ b.right.T <= (low[r] + 2 * tol[r])[:, None]
+        near = _may_be_row_minimum(a.left[r] @ b.right.T, low[r], tol[r])
         cols = np.flatnonzero(near.any(axis=0))
         exact = np.where(near[:, cols], _exact_sq(a.columns[:, r], b.columns[:, cols]), np.inf)
         worst = max(worst, float(exact.min(axis=1).max()))
@@ -389,6 +402,35 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     return _pairwise("hausdorff", len(values), hausdorff, {"preprocess": preprocess})
 
 
+def _nearest_permutation(a: _Cloud, b: _Cloud) -> np.ndarray | None:
+    """Each row's nearest row of ``b``, when that is provably the unique
+    optimal assignment; otherwise None.
+
+    Row blocks go through the Hausdorff screen. The certificate holds when
+    every row has exactly one candidate (:func:`_may_be_row_minimum`), so
+    that its squared distance to that column is strictly below every other
+    in the column-order arithmetic of :func:`_exact_sq`, and no column is
+    claimed twice. Sum_i min_j c_ij is a lower bound on the cost of every
+    assignment (the column reduction of Jonker and Volgenant, Computing
+    1987), and this permutation alone attains it. The check stops at the
+    first block that fails it.
+    """
+    tol = _screen_tolerance(a, b)
+    match = np.empty(len(a.norms), dtype=np.intp)
+    claimed = np.zeros(len(b.norms), dtype=bool)
+    for rows in _row_blocks(len(a.norms), len(b.norms)):
+        approx = a.left[rows] @ b.right.T
+        match[rows] = cols = approx.argmin(axis=1)
+        claimed[cols] = True
+        if np.count_nonzero(claimed) != rows.stop:  # a column claimed twice
+            return None
+        low = np.take_along_axis(approx, cols[:, None], axis=1)[:, 0]
+        if np.count_nonzero(_may_be_row_minimum(approx, low, tol[rows])) != len(cols):
+            return None  # a row with two candidates
+        del approx  # before the next block's is made
+    return match
+
+
 def wasserstein_index(
     ensemble, *, preprocess: bool = False, max_nodes: int = 10_000
 ) -> PairwiseIndexReport:
@@ -396,25 +438,35 @@ def wasserstein_index(
 
     For pair (l, m): W = (min over bijections eta of
     sum_i ||z_i^l - z_eta(i)^m||^2)^(1/2), solved exactly as a linear
-    assignment on the dense squared-distance cost matrix. The cost
-    matrix is |V| x |V|, hence the ``max_nodes`` cap.
+    assignment on the squared-distance cost matrix. When every node's
+    nearest counterpart is strictly nearest and no two nodes share one,
+    that permutation is the unique optimum (:func:`_nearest_permutation`):
+    only its n squared distances are computed, in ``cdist``'s column order,
+    and the row-blocked check holds about one 16 MB block. Otherwise scipy
+    builds the dense |V| x |V| cost matrix and solves the assignment, hence
+    the ``max_nodes`` cap. Either way W is scipy's float bit for bit: the
+    same n costs, summed the same way.
     """
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
     values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]
     if n_nodes > max_nodes:
         raise InstanceTooLarge(
-            f"wasserstein needs a dense {n_nodes} x {n_nodes} cost matrix; "
+            f"wasserstein may need a dense {n_nodes} x {n_nodes} cost matrix; "
             f"cap is {max_nodes} nodes"
         )
 
     def wasserstein(l, m):
-        cost = cdist(values[l], values[m], metric="sqeuclidean")
-        rows, cols = linear_sum_assignment(cost)
-        return scale * float(np.sqrt(cost[rows, cols].sum()))
+        match = _nearest_permutation(_Cloud.of(values[l]), _Cloud.of(values[m]))
+        if match is not None:
+            matched = _exact_sq(values[l].T, values[m][match].T, np.subtract)
+        else:
+            from scipy.optimize import linear_sum_assignment
+            from scipy.spatial.distance import cdist
+
+            cost = cdist(values[l], values[m], metric="sqeuclidean")
+            matched = cost[linear_sum_assignment(cost)]
+        return scale * float(np.sqrt(matched.sum()))
 
     metadata = {"preprocess": preprocess, "max_nodes": max_nodes}
     return _pairwise("wasserstein", len(values), wasserstein, metadata)

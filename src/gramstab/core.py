@@ -7,6 +7,7 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -22,6 +23,10 @@ DEGENERATE_ROW_NORM = 1e-15
 # Magnitudes outside this window are divided by a power of two (exactly) first,
 # so that squares, inner products and distances stay inside the float64 range.
 MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
+
+# from_pairs sorts edges through keys i * node_count + j, which fit in int64
+# up to this many nodes.
+_KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 MatrixLike = Union["EmbeddingMatrix", np.ndarray, Sequence[Sequence[float]]]
 
@@ -114,8 +119,8 @@ class GraphTopology:
             raise ShapeMismatch(
                 "edges must be canonical unordered pairs (i < j, no self-loops)"
             )
-        keys = edges[:, 0] * self.node_count + edges[:, 1]
-        if edges.shape[0] > 1 and (np.diff(keys) <= 0).any():
+        a, b = edges[:-1], edges[1:]  # row by row: no keys to overflow
+        if ((b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] <= a[:, 1]))).any():
             raise ShapeMismatch("edges must be unique and sorted lexicographically")
 
     @property
@@ -128,8 +133,14 @@ class GraphTopology:
 
         Self-loops are dropped and duplicate / reversed pairs collapse to
         one unordered edge. Returns ``(topology, self_loops_dropped,
-        duplicates_dropped)``.
+        duplicates_dropped)``. ``node_count`` is at most ``_KEY_NODES``
+        (about 3.04e9); build larger topologies from canonical edges.
         """
+        if node_count > _KEY_NODES:
+            raise ShapeMismatch(
+                f"from_pairs sorts edges by int64 keys i * node_count + j, so "
+                f"node_count must be <= {_KEY_NODES}, got {node_count}"
+            )
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ShapeMismatch(

@@ -210,6 +210,22 @@ def wasserstein_brute(a, b):
     return math.sqrt(best)
 
 
+def canonical_edges_brute(pairs):
+    """Raw pairs canonicalized as plain python: self-loops dropped, each
+    pair made a (min, max) tuple in a set. Returns ``(edges, self_loops,
+    duplicates)`` with ``edges`` a sorted list of [i, j] lists."""
+    seen = set()
+    self_loops = duplicates = 0
+    for a, b in pairs:
+        if a == b:
+            self_loops += 1
+            continue
+        key = (min(a, b), max(a, b))
+        duplicates += key in seen
+        seen.add(key)
+    return [list(edge) for edge in sorted(seen)], self_loops, duplicates
+
+
 class EdgeListRejected(Exception):
     """The oracle refused an edge list: ``kind`` is "parse" or "empty",
     ``line`` the 1-based number of the first bad line for "parse"."""

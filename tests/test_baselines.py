@@ -158,6 +158,87 @@ def test_wasserstein_enumeration_property(seed):
     assert abs(fast - oracles.wasserstein_brute(a, b)) <= 1e-10
 
 
+def _lsap_score(a, b):
+    """W as the dense path computes it: scipy's cost matrix and solver."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].sum()))
+
+
+_FAMILIES = ("near-copies", "unrelated", "rounded-grid", "half-collapsed", "permuted", "binary")
+
+
+@st.composite
+def _assignment_pairs(draw):
+    """Two configurations from one of six families, n in 2..200, d in
+    1..40, scaled by 10^-3 to 10^3: near-copies and permuted near-copies
+    (the certificate usually holds), unrelated clouds, values rounded to a
+    half-integer grid, half the rows collapsed onto one point, and binary
+    entries (exact distance ties, so it usually fails); all shifted by up
+    to 2^20 in every coordinate, so that the screen's norms are large
+    against the distances."""
+    family = draw(st.sampled_from(_FAMILIES))
+    n, dim = draw(st.integers(2, 200)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, dim))
+    jitter = 10.0 ** draw(st.integers(-8, -1))
+    if family == "near-copies":
+        b = a + jitter * rng.normal(size=a.shape)
+    elif family == "permuted":
+        b = (a + jitter * rng.normal(size=a.shape))[rng.permutation(n)]
+    elif family == "rounded-grid":
+        a, b = np.round(2 * a) / 2, np.round(2 * (a + 0.3 * rng.normal(size=a.shape))) / 2
+    elif family == "half-collapsed":
+        b = a + jitter * rng.normal(size=a.shape)
+        a[rng.random(n) < 0.5] = a[0]
+    elif family == "binary":
+        a, b = (a > 0).astype(float), (rng.normal(size=a.shape) > 0).astype(float)
+    else:
+        b = rng.normal(size=a.shape)
+    # A shift makes the screen's rounding error large against the distances.
+    shift = draw(st.sampled_from([0.0, 0.0, 2.0**10, 2.0**20]))
+    magnitude = 10.0 ** draw(st.floats(-3, 3))
+    return (a + shift) * magnitude, (b + shift) * magnitude
+
+
+def test_wasserstein_equals_cdist_and_lsap_bit_for_bit():
+    certified = []
+    original = baselines._nearest_permutation
+
+    def spy(a, b):
+        match = original(a, b)
+        certified.append(match is not None)
+        return match
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_assignment_pairs())
+    def check(pair):
+        a, b = pair
+        assert wasserstein_index([a, b]).per_pair[(0, 1)] == _lsap_score(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_nearest_permutation", spy)
+        check()
+        # Every row has a unique nearest column, but both rows' is column
+        # 0: not a permutation, so the solver decides.
+        a, b = np.array([[0.0], [1.0]]), np.array([[0.4], [5.0]])
+        score = wasserstein_index([a, b]).per_pair[(0, 1)]
+        assert score == _lsap_score(a, b)
+        assert abs(score - oracles.wasserstein_brute(a, b)) <= 1e-12
+        assert certified[-1] is False
+        # Each row's two distances differ by less than the screen's rounding
+        # error at 2^20: the screen alone would pick the wrong permutation.
+        a = np.array([[1048576.5, 1048577.0], [1048576.25, 1048575.25]])
+        b = np.array([[1048576.375000073, 1048576.12499995],
+                      [1048576.375000088, 1048576.124999893]])
+        assert wasserstein_index([a, b]).per_pair[(0, 1)] == _lsap_score(a, b)
+        assert certified[-1] is False
+    assert set(certified) == {True, False}
+
+
 def test_wasserstein_instance_cap():
     rng = np.random.default_rng(7)
     big = rng.normal(size=(11, 2))
@@ -323,12 +404,17 @@ def _check_against_oracles(configs, k, metric):
 def test_blocked_search_memory_stays_bounded():
     # Dense search would hold |V| x |V| float64, 512 MB (32 blocks) at
     # |V| = 8000. The blocked search holds about two blocks plus the
-    # neighbor lists; when every key of a row ties, all of them are kept
-    # for the final sort, which takes about nine.
+    # neighbor lists; when every key of a row ties, only its k lowest-id
+    # ties are kept, about 2.3 blocks. Wasserstein on near-copies is
+    # certified by one block at a time, where scipy's dense cost matrix
+    # takes the whole 512 MB.
     n, dim, k = 8000, 16, 10
     rng = np.random.default_rng(21)
     configs = [rng.normal(size=(n, dim)) for _ in range(2)]
     ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
+    near = ConfigurationEnsemble(tuple(
+        EmbeddingMatrix(configs[0] + 1e-3 * rng.normal(size=(n, dim))) for _ in range(2)
+    ))
     block = baselines._BLOCK_ELEMENTS * 8
     # Fewer rows keep the all-ties sort short; its blocks are still full.
     tied = np.zeros((3000, dim))
@@ -336,7 +422,8 @@ def test_blocked_search_memory_stays_bounded():
         (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="cosine"))),
         (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="euclidean"))),
         (3, lambda: hausdorff_index(ens)),
-        (10, lambda: knn_neighbors(tied, NeighborParams(k=k, metric="cosine"))),
+        (3, lambda: wasserstein_index(near)),
+        (4, lambda: knn_neighbors(tied, NeighborParams(k=k, metric="cosine"))),
     ):
         tracemalloc.start()
         try:

@@ -78,22 +78,23 @@ def test_synth_multi_chunk_bytes_are_pinned(tmp_path):
     }
 
 
-def _scipy_modules_after(tmp_path, *argvs):
-    """The scipy modules one fresh interpreter has loaded after ``synth``
-    and then each of ``argvs`` on the synthetic ensemble."""
+def _scipy_modules_after(tmp_path, *argvs, noise="0"):
+    """The scipy modules one fresh interpreter has loaded after ``synth
+    --noise NOISE`` and then each of ``argvs`` on the synthetic ensemble."""
     script = (
         "import sys\n"
         "from gramstab.cli import run_cli\n"
-        "out = sys.argv[1]\n"
+        "out, noise = sys.argv[1:3]\n"
         "manifest = ['--manifest', out + '/manifest.json', '--out', out + '/report.json']\n"
         "assert run_cli(['synth', '--nodes', '20', '--dim', '3', '--configs', '2',\n"
-        "                '--out-dir', out]) == 0\n"
-        "for argv in sys.argv[2:]:\n"
+        "                '--noise', noise, '--out-dir', out]) == 0\n"
+        "for argv in sys.argv[3:]:\n"
         "    assert run_cli(argv.split() + manifest) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), *argvs], capture_output=True, text=True
+        [sys.executable, "-c", script, str(tmp_path), noise, *argvs],
+        capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
@@ -112,8 +113,15 @@ def test_baselines_load_scipy_only_for_wasserstein_and_euclidean_knn(tmp_path):
         "baseline --index hausdorff --preprocess",
         "baseline --index aligned-cosine",
         "baseline --index knn-jaccard --k 3",
+        # Noise 0: each node's nearest counterpart is itself, which
+        # certifies the assignment without the solver.
+        "baseline --index wasserstein",
     ) == "[]"
-    assert _scipy_modules_after(tmp_path, "baseline --index wasserstein") != "[]"
+    # Noise 1 moves some nodes nearer another node's counterpart: the
+    # certificate fails and scipy solves the assignment.
+    assert _scipy_modules_after(tmp_path, "baseline --index wasserstein", noise="1") != "[]"
+    euclidean = "baseline --index knn-jaccard --k 3 --metric euclidean"
+    assert _scipy_modules_after(tmp_path, euclidean) != "[]"
 
 
 def test_validate_reports_shapes(workspace):

@@ -16,7 +16,7 @@ from gramstab import (
     preprocess_center_normalize,
     validate_ensemble,
 )
-from gramstab.core import _sorted_unique
+from gramstab.core import _KEY_NODES, _sorted_unique
 
 import oracles
 
@@ -64,6 +64,46 @@ def test_graph_constructor_requires_canonical_edges():
         GraphTopology(3, np.array([[1, 0]]))  # not i < j
     with pytest.raises(ShapeMismatch):
         GraphTopology(3, np.array([[0, 1], [0, 1]]))  # duplicate
+
+
+@st.composite
+def _raw_pairs(draw):
+    """A node count up to 2^62 and pairs over a few of its ids, the
+    largest included, so that reversed pairs, duplicates and self-loops
+    are common."""
+    node_count = draw(st.one_of(
+        st.integers(min_value=1, max_value=_KEY_NODES),
+        st.integers(min_value=_KEY_NODES + 1, max_value=2**62),
+        st.sampled_from([_KEY_NODES, _KEY_NODES + 1]),
+    ))
+    ids = st.integers(min_value=0, max_value=node_count - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=5)) + [node_count - 1]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=25))
+    return node_count, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_raw_pairs())
+@example(case=(2**31, [(2**30, 2**30 + 1), (1, 2), (2**31 - 1, 0), (3, 3)]))
+@example(case=(2**40, [(2**39, 2**39 + 1), (1, 2)]))
+def test_from_pairs_matches_the_brute_canonicalizer(case):
+    # Keys i * node_count + j overflow int64 past _KEY_NODES (about 3e9
+    # nodes): from_pairs refuses those counts by name, and the
+    # constructor's order check compares rows, so it holds for any count.
+    node_count, pairs = case
+    edges, self_loops, duplicates = oracles.canonical_edges_brute(pairs)
+    if node_count <= _KEY_NODES:
+        graph, n_self, n_dup = GraphTopology.from_pairs(node_count, np.array(pairs, dtype=np.int64))
+        assert (graph.edges.tolist(), n_self, n_dup) == (edges, self_loops, duplicates)
+    else:
+        with pytest.raises(ShapeMismatch, match="node_count must be <="):
+            GraphTopology.from_pairs(node_count, np.array(pairs, dtype=np.int64))
+    assert GraphTopology(node_count, edges).edges.tolist() == edges
+    if len(edges) > 1:
+        with pytest.raises(ShapeMismatch, match="unique and sorted"):
+            GraphTopology(node_count, edges[::-1])
+        with pytest.raises(ShapeMismatch, match="unique and sorted"):
+            GraphTopology(node_count, [edges[0], *edges])
 
 
 def test_ensemble_needs_two_configs():

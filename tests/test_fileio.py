@@ -3,7 +3,6 @@
 import json
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from gramstab import (
     BadMagic,
     EmptyGraph,
+    GraphTopology,
     ManifestError,
     NotABijection,
     ParseError,
@@ -321,20 +321,26 @@ _CHUNK_EDGES = _EDGE_CHUNK_IDS // 2
     count=st.sampled_from(
         [0, 1, 2, _CHUNK_EDGES - 1, _CHUNK_EDGES, _CHUNK_EDGES + 1, 3 * _CHUNK_EDGES + 7]
     ),
-    top=st.sampled_from([1, 9, 10, 2**31, 2**62]),
+    top=st.sampled_from([999, 1000, 2**16, 2**31, 2**62]),
     comment=st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @example(count=_CHUNK_EDGES + 1, top=2**62, comment="x", seed=0)
 def test_save_edge_list_matches_per_edge_oracle(count, top, comment, seed):
-    # The writer reads only ``edges``: ids up to 2**62 need not form a
-    # graph whose node count GraphTopology can check without overflow.
-    edges = np.random.default_rng(seed).integers(0, top, size=(count, 2), endpoint=True)
-    edges[:1] = [0, top]  # the widest id, whenever there is a row
+    # Exactly ``count`` distinct edges, so that every count meets its chunk
+    # boundary; canonical already, so ids up to 2**62 need no from_pairs.
+    rng = np.random.default_rng(seed)
+    edges = {(0, top)} if count else set()  # the widest id, whenever there is a row
+    while len(edges) < count:
+        for i, j in np.sort(rng.integers(0, top, size=(count, 2), endpoint=True), axis=1).tolist():
+            if i < j and len(edges) < count:
+                edges.add((i, j))
+    graph = GraphTopology(top + 1, sorted(edges))
+    assert graph.edge_count == count
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.edges"
-        save_edge_list(path, SimpleNamespace(edges=edges), comment=comment)
-        expected = oracles.edge_list_text_brute(edges, comment)
+        save_edge_list(path, graph, comment=comment)
+        expected = oracles.edge_list_text_brute(graph.edges, comment)
         assert path.read_bytes() == expected.encode("utf-8")
 
 
