@@ -10,9 +10,7 @@ import numpy as np
 
 from gramstab import (
     ConfigurationEnsemble,
-    GgiOptions,
     GraphTopology,
-    NeighborParams,
     ggi_index,
     knn_neighbors,
     perturb_gaussian,
@@ -23,7 +21,7 @@ from gramstab import (
 # edge cosine is comfortably positive.
 rng = np.random.default_rng(42)
 base = rng.normal(size=(500, 32))
-nearest = knn_neighbors(base, NeighborParams(k=4)).indices
+nearest = knn_neighbors(base, 4)
 pairs = np.column_stack([np.repeat(np.arange(500), 4), nearest.ravel()])
 graph, _, _ = GraphTopology.from_pairs(500, pairs)
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
@@ -51,7 +49,6 @@ print("\nper-config edge scores:",
       np.array2string(report.scores, precision=4))
 
 # Two dispersion conventions exist; N is small here, so they differ.
-sample = ggi_index(ConfigurationEnsemble(configs), graph,
-                   GgiOptions(std="sample"))
+sample = ggi_index(ConfigurationEnsemble(configs), graph, std="sample")
 print(f"population std {report.index_value:.6f}"
       f" vs sample std {sample.index_value:.6f}")

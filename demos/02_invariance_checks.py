@@ -14,7 +14,6 @@ from gramstab import (
     ConfigurationEnsemble,
     EmbeddingMatrix,
     GraphTopology,
-    NeighborParams,
     apply_isometry,
     apply_permutation,
     ggi_index,
@@ -29,7 +28,7 @@ from gramstab import (
 # per-configuration edge scores are meaningfully positive.
 rng = np.random.default_rng(1)
 base = rng.normal(size=(300, 16))
-nearest = knn_neighbors(base, NeighborParams(k=5)).indices
+nearest = knn_neighbors(base, 5)
 pairs = np.column_stack([np.repeat(np.arange(300), 5), nearest.ravel()])
 graph, _, _ = GraphTopology.from_pairs(300, pairs)
 configs = tuple(perturb_gaussian(base, 0.1, seed=[2, run]) for run in range(6))

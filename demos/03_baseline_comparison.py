@@ -13,7 +13,6 @@ Run with: python3 demos/03_baseline_comparison.py
 
 from gramstab import (
     ConfigurationEnsemble,
-    NeighborParams,
     aligned_cosine_index,
     ggi_index,
     hausdorff_index,
@@ -28,7 +27,7 @@ from gramstab import (
 # whose nearest-neighbour certificate fails, so keep |V| modest for a demo
 # that finishes in seconds.
 graph = random_graph(150, 6.0, seed=5)
-params = NeighborParams(k=10)
+K = 10  # neighborhood size of the kNN indices
 
 header = (f"{'noise':>6} {'edge-gram':>10} {'aligned-cos':>12} "
           f"{'knn-jaccard':>12} {'2nd-order':>10} {'hausdorff':>10} "
@@ -43,8 +42,8 @@ for noise in (0.02, 0.1, 0.3, 1.0):
     row = [
         ggi_index(ens, g).index_value,
         aligned_cosine_index(ens).aggregate,
-        knn_jaccard_index(ens, params).aggregate,
-        second_order_cosine_index(ens, params).aggregate,
+        knn_jaccard_index(ens, K).aggregate,
+        second_order_cosine_index(ens, K).aggregate,
         hausdorff_index(ens).aggregate,
         wasserstein_index(ens).aggregate,
     ]
@@ -55,7 +54,7 @@ for noise in (0.02, 0.1, 0.3, 1.0):
 # spotting the one run that disagrees with the rest of the ensemble.
 configs, g = synthetic_ensemble(graph, dim=16, n_configs=4,
                                 noise=0.3, seed=8)
-report = knn_jaccard_index(ConfigurationEnsemble(tuple(configs)), params)
+report = knn_jaccard_index(ConfigurationEnsemble(tuple(configs)), K)
 print(f"\nper-pair kNN Jaccard ({report.pair_convention}):")
 for (l, m), score in sorted(report.per_pair.items()):
     print(f"  configs ({l}, {m}): {score:.4f}")

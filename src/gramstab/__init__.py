@@ -15,8 +15,6 @@ __version__ = "0.1.0"
 
 from .alignment import ProcrustesAlignment, procrustes_align
 from .baselines import (
-    NeighborList,
-    NeighborParams,
     PairwiseIndexReport,
     aligned_cosine_index,
     hausdorff_index,
@@ -34,7 +32,6 @@ from .core import (
     validate_ensemble,
 )
 from .errors import (
-    BadMagic,
     EmptyGraph,
     GramstabError,
     InstanceTooLarge,
@@ -63,9 +60,7 @@ from .fileio import (
 )
 from .ggi import (
     EdgeSummaryScore,
-    GgiOptions,
     StabilityReport,
-    edge_gram_sum,
     ggi_index,
     score_configuration,
 )
@@ -84,13 +79,11 @@ from .transforms import (
 
 __all__ = [
     "__version__",
-    "BadMagic",
     "ConfigurationEnsemble",
     "EdgeListResult",
     "EdgeSummaryScore",
     "EmbeddingMatrix",
     "EmptyGraph",
-    "GgiOptions",
     "GramstabError",
     "GraphTopology",
     "InstanceTooLarge",
@@ -99,8 +92,6 @@ __all__ = [
     "KTooLarge",
     "Manifest",
     "ManifestError",
-    "NeighborList",
-    "NeighborParams",
     "NodePermutation",
     "NonFiniteInput",
     "NonFiniteScore",
@@ -117,7 +108,6 @@ __all__ = [
     "apply_isometry",
     "apply_permutation",
     "center_normalize_inplace",
-    "edge_gram_sum",
     "ggi_index",
     "hausdorff_index",
     "knn_jaccard_index",

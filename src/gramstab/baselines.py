@@ -42,33 +42,6 @@ _BLOCK_ELEMENTS = 1 << 21  # keys per row block: 16 MB of float64
 
 
 @dataclass(frozen=True)
-class NeighborParams:
-    """Neighbor count and similarity metric for kNN-based indices."""
-
-    k: int
-    metric: str = "cosine"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise KTooLarge(f"k must be >= 1, got {self.k}")
-        if self.metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """Exact k nearest neighbors per node, most-similar first.
-
-    Ties are broken by ascending node id, so the result is deterministic
-    for a fixed input. A node never contains itself.
-    """
-
-    indices: np.ndarray  # (node_count, k) int
-    k: int
-    metric: str
-
-
-@dataclass(frozen=True)
 class PairwiseIndexReport:
     """Scores per unordered configuration pair plus their mean."""
 
@@ -147,21 +120,25 @@ def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexRepor
     return PairwiseIndexReport(index_name, pair_scores, aggregate, n_configs, metadata=metadata)
 
 
-def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
-    """Exact k nearest neighbors of every node within one configuration.
+def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
+    """Exact k nearest neighbors of every node within one configuration,
+    as a (node_count, k) array of node ids, most similar first.
 
-    Under the cosine metric "nearest" means highest cosine similarity;
-    under euclidean, smallest distance. Self is excluded. Ties are
+    Under the "cosine" metric "nearest" means highest cosine similarity;
+    under "euclidean", smallest distance. Self is excluded. Ties are
     broken by ascending node id, which is what makes downstream
     neighborhood indices permutation-invariant: per row block, each
     row's keys below its k-th smallest plus the lowest-id keys equal to
-    it, k in all, are sorted on (key, node id).
+    it, k in all, are sorted on (key, node id). Raises KTooLarge unless
+    1 <= k < node_count, and ValueError for another metric.
     """
     values = matrix_values(mat)
-    n, k = values.shape[0], params.k
+    n = values.shape[0]
     if not 1 <= k < n:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < node_count={n}")
-    unit = _unit_rows(values) if params.metric == "cosine" else None
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+    unit = _unit_rows(values) if metric == "cosine" else None
     if unit is None:
         from scipy.spatial.distance import cdist
     indices = np.empty((n, k), dtype=np.intp)
@@ -177,7 +154,7 @@ def knn_neighbors(mat, params: NeighborParams) -> NeighborList:
         col = np.nonzero(near)[1].reshape(-1, k)
         order = np.argsort(np.take_along_axis(keys, col, axis=1), axis=1, kind="stable")
         indices[rows] = np.take_along_axis(col, order, axis=1)
-    return NeighborList(indices=indices, k=k, metric=params.metric)
+    return indices
 
 
 def _keep_lowest_id_ties(near, keys, kth, k):
@@ -195,17 +172,18 @@ def _keep_lowest_id_ties(near, keys, kth, k):
 
 
 def knn_jaccard_index(
-    ensemble, params: NeighborParams, *, preprocess: bool = False
+    ensemble, k: int, *, metric: str = "cosine", preprocess: bool = False
 ) -> PairwiseIndexReport:
     """Mean per-node Jaccard overlap of k-neighborhoods across pairs.
 
     For each node and pair (l, m): |N_k^l n N_k^m| / |N_k^l u N_k^m|,
-    averaged over nodes, then over unordered pairs. 1 means identical
+    averaged over nodes, then over unordered pairs, with the neighborhoods
+    of :func:`knn_neighbors` under ``metric``. 1 means identical
     neighborhoods everywhere.
     """
     values, _ = _prepared_values(ensemble, preprocess)
-    neighbors = [knn_neighbors(v, params).indices for v in values]
-    n, k = len(neighbors[0]), params.k
+    neighbors = [knn_neighbors(v, k, metric) for v in values]
+    n = len(neighbors[0])
 
     def jaccard(l, m):
         inter = np.concatenate([
@@ -215,27 +193,28 @@ def knn_jaccard_index(
         # Each list holds k distinct ids, so the union has 2k - inter.
         return _node_mean(inter / (2 * k - inter))
 
-    metadata = {"k": k, "metric": params.metric, "preprocess": preprocess}
+    metadata = {"k": k, "metric": metric, "preprocess": preprocess}
     return _pairwise("knn-jaccard", len(values), jaccard, metadata)
 
 
 def second_order_cosine_index(
-    ensemble, params: NeighborParams, *, preprocess: bool = False
+    ensemble, k: int, *, metric: str = "cosine", preprocess: bool = False
 ) -> PairwiseIndexReport:
     """Cosine agreement of per-node similarity profiles across pairs.
 
-    For node i and pair (l, m), the two k-neighborhoods are unioned into
-    one list sorted by ascending node id; each configuration contributes
-    the vector of cosine similarities between z_i and the listed
-    neighbors, computed within its own space; the node's score is the
-    cosine of those two vectors. An all-zero similarity vector scores 0
-    and is counted in the report metadata.
+    For node i and pair (l, m), the two k-neighborhoods of
+    :func:`knn_neighbors` under ``metric`` are unioned into one list sorted
+    by ascending node id; each configuration contributes the vector of
+    cosine similarities between z_i and the listed neighbors, computed
+    within its own space; the node's score is the cosine of those two
+    vectors. An all-zero similarity vector scores 0 and is counted in the
+    report metadata.
     """
     values, _ = _prepared_values(ensemble, preprocess)
     units = [_unit_rows(v) for v in values]
-    neighbors = [knn_neighbors(v, params).indices for v in values]
-    n, k = len(neighbors[0]), params.k
-    metadata = {"k": k, "metric": params.metric, "preprocess": preprocess, "zero_vector_scores": 0}
+    neighbors = [knn_neighbors(v, k, metric) for v in values]
+    n = len(neighbors[0])
+    metadata = {"k": k, "metric": metric, "preprocess": preprocess, "zero_vector_scores": 0}
 
     def profile_cosine(l, m):
         pair, scores = (units[l], units[m]), np.empty(n)

@@ -79,10 +79,6 @@ class ParseError(GramstabError):
         self.line = line
 
 
-class BadMagic(GramstabError):
-    """A binary embedding file does not start with the expected magic."""
-
-
 class TruncatedFile(GramstabError):
     """A binary embedding file is shorter than its header promises."""
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import EmbeddingMatrix, GraphTopology
 from .errors import (
-    BadMagic,
     EmptyGraph,
     ManifestError,
     NotABijection,
@@ -294,29 +293,21 @@ def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> No
             handle.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 
 
-def load_embeddings(path, fmt: str = "auto") -> EmbeddingMatrix:
-    """Read one embedding matrix, auto-detecting GGE1 versus CSV.
-
-    ``fmt`` may pin the format to "gge1" or "csv"; pinning "gge1" on a
-    file without the magic raises BadMagic instead of falling back.
-    """
-    return EmbeddingMatrix(load_embedding_values(path, fmt))
+def load_embeddings(path) -> EmbeddingMatrix:
+    """Read one embedding matrix: GGE1 when the file starts with the GGE1
+    magic, CSV otherwise."""
+    return EmbeddingMatrix(load_embedding_values(path))
 
 
-def load_embedding_values(path, fmt: str = "auto") -> np.ndarray:
+def load_embedding_values(path) -> np.ndarray:
     """Like :func:`load_embeddings` but returns the raw float64 array.
 
     The array is freshly allocated and safe for callers to mutate; the
     streaming index pipeline relies on that to preprocess in place.
     """
     path = Path(path)
-    if fmt not in ("auto", "gge1", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
     with path.open("rb") as handle:
-        magic = handle.read(len(GGE1_MAGIC))
-        if fmt == "gge1" and magic != GGE1_MAGIC:
-            raise BadMagic(f"{path}: expected magic {GGE1_MAGIC!r}, found {magic!r}")
-        if magic == GGE1_MAGIC and fmt in ("auto", "gge1"):
+        if handle.read(len(GGE1_MAGIC)) == GGE1_MAGIC:
             return _read_gge1(path, handle)
         return _read_csv(path, _text_lines(path, handle))
 

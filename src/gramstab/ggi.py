@@ -43,22 +43,6 @@ _STD_CONVENTIONS = ("population", "sample")
 
 
 @dataclass(frozen=True)
-class GgiOptions:
-    """Knobs for the index pipeline.
-
-    ``std`` selects the dispersion convention: "population" divides by
-    N (the ensemble is the whole object of study), "sample" by N - 1.
-    """
-
-    preprocess: bool = True
-    std: str = "population"
-
-    def __post_init__(self):
-        if self.std not in _STD_CONVENTIONS:
-            raise ValueError(f"std must be one of {_STD_CONVENTIONS}, got {self.std!r}")
-
-
-@dataclass(frozen=True)
 class EdgeSummaryScore:
     """Per-configuration summary: mean inner product over graph edges."""
 
@@ -112,23 +96,6 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
     return total / n_edges
 
 
-def edge_gram_sum(mat, graph: GraphTopology, config_index: int = 0) -> EdgeSummaryScore:
-    """Edge-restricted Gram summary of one configuration.
-
-    Computes s = (1/(2|E|)) * sum over ordered adjacent pairs (i, j) of
-    <z_i, z_j>, equivalently the mean inner product over unordered
-    edges. The input is used as-is; apply
-    :func:`~gramstab.core.preprocess_center_normalize` first if scores
-    should be cosine-bounded. Same as :func:`score_configuration` with
-    ``preprocess=False``.
-
-    Raises EmptyGraph when the graph has no edges, ShapeMismatch when
-    row count and node count disagree, and NonFiniteScore when the inner
-    products overflow float64.
-    """
-    return score_configuration(mat, graph, config_index, preprocess=False)
-
-
 def score_configuration(
     mat,
     graph: GraphTopology,
@@ -175,17 +142,26 @@ def score_configuration(
     )
 
 
+def _ddof(std: str) -> int:
+    """The ddof of a dispersion convention: "population" divides by N (the
+    ensemble is the whole object of study), "sample" by N - 1."""
+    if std not in _STD_CONVENTIONS:
+        raise ValueError(f"std must be one of {_STD_CONVENTIONS}, got {std!r}")
+    return _STD_CONVENTIONS.index(std)
+
+
 def dispersion(scores: np.ndarray, std: str = "population") -> float:
-    """Standard deviation of per-configuration scores.
+    """Standard deviation of per-configuration scores under the ``std``
+    convention, "population" or "sample".
 
     Bit-identical inputs must yield exactly 0.0, which naive mean/std
     arithmetic does not guarantee, so that case is short-circuited. Scores
     are divided by their :func:`~gramstab.core.magnitude_scale` first.
     """
+    ddof = _ddof(std)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.max() == scores.min():
         return 0.0
-    ddof = 0 if std == "population" else 1
     scale = magnitude_scale(scores)
     return scale * float((scores / scale).std(ddof=ddof))
 
@@ -193,18 +169,21 @@ def dispersion(scores: np.ndarray, std: str = "population") -> float:
 def ggi_index(
     configs: Iterable,
     graph: GraphTopology,
-    opts: GgiOptions | None = None,
     *,
+    preprocess: bool = True,
+    std: str = "population",
     copy: bool = True,
 ) -> StabilityReport:
     """Graph Gram index of an ensemble over a fixed graph.
 
-    Each configuration is preprocessed (unless disabled) and reduced to
-    its edge-restricted Gram summary; the index is the dispersion of
-    those summaries. Configurations are consumed one at a time, so
-    ``configs`` may be a lazy iterable of matrices when the ensemble is
-    too large to hold in memory; pass ``copy=False`` when the iterable
-    yields arrays the pipeline may scribble on.
+    Each configuration is centered and normalized (unless ``preprocess``
+    is False) and reduced to its edge-restricted Gram summary; the index
+    is the :func:`dispersion` of those summaries under the ``std``
+    convention. Configurations are consumed one at a time, so ``configs``
+    may be a lazy iterable of matrices when the ensemble is too large to
+    hold in memory; pass ``copy=False`` when the iterable yields arrays
+    the pipeline may scribble on. An unknown ``std`` raises ValueError
+    before the first configuration is read.
 
     Returns
     -------
@@ -213,8 +192,7 @@ def ggi_index(
         conventions used. ``index_value`` is always recomputable from
         ``per_config``.
     """
-    if opts is None:
-        opts = GgiOptions()
+    _ddof(std)
     scores: list[EdgeSummaryScore] = []
     # Deliberately not enumerate(): its cached result tuple keeps the
     # previous matrix alive while the iterable builds the next one,
@@ -222,21 +200,19 @@ def ggi_index(
     idx = 0
     for mat in configs:
         scores.append(
-            score_configuration(
-                mat, graph, idx, preprocess=opts.preprocess, copy=copy
-            )
+            score_configuration(mat, graph, idx, preprocess=preprocess, copy=copy)
         )
         del mat
         idx += 1
     if len(scores) < 2:
         raise TooFewConfigs(f"need at least 2 configurations, got {len(scores)}")
-    index_value = dispersion(np.array([s.score for s in scores]), opts.std)
+    index_value = dispersion(np.array([s.score for s in scores]), std)
     if not np.isfinite(index_value * 100.0):
         raise NonFiniteScore(f"the index is {index_value!r}; in percent it is too "
                              f"large for float64 (rescale the embeddings)")
     metadata = {
-        "preprocess": opts.preprocess,
-        "std": opts.std,
+        "preprocess": preprocess,
+        "std": std,
         "degenerate_rows": [s.degenerate_rows for s in scores],
         "score_definition": "mean inner product over unordered graph edges",
     }

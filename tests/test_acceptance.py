@@ -18,15 +18,12 @@ import pytest
 from gramstab import (
     ConfigurationEnsemble,
     EmbeddingMatrix,
-    GgiOptions,
     KTooLarge,
-    NeighborParams,
     NotABijection,
     TruncatedFile,
     aligned_cosine_index,
     apply_isometry,
     apply_permutation,
-    edge_gram_sum,
     ggi_index,
     hausdorff_index,
     knn_jaccard_index,
@@ -38,6 +35,7 @@ from gramstab import (
     random_orthogonal,
     random_permutation,
     random_translation,
+    score_configuration,
     second_order_cosine_index,
     synthetic_ensemble,
     wasserstein_index,
@@ -121,7 +119,7 @@ def test_criterion_02_zero_dispersion_exact():
             tuple(EmbeddingMatrix(base.copy()) for _ in range(n_configs))
         )
         for std in ("population", "sample"):
-            report = ggi_index(ens, graph, GgiOptions(std=std))
+            report = ggi_index(ens, graph, std=std)
             assert report.index_value == 0.0, (n, d, n_configs, std)
             assert report.index_percent == 0.0
     # The seeded generator's zero-noise path must hit the same guarantee.
@@ -141,7 +139,7 @@ def test_criterion_03_sparse_equals_dense_oracle():
         d = int(rng.integers(1, 33))
         graph = random_graph(n, min(5.0, float(n - 1)), seed=[8, trial])
         values = rng.normal(size=(n, d)) * float(rng.uniform(0.1, 10.0))
-        fast = edge_gram_sum(values, graph).score
+        fast = score_configuration(values, graph, preprocess=False).score
         slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
         worst = max(worst, abs(fast - slow))
     assert worst <= 1e-12
@@ -203,13 +201,11 @@ def test_criterion_06_baseline_definitional_oracles():
         a = rng.normal(size=(n, d))
         b = a + rng.normal(0.0, 0.4, size=(n, d))
         ens = ConfigurationEnsemble((EmbeddingMatrix(a), EmbeddingMatrix(b)))
-        params = NeighborParams(k=k)
-
-        fast = knn_jaccard_index(ens, params).per_pair[(0, 1)]
+        fast = knn_jaccard_index(ens, k).per_pair[(0, 1)]
         slow = oracles.jaccard_brute(a, b, k)
         worst["knn-jaccard"] = max(worst["knn-jaccard"], abs(fast - slow))
 
-        fast = second_order_cosine_index(ens, params).per_pair[(0, 1)]
+        fast = second_order_cosine_index(ens, k).per_pair[(0, 1)]
         slow = oracles.second_order_brute(a, b, k)
         worst["second-order-cosine"] = max(
             worst["second-order-cosine"], abs(fast - slow)
@@ -347,7 +343,7 @@ def test_criterion_10_format_robustness(tmp_path):
     # k >= |V|: named error from the library, exit 2 from the CLI.
     rng = np.random.default_rng(0)
     with pytest.raises(KTooLarge):
-        knn_neighbors(rng.normal(size=(30, 4)), NeighborParams(k=30))
+        knn_neighbors(rng.normal(size=(30, 4)), 30)
     result = _run_cli([
         "baseline", "--manifest", str(out_dir / "manifest.json"),
         "--index", "knn-jaccard", "--k", "30",

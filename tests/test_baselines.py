@@ -13,7 +13,6 @@ from gramstab import (
     EmbeddingMatrix,
     InstanceTooLarge,
     KTooLarge,
-    NeighborParams,
     NonFiniteScore,
     aligned_cosine_index,
     apply_isometry,
@@ -42,39 +41,39 @@ def _ensemble(seed, n=12, dim=3, n_configs=3, noise=0.3):
 def test_knn_matches_brute_force_cosine_and_euclidean():
     configs, _ = _ensemble(0, n=20)
     for metric in ("cosine", "euclidean"):
-        fast = knn_neighbors(configs[0], NeighborParams(k=5, metric=metric))
+        fast = knn_neighbors(configs[0], 5, metric)
         slow = oracles.knn_brute(configs[0], 5, metric)
-        assert fast.indices.tolist() == slow
+        assert fast.tolist() == slow
 
 
 def test_knn_breaks_ties_by_ascending_id():
     # Four copies of the same point: all cross-similarities tie at 1, so
     # each node's neighbor list is the other ids in ascending order.
     values = np.tile(np.array([[1.0, 2.0]]), (4, 1))
-    result = knn_neighbors(values, NeighborParams(k=3, metric="cosine"))
-    assert result.indices.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-    result = knn_neighbors(values, NeighborParams(k=3, metric="euclidean"))
-    assert result.indices.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    result = knn_neighbors(values, 3, "cosine")
+    assert result.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    result = knn_neighbors(values, 3, "euclidean")
+    assert result.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 def test_knn_never_contains_self():
     configs, _ = _ensemble(1, n=15)
-    result = knn_neighbors(configs[0], NeighborParams(k=14))
-    for i, row in enumerate(result.indices):
+    result = knn_neighbors(configs[0], 14)
+    for i, row in enumerate(result):
         assert i not in row
 
 
 def test_k_bounds():
     configs, _ = _ensemble(2, n=8)
     with pytest.raises(KTooLarge):
-        knn_neighbors(configs[0], NeighborParams(k=8))  # k == |V|
+        knn_neighbors(configs[0], 8)  # k == |V|
     with pytest.raises(KTooLarge):
-        NeighborParams(k=0)
+        knn_neighbors(configs[0], 0)
 
 
 def test_jaccard_matches_brute_force():
     configs, ens = _ensemble(3, n=18, n_configs=3)
-    report = knn_jaccard_index(ens, NeighborParams(k=4))
+    report = knn_jaccard_index(ens, 4)
     for (l, m), score in report.per_pair.items():
         expected = oracles.jaccard_brute(configs[l], configs[m], 4)
         assert abs(score - expected) <= 1e-12
@@ -83,7 +82,7 @@ def test_jaccard_matches_brute_force():
 
 def test_second_order_matches_brute_force():
     configs, ens = _ensemble(4, n=16, n_configs=3)
-    report = second_order_cosine_index(ens, NeighborParams(k=4))
+    report = second_order_cosine_index(ens, 4)
     for (l, m), score in report.per_pair.items():
         expected = oracles.second_order_brute(configs[l], configs[m], 4)
         assert abs(score - expected) <= 1e-12
@@ -288,12 +287,11 @@ def test_neighborhood_indices_survive_shared_relabel():
         relabeled.append(out)
     ens_a = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
     ens_b = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in relabeled))
-    params = NeighborParams(k=3)
-    assert knn_jaccard_index(ens_a, params).aggregate == pytest.approx(
-        knn_jaccard_index(ens_b, params).aggregate, abs=1e-12
+    assert knn_jaccard_index(ens_a, 3).aggregate == pytest.approx(
+        knn_jaccard_index(ens_b, 3).aggregate, abs=1e-12
     )
-    assert second_order_cosine_index(ens_a, params).aggregate == pytest.approx(
-        second_order_cosine_index(ens_b, params).aggregate, abs=1e-12
+    assert second_order_cosine_index(ens_a, 3).aggregate == pytest.approx(
+        second_order_cosine_index(ens_b, 3).aggregate, abs=1e-12
     )
 
 
@@ -309,10 +307,10 @@ def test_identical_configs_are_perfectly_stable():
     rng = np.random.default_rng(14)
     base = rng.normal(size=(10, 3))
     ens = ConfigurationEnsemble((EmbeddingMatrix(base), EmbeddingMatrix(base.copy())))
-    assert knn_jaccard_index(ens, NeighborParams(k=3)).aggregate == 1.0
+    assert knn_jaccard_index(ens, 3).aggregate == 1.0
     assert hausdorff_index(ens).aggregate == 0.0
     assert wasserstein_index(ens).aggregate == 0.0
-    assert second_order_cosine_index(ens, NeighborParams(k=3)).aggregate == pytest.approx(
+    assert second_order_cosine_index(ens, 3).aggregate == pytest.approx(
         1.0, abs=1e-12
     )
     assert aligned_cosine_index(ens).aggregate == pytest.approx(1.0, abs=1e-12)
@@ -380,15 +378,14 @@ def test_blocked_search_matches_oracles_under_ties(seed, metric, step, n_blocks,
 
 def _check_against_oracles(configs, k, metric):
     ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    params = NeighborParams(k=k, metric=metric)
     for values in configs:
-        fast = knn_neighbors(values, params).indices.tolist()
+        fast = knn_neighbors(values, k, metric).tolist()
         assert fast == oracles.knn_brute(values, k, metric)
 
     a, b = configs
     # Both sum the same per-node ratios in node order: equal bit for bit.
-    assert knn_jaccard_index(ens, params).per_pair[(0, 1)] == oracles.jaccard_brute(a, b, k, metric)
-    report = second_order_cosine_index(ens, params)
+    assert knn_jaccard_index(ens, k, metric=metric).per_pair[(0, 1)] == oracles.jaccard_brute(a, b, k, metric)
+    report = second_order_cosine_index(ens, k, metric=metric)
     expected, zeros = oracles.second_order_brute_with_zeros(a, b, k, metric)
     assert abs(report.per_pair[(0, 1)] - expected) <= 1e-12
     assert report.metadata["zero_vector_scores"] == zeros
@@ -419,11 +416,11 @@ def test_blocked_search_memory_stays_bounded():
     # Fewer rows keep the all-ties sort short; its blocks are still full.
     tied = np.zeros((3000, dim))
     for blocks, run in (
-        (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="cosine"))),
-        (3, lambda: knn_neighbors(configs[0], NeighborParams(k=k, metric="euclidean"))),
+        (3, lambda: knn_neighbors(configs[0], k, "cosine")),
+        (3, lambda: knn_neighbors(configs[0], k, "euclidean")),
         (3, lambda: hausdorff_index(ens)),
         (3, lambda: wasserstein_index(near)),
-        (4, lambda: knn_neighbors(tied, NeighborParams(k=k, metric="cosine"))),
+        (4, lambda: knn_neighbors(tied, k, "cosine")),
     ):
         tracemalloc.start()
         try:

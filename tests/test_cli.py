@@ -184,16 +184,26 @@ def test_out_writes_file_and_keeps_stdout_quiet(workspace, tmp_path):
     ["aligned-cosine", "knn-jaccard", "second-order-cosine", "hausdorff", "wasserstein"],
 )
 def test_every_baseline_runs(workspace, index):
-    result = _run([
-        "baseline", "--manifest", str(workspace / "manifest.json"),
-        "--index", index, "--k", "5",
-    ])
-    assert result.returncode == 0, result.stderr
-    doc = json.loads(result.stdout)
-    assert doc["index_name"] == index
-    assert len(doc["per_pair"]) == 3  # 3 configs -> 3 unordered pairs
-    pairs = [tuple(entry["pair"]) for entry in doc["per_pair"]]
-    assert pairs == [(0, 1), (0, 2), (1, 2)]
+    neighbors = index in ("knn-jaccard", "second-order-cosine")
+    for flags, options in (
+        ([], {"preprocess": False, "k": 5, "metric": "cosine"}),
+        (["--metric", "euclidean", "--preprocess"],
+         {"preprocess": True, "k": 5, "metric": "euclidean"}),
+    ):
+        result = _run([
+            "baseline", "--manifest", str(workspace / "manifest.json"),
+            "--index", index, "--k", "5", *flags,
+        ])
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["index_name"] == index
+        assert len(doc["per_pair"]) == 3  # 3 configs -> 3 unordered pairs
+        pairs = [tuple(entry["pair"]) for entry in doc["per_pair"]]
+        assert pairs == [(0, 1), (0, 2), (1, 2)]
+        # k and metric are options of the kNN indices only; order counts too.
+        if not neighbors:
+            options = {"preprocess": options["preprocess"]}
+        assert list(doc["options"].items()) == list(options.items())
 
 
 def test_baseline_reports_are_deterministic(workspace):
@@ -452,16 +462,19 @@ def test_report_hashes_are_the_input_files_sha256(tmp_path, fmt):
 
 @pytest.mark.parametrize("argv", [["ggi"], ["baseline", "--index", "hausdorff"], ["validate"]])
 def test_configuration_with_a_missing_row_exits_2(workspace, tmp_path, argv):
-    doc = _manifest_doc(workspace)
-    short = tmp_path / "short.gge1"
-    save_embeddings(short, load_embeddings(doc["embedding_paths"][1]).values[:-1])
-    doc["embedding_paths"][1] = str(short)
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(doc))
-    result = _run([*argv, "--manifest", str(path)])
-    assert result.returncode == 2, result.stderr
-    assert "config 1 has 39 rows" in result.stderr
-    assert result.stdout == ""
+    # Every command names the short configuration against the graph, also
+    # when it is config 0 and the others agree with the graph, not with it.
+    for idx in (1, 0):
+        doc = _manifest_doc(workspace)
+        short = tmp_path / f"short{idx}.gge1"
+        save_embeddings(short, load_embeddings(doc["embedding_paths"][idx]).values[:-1])
+        doc["embedding_paths"][idx] = str(short)
+        path = tmp_path / f"manifest{idx}.json"
+        path.write_text(json.dumps(doc))
+        result = _run([*argv, "--manifest", str(path)])
+        assert result.returncode == 2, result.stderr
+        assert f"config {idx} has 39 rows but the graph has 40 nodes" in result.stderr
+        assert result.stdout == ""
 
 
 def test_validate_holds_one_configuration_at_a_time(tmp_path):

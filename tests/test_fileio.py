@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
-    BadMagic,
     EmptyGraph,
     GraphTopology,
     ManifestError,
@@ -67,7 +66,7 @@ def test_gge1_layout_is_as_documented(tmp_path):
 def test_csv_round_trip_is_value_exact(tmp_path, values):
     path = tmp_path / "m.csv"
     save_embeddings(path, values, fmt="csv")
-    back = load_embeddings(path, fmt="csv")
+    back = load_embeddings(path)
     # %.17g prints enough digits to round-trip every float64 value.
     assert np.array_equal(back.values, values)
 
@@ -79,13 +78,6 @@ def test_format_autodetection(tmp_path, values):
     save_embeddings(csv, values, fmt="csv")
     assert np.array_equal(load_embeddings(gge1).values, values)
     assert np.array_equal(load_embeddings(csv).values, values)
-
-
-def test_pinned_gge1_rejects_other_content(tmp_path):
-    path = tmp_path / "fake.gge1"
-    path.write_text("1.0,2.0\n")
-    with pytest.raises(BadMagic):
-        load_embeddings(path, fmt="gge1")
 
 
 def test_truncated_header_and_payload(tmp_path, values):
@@ -119,13 +111,13 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n1.0,oops\n")
     with pytest.raises(ParseError) as err:
-        load_embeddings(bad, fmt="csv")
+        load_embeddings(bad)
     assert err.value.line == 2
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ParseError) as err:
-        load_embeddings(ragged, fmt="csv")
+        load_embeddings(ragged)
     assert err.value.line == 2
 
 

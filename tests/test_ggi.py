@@ -9,12 +9,10 @@ from gramstab import (
     ConfigurationEnsemble,
     EmbeddingMatrix,
     EmptyGraph,
-    GgiOptions,
     GraphTopology,
     NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
-    edge_gram_sum,
     ggi_index,
     random_graph,
     score_configuration,
@@ -35,7 +33,7 @@ def _random_instance(seed, n_nodes=30, dim=4, n_configs=3, noise=0.1):
 def test_edge_summary_matches_dense_mask():
     graph, configs = _random_instance(0)
     for values in configs:
-        fast = edge_gram_sum(values, graph).score
+        fast = score_configuration(values, graph, preprocess=False).score
         slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
         assert abs(fast - slow) <= 1e-12
 
@@ -48,7 +46,7 @@ def test_edge_summary_matches_dense_mask_property(seed):
     dim = int(rng.integers(1, 9))
     graph = random_graph(n, min(3.0, n - 1), seed)
     values = rng.normal(size=(n, dim))
-    fast = edge_gram_sum(values, graph).score
+    fast = score_configuration(values, graph, preprocess=False).score
     slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
     assert abs(fast - slow) <= 1e-12
 
@@ -61,11 +59,11 @@ def test_blockwise_accumulation_is_exact(monkeypatch):
     import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
-    whole = edge_gram_sum(configs[0], graph).score
+    whole = score_configuration(configs[0], graph, preprocess=False).score
     monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 8)
-    assert edge_gram_sum(configs[0], graph).score == whole
+    assert score_configuration(configs[0], graph, preprocess=False).score == whole
     monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
-    chunked = edge_gram_sum(configs[0], graph).score
+    chunked = score_configuration(configs[0], graph, preprocess=False).score
     assert abs(whole - chunked) <= 1e-12
 
 
@@ -148,15 +146,26 @@ def test_dispersion_conventions():
     scores = np.array([0.1, 0.2, 0.4])
     assert dispersion(scores, "population") == pytest.approx(np.std(scores, ddof=0))
     assert dispersion(scores, "sample") == pytest.approx(np.std(scores, ddof=1))
-    with pytest.raises(ValueError):
-        GgiOptions(std="bogus")
+    # An unknown convention is an error, not the sample std; equal scores,
+    # which short-circuit to 0.0, do not get past it either.
+    for bogus in (scores, np.array([0.3, 0.3])):
+        with pytest.raises(ValueError, match="std must be one of"):
+            dispersion(bogus, "bogus")
+
+    def unread():
+        raise AssertionError("a configuration was read before std was checked")
+        yield
+
+    graph, _ = _random_instance(10)
+    with pytest.raises(ValueError, match="std must be one of"):
+        ggi_index(unread(), graph, std="bogus")
 
 
 def test_sample_convention_flows_through():
     graph, configs = _random_instance(11)
     ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    pop = ggi_index(ens, graph, GgiOptions(std="population")).index_value
-    samp = ggi_index(ens, graph, GgiOptions(std="sample")).index_value
+    pop = ggi_index(ens, graph, std="population").index_value
+    samp = ggi_index(ens, graph, std="sample").index_value
     assert samp > pop  # ddof=1 inflates dispersion for small N
     assert samp == pytest.approx(pop * np.sqrt(len(configs) / (len(configs) - 1)))
 
@@ -164,7 +173,7 @@ def test_sample_convention_flows_through():
 def test_empty_graph_and_shape_mismatch():
     graph = GraphTopology(3, np.empty((0, 2), dtype=np.int64))
     with pytest.raises(EmptyGraph):
-        edge_gram_sum(np.ones((3, 2)), graph)
+        score_configuration(np.ones((3, 2)), graph, preprocess=False)
     real = GraphTopology.from_pairs(3, np.array([[0, 1]]))[0]
     with pytest.raises(ShapeMismatch) as err:
         score_configuration(np.ones((4, 2)), real, config_index=2)
@@ -191,7 +200,7 @@ def test_index_past_float64_is_a_named_error():
     root = np.sqrt(3e307)
     configs = [np.array([[root], [root]]), np.array([[root], [-root]])]
     with pytest.raises(NonFiniteScore, match="the index is"):
-        ggi_index(iter(configs), graph, GgiOptions(preprocess=False))
+        ggi_index(iter(configs), graph, preprocess=False)
 
 
 def test_huge_entries_score_as_their_rescaled_copy():
@@ -252,7 +261,7 @@ def test_no_preprocess_uses_raw_inner_products():
     graph, configs = _random_instance(4)
     scaled = [10.0 * c for c in configs]
     ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in scaled))
-    raw = ggi_index(ens, graph, GgiOptions(preprocess=False)).index_value
+    raw = ggi_index(ens, graph, preprocess=False).index_value
     expected = oracles.ggi_dense(scaled, graph.edges, graph.node_count, preprocess=False)
     assert abs(raw - expected) <= 1e-10
 

@@ -14,8 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
-    GgiOptions,
-    NeighborParams,
     aligned_cosine_index,
     ggi_index,
     hausdorff_index,
@@ -38,9 +36,8 @@ def _scale_free(configs):
     out = {"ggi": (report.scores, report.metadata["degenerate_rows"])}
     for pre in (False, True):
         for metric in ("cosine", "euclidean"):
-            params = NeighborParams(k=_K, metric=metric)
             for fn in (knn_jaccard_index, second_order_cosine_index):
-                report = fn(configs, params, preprocess=pre)
+                report = fn(configs, _K, metric=metric, preprocess=pre)
                 out[fn.__name__, metric, pre] = (
                     list(report.per_pair.values()),
                     report.metadata.get("zero_vector_scores"),
@@ -94,8 +91,8 @@ def test_raw_ggi_scales_with_the_square_of_the_units(c):
     # Without preprocessing the scores are raw inner products, c^2 times
     # the unscaled ones; their standard deviation must follow, neither
     # underflowing to a "perfectly stable" 0.0 nor overflowing to inf.
-    raw = ggi_index(iter(CONFIGS), GRAPH, GgiOptions(preprocess=False)).index_value
-    scaled = ggi_index(iter([c * x for x in CONFIGS]), GRAPH, GgiOptions(preprocess=False)).index_value
+    raw = ggi_index(iter(CONFIGS), GRAPH, preprocess=False).index_value
+    scaled = ggi_index(iter([c * x for x in CONFIGS]), GRAPH, preprocess=False).index_value
     assert raw > 0.0
     assert scaled == pytest.approx(c * c * raw, rel=1e-9)
 
