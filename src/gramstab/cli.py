@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -69,17 +70,60 @@ def _load_graph(manifest: Manifest) -> EdgeListResult:
     return load_edge_list(manifest.graph_path, id_map=id_map)
 
 
-def _emit(command: str, body: dict, args, manifest: Manifest | None = None,
+class _InputHashes:
+    """The SHA-256 of a manifest's graph and embedding files, computed on a
+    second thread while the caller loads and scores them. hashlib releases
+    the GIL, so the hashing runs on another core.
+
+    Leaving the ``with`` block stops the thread at its next read and joins
+    it, so an error exit leaves no thread behind and does not wait for the
+    files not yet hashed. A hashing error is raised only by
+    :meth:`digests`, so the loaders' own errors are the ones reported.
+    """
+
+    def __init__(self, manifest: Manifest):
+        self._paths = (manifest.graph_path, *manifest.embedding_paths)
+        self._digests: list[str] = []
+        self._error: Exception | None = None
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._hash, name="gramstab-sha256")
+
+    def __enter__(self) -> "_InputHashes":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join()
+
+    def _hash(self) -> None:
+        try:
+            for path in self._paths:
+                # The module global, looked up per call like _baselines(),
+                # so that a wrapper set on it after import runs.
+                digest = sha256_file(path, stop=self._stop)
+                if digest is None:
+                    return
+                self._digests.append(digest)
+        except Exception as exc:  # noqa: BLE001  digests() raises it on the caller's thread
+            self._error = exc
+
+    def digests(self) -> dict:
+        """The report's hashes of the graph and of each embedding file."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return {"graph_sha256": self._digests[0], "embeddings_sha256": self._digests[1:]}
+
+
+def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None,
           started: float = 0.0) -> None:
-    """Write a report: the shared head, ``body``, then, given the manifest of
-    the inputs scored, their hashes and, if requested, the timings."""
+    """Write a report: the shared head, ``body``, then, given the hashes of
+    the inputs scored, the manifest and those hashes and, if requested, the
+    timings."""
     document = {"tool": "gramstab", "version": __version__, "command": command, **body}
-    if manifest is not None:
-        document["inputs"] = {
-            "manifest": str(args.manifest),
-            "graph_sha256": sha256_file(manifest.graph_path),
-            "embeddings_sha256": [sha256_file(p) for p in manifest.embedding_paths],
-        }
+    if hashes is not None:
+        document["inputs"] = {"manifest": str(args.manifest), **hashes.digests()}
         if args.timings:
             document["timings"] = {"wall_seconds": time.perf_counter() - started}
     text = report_to_json(document)
@@ -92,64 +136,66 @@ def _emit(command: str, body: dict, args, manifest: Manifest | None = None,
 def _cmd_ggi(args) -> int:
     started = time.perf_counter()
     manifest = load_manifest(args.manifest)
-    graph = _load_graph(manifest).graph
-    options = {"preprocess": not args.no_preprocess, "std": args.std}
-    # Loaded arrays are owned by this process, so the scoring pipeline
-    # may preprocess them in place (copy=False); one is alive at a time.
-    report = ggi_index(
-        (load_embedding_values(path) for path in manifest.embedding_paths),
-        graph,
-        **options,
-        copy=False,
-    )
-    _emit("ggi", {
-        "index_name": report.index_name,
-        "index_value": report.index_value,
-        "index_percent": report.index_percent,
-        "n_configs": report.n_configs,
-        "node_count": graph.node_count,
-        "edge_count": graph.edge_count,
-        "per_config": [
-            {
-                "label": manifest.labels[s.config_index],
-                "score": s.score,
-                "degenerate_rows": s.degenerate_rows,
-            }
-            for s in report.per_config
-        ],
-        "options": options,
-    }, args, manifest, started)
+    with _InputHashes(manifest) as hashes:
+        graph = _load_graph(manifest).graph
+        options = {"preprocess": not args.no_preprocess, "std": args.std}
+        # Loaded arrays are owned by this process, so the scoring pipeline
+        # may preprocess them in place (copy=False); one is alive at a time.
+        report = ggi_index(
+            (load_embedding_values(path) for path in manifest.embedding_paths),
+            graph,
+            **options,
+            copy=False,
+        )
+        _emit("ggi", {
+            "index_name": report.index_name,
+            "index_value": report.index_value,
+            "index_percent": report.index_percent,
+            "n_configs": report.n_configs,
+            "node_count": graph.node_count,
+            "edge_count": graph.edge_count,
+            "per_config": [
+                {
+                    "label": manifest.labels[s.config_index],
+                    "score": s.score,
+                    "degenerate_rows": s.degenerate_rows,
+                }
+                for s in report.per_config
+            ],
+            "options": options,
+        }, args, hashes, started)
     return 0
 
 
 def _cmd_baseline(args) -> int:
     started = time.perf_counter()
     manifest = load_manifest(args.manifest)
-    graph = _load_graph(manifest).graph
-    configs = [load_embeddings(path) for path in manifest.embedding_paths]
-    # Each configuration against the graph, as ggi and validate check
-    # them: a short config 0 is named, not the next one that differs from it.
-    validate_ensemble(configs, graph)
-    options: dict = {"preprocess": args.preprocess}
-    if args.index in ("knn-jaccard", "second-order-cosine"):
-        options.update(k=args.k, metric=args.metric)
-    report = _baselines()[args.index](configs, **options)
-    _emit("baseline", {
-        "index_name": report.index_name,
-        "aggregate": report.aggregate,
-        "n_configs": report.n_configs,
-        "pair_convention": report.pair_convention,
-        "per_pair": [
-            {
-                "pair": [l, m],
-                "labels": [manifest.labels[l], manifest.labels[m]],
-                "score": report.per_pair[(l, m)],
-            }
-            for l, m in sorted(report.per_pair)
-        ],
-        "options": options,
-        "metadata": {k: report.metadata[k] for k in sorted(report.metadata)},
-    }, args, manifest, started)
+    with _InputHashes(manifest) as hashes:
+        graph = _load_graph(manifest).graph
+        configs = [load_embeddings(path) for path in manifest.embedding_paths]
+        # Each configuration against the graph, as ggi and validate check
+        # them: a short config 0 is named, not the next one that differs from it.
+        validate_ensemble(configs, graph)
+        options: dict = {"preprocess": args.preprocess}
+        if args.index in ("knn-jaccard", "second-order-cosine"):
+            options.update(k=args.k, metric=args.metric)
+        report = _baselines()[args.index](configs, **options)
+        _emit("baseline", {
+            "index_name": report.index_name,
+            "aggregate": report.aggregate,
+            "n_configs": report.n_configs,
+            "pair_convention": report.pair_convention,
+            "per_pair": [
+                {
+                    "pair": [l, m],
+                    "labels": [manifest.labels[l], manifest.labels[m]],
+                    "score": report.per_pair[(l, m)],
+                }
+                for l, m in sorted(report.per_pair)
+            ],
+            "options": options,
+            "metadata": {k: report.metadata[k] for k in sorted(report.metadata)},
+        }, args, hashes, started)
     return 0
 
 

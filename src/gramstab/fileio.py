@@ -16,6 +16,7 @@ import io
 import json
 import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +43,16 @@ _CSV_FORMAT = "%.17g"
 
 # Node ids per formatted chunk of an edge list written by save_edge_list.
 _EDGE_CHUNK_IDS = 1 << 16
+
+# An id map whose keys are non-negative and below this many times their
+# count is looked up through a dense table. The table beat binary search
+# at every spread measured, up to 256 times the id count, so memory sets
+# the cutoff: at 8 the table takes at most 64 bytes per id, less than
+# the id map's dict already holds.
+_DENSE_ID_SPREAD = 8
+
+# Bytes per read when hashing a file.
+_HASH_BUFFER = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,11 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
 
 
 def _lookup_ids(pairs: np.ndarray, id_map: dict) -> np.ndarray | None:
-    """Map ids to rows through ``id_map``; None if an id is missing."""
+    """Map ids to rows through ``id_map``; None if an id is missing.
+
+    Non-negative keys below ``_DENSE_ID_SPREAD`` times their count index a
+    table of rows directly; other keys are looked up by binary search.
+    """
     keys = np.array(list(id_map))
     if keys.dtype != np.int64:
         # Keys beyond int64 (numpy would compare them with int64 ids as
@@ -191,6 +206,15 @@ def _lookup_ids(pairs: np.ndarray, id_map: dict) -> np.ndarray | None:
         # up exactly.
         return None
     rows = np.array(list(id_map.values()), dtype=np.int64)
+    top = int(keys.max())
+    if keys.min() >= 0 and top < _DENSE_ID_SPREAD * keys.size:
+        table = np.full(top + 1, -1, dtype=np.int64)
+        table[keys] = rows
+        # ``initial`` keeps the bounds check valid on an edge list without edges.
+        if pairs.min(initial=0) < 0 or pairs.max(initial=0) > top:
+            return None
+        mapped = table[pairs]
+        return None if (mapped < 0).any() else mapped
     order = np.argsort(keys)
     keys, rows = keys[order], rows[order]
     pos = np.searchsorted(keys, pairs)
@@ -456,11 +480,19 @@ def save_manifest(path, graph_path, embedding_paths, labels=None, node_id_map=No
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def sha256_file(path) -> str:
+def sha256_file(path, stop: threading.Event | None = None) -> str | None:
+    """Hex SHA-256 of a file's bytes, read through one reused buffer.
+
+    With a ``stop`` event, returns None at the first read after it is set.
+    """
     digest = hashlib.sha256()
-    with Path(path).open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(_HASH_BUFFER)
+    view = memoryview(buffer)
+    with Path(path).open("rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            if stop is not None and stop.is_set():
+                return None
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -81,14 +81,19 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
     dim = values.shape[1]
     dots = np.empty(n_edges)
     gather = max(1, _GATHER_ELEMENTS // dim)
+    sources = np.empty((min(gather, n_edges), dim))
+    targets = np.empty_like(sources)
     for start in range(0, n_edges, gather):
         chunk = edges[start : start + gather]
-        np.einsum(
-            "ij,ij->i",
-            values[chunk[:, 0]],
-            values[chunk[:, 1]],
-            out=dots[start : start + gather],
-        )
+        left, right = sources[: chunk.shape[0]], targets[: chunk.shape[0]]
+        # mode="clip" skips the per-index bounds check (and the copy of
+        # ``out`` that mode="raise" makes). No index is out of range:
+        # GraphTopology range-checks every endpoint against its node
+        # count, and score_configuration checks that ``values`` has that
+        # many rows.
+        np.take(values, chunk[:, 0], axis=0, out=left, mode="clip")
+        np.take(values, chunk[:, 1], axis=0, out=right, mode="clip")
+        np.einsum("ij,ij->i", left, right, out=dots[start : start + gather])
     group = max(1, _BLOCK_ELEMENTS // dim)
     total = 0.0
     for start in range(0, n_edges, group):

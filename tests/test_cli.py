@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from gramstab import load_edge_list, load_embeddings, load_manifest, save_embeddings
+import gramstab.cli as cli_mod
 from gramstab.cli import run_cli
 
 
@@ -496,3 +498,106 @@ def test_validate_holds_one_configuration_at_a_time(tmp_path):
     assert json.loads((tmp_path / "v.json").read_text())["dims"] == [dim] * configs
     # Loading all six matrices at once peaks at about three times this.
     assert peak < budget, (peak, budget)
+
+
+def _broken_manifest(workspace, tmp_path, fault):
+    """A manifest path for one of the inputs the hashing thread must not
+    outlive, and the stderr the command must print for it."""
+    doc = _manifest_doc(workspace)
+    if fault == "missing embedding":
+        doc["embedding_paths"][1] = str(tmp_path / "absent.gge1")
+        stderr = f"gramstab: error: [Errno 2] No such file or directory: '{tmp_path / 'absent.gge1'}'\n"
+    elif fault == "missing graph":
+        doc["graph_path"] = str(tmp_path / "absent.edges")
+        stderr = f"gramstab: error: [Errno 2] No such file or directory: '{tmp_path / 'absent.edges'}'\n"
+    elif fault == "truncated gge1":
+        clipped = tmp_path / "clipped.gge1"
+        data = Path(doc["embedding_paths"][2]).read_bytes()
+        clipped.write_bytes(data[:-16])
+        doc["embedding_paths"][2] = str(clipped)
+        stderr = (f"gramstab: error: {clipped}: truncated file, expected {len(data)} bytes "
+                  f"but found {len(data) - 16}\n")
+    else:
+        assert fault == "short config 1"
+        short = tmp_path / "short.gge1"
+        save_embeddings(short, load_embeddings(doc["embedding_paths"][1]).values[:-1])
+        doc["embedding_paths"][1] = str(short)
+        stderr = "gramstab: error: config 1 has 39 rows but the graph has 40 nodes\n"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path, stderr
+
+
+_FAULTS = ["missing embedding", "missing graph", "truncated gge1", "short config 1"]
+_HASHING_COMMANDS = [["ggi"], ["baseline", "--index", "aligned-cosine"]]
+
+
+@pytest.mark.parametrize("argv", _HASHING_COMMANDS)
+@pytest.mark.parametrize("fault", [None, *_FAULTS])
+def test_hashing_thread_is_joined_on_every_exit(workspace, tmp_path, capsys, argv, fault):
+    if fault is None:
+        manifest, stderr = workspace / "manifest.json", ""
+    else:
+        manifest, stderr = _broken_manifest(workspace, tmp_path, fault)
+    before = threading.active_count()
+    code = run_cli([*argv, "--manifest", str(manifest)])
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0 if fault is None else 2, stderr)
+    if fault is None:
+        assert json.loads(captured.out)["inputs"]["embeddings_sha256"][2] == hashlib.sha256(
+            (workspace / "config_02.gge1").read_bytes()).hexdigest()
+    else:
+        assert captured.out == ""
+
+
+def test_reports_with_hashing_thread_survive_fast_thread_switches(workspace, capsys):
+    # The hashing thread hands its digests over through join(); switching
+    # threads every microsecond must not change a report byte.
+    argv = ["ggi", "--manifest", str(workspace / "manifest.json")]
+    expected = _run(argv).stdout
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert run_cli(argv) == 0
+            assert capsys.readouterr().out == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("argv", _HASHING_COMMANDS)
+def test_hashing_error_is_raised_only_from_the_report(workspace, tmp_path, capsys,
+                                                       monkeypatch, argv):
+    def unreadable(path, stop=None):
+        raise PermissionError(f"cannot hash {Path(path).name}")
+
+    monkeypatch.setattr(cli_mod, "sha256_file", unreadable)
+    code = run_cli([*argv, "--manifest", str(workspace / "manifest.json")])
+    assert (code, capsys.readouterr()) == (2, ("", "gramstab: error: cannot hash graph.edges\n"))
+    # The loaders' own error is the one reported, though hashing failed first.
+    manifest, stderr = _broken_manifest(workspace, tmp_path, "short config 1")
+    code = run_cli([*argv, "--manifest", str(manifest)])
+    assert (code, capsys.readouterr()) == (2, ("", stderr))
+
+
+@pytest.mark.parametrize("argv", _HASHING_COMMANDS)
+def test_error_exit_stops_hashing_at_the_next_read(workspace, tmp_path, capsys,
+                                                   monkeypatch, argv):
+    hashed, stopped = [], []
+
+    def slow_first_file(path, stop=None):
+        # Stands in for a read of a large graph: it returns only once the
+        # command has failed and asked the thread to stop.
+        hashed.append(Path(path))
+        stopped.append(stop.wait(timeout=30))
+        return None
+
+    monkeypatch.setattr(cli_mod, "sha256_file", slow_first_file)
+    manifest, stderr = _broken_manifest(workspace, tmp_path, "short config 1")
+    before = threading.active_count()
+    code = run_cli([*argv, "--manifest", str(manifest)])
+    assert threading.active_count() == before
+    assert (code, capsys.readouterr().err) == (2, stderr)
+    assert stopped == [True]
+    assert hashed == [load_manifest(manifest).graph_path]

@@ -1,12 +1,13 @@
 """File formats: binary and CSV embeddings, edge lists, manifests."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -25,7 +26,14 @@ from gramstab import (
     save_embeddings,
     save_manifest,
 )
-from gramstab.fileio import _EDGE_CHUNK_IDS, GGE1_MAGIC, report_to_json
+import gramstab.fileio as fileio_mod
+from gramstab.fileio import (
+    _EDGE_CHUNK_IDS,
+    _HASH_BUFFER,
+    GGE1_MAGIC,
+    report_to_json,
+    sha256_file,
+)
 from gramstab.transforms import random_graph
 
 import oracles
@@ -303,6 +311,105 @@ def test_edge_list_matches_per_line_oracle(text, id_map):
         path = Path(tmp) / "g.edges"
         path.write_bytes(text.encode("utf-8"))
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
+
+
+_SPREAD = fileio_mod._DENSE_ID_SPREAD
+
+
+@st.composite
+def _id_keys(draw):
+    """Distinct id-map keys on either side of the dense-table cutoff."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["permutation", "gaps", "negative", "near 2**63"]))
+    if kind == "permutation":
+        return list(range(n))
+    if kind == "gaps":
+        # The largest key just below, at or just past _SPREAD * n.
+        top = _SPREAD * n + draw(st.integers(-2, 1))
+        rest = draw(st.lists(st.integers(0, top - 1), min_size=n - 1, max_size=n - 1, unique=True))
+        return rest + [top]
+    if kind == "negative":
+        return draw(st.lists(st.integers(-3 * n, 3 * n), min_size=n, max_size=n, unique=True)
+                    .filter(lambda keys: min(keys) < 0))
+    return draw(st.lists(st.integers(2**63 - 4 * n, 2**63 - 1), min_size=n, max_size=n,
+                         unique=True))
+
+
+@st.composite
+def _id_lookup_case(draw):
+    """An id map and pairs of its ids: all of them, then maybe one unmapped."""
+    keys = draw(_id_keys())
+    rows = draw(st.permutations(range(len(keys))))
+    ids = keys + draw(st.lists(st.sampled_from(keys), max_size=30))
+    ids = draw(st.permutations(ids))
+    if draw(st.booleans()):
+        present = set(keys)
+        gaps = [k for k in range(max(min(keys), 0), max(keys)) if k not in present][:3]
+        unmapped = draw(st.sampled_from(
+            [-1, max(keys) + 1, min(keys) - 1, *gaps] if max(keys) < 2**63 - 1 else [-1, *gaps]))
+        assume(unmapped not in keys)
+        ids[draw(st.integers(0, len(ids) - 1))] = unmapped
+    if len(ids) % 2:
+        ids.append(keys[0])
+    return dict(zip(keys, rows)), ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_id_lookup_case())
+# A dense map and an id in its gap, below its keys, and past its largest key.
+@example(case=({0: 2, 1: 0, 3: 1}, [0, 1, 2, 3]))
+@example(case=({0: 2, 1: 0, 3: 1}, [0, 1, -1, 3]))
+@example(case=({0: 2, 1: 0, 3: 1}, [0, 1, 4, 3]))
+def test_dense_id_table_matches_binary_search(case):
+    id_map, ids = case
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    dense = fileio_mod._lookup_ids(pairs.copy(), id_map)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio_mod, "_DENSE_ID_SPREAD", 0)
+        searched = fileio_mod._lookup_ids(pairs.copy(), id_map)
+    if all(i in id_map for i in ids):
+        expected = np.array([id_map[i] for i in ids]).reshape(-1, 2)
+        assert np.array_equal(dense, expected) and np.array_equal(searched, expected)
+    else:
+        assert dense is None and searched is None
+    # Through the loader: an unmapped id is the oracle's ParseError line.
+    text = "# ids\n" + "".join(f"{a} {b}\n" for a, b in zip(ids[::2], ids[1::2]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        path.write_text(text)
+        assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
+
+
+@pytest.mark.parametrize("id_map", [{0: 1, 1: 0}, {5: 0, 2**40: 1}, {-2: 0, 3: 1}])
+def test_comments_only_edge_list_with_id_map_is_empty_graph(tmp_path, id_map):
+    path = tmp_path / "g.edges"
+    path.write_text("# no edges\n\n# at all\n")
+    with pytest.raises(EmptyGraph):
+        load_edge_list(path, id_map=id_map)
+
+
+@pytest.mark.parametrize("size", [0, 1, _HASH_BUFFER - 1, _HASH_BUFFER, _HASH_BUFFER + 1,
+                                  3 * _HASH_BUFFER + 7])
+def test_sha256_file_matches_hashlib(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_file_stops_at_the_next_read(tmp_path):
+    class SetOnSecondCheck:
+        checks = 0
+
+        def is_set(self):
+            self.checks += 1
+            return self.checks > 1
+
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(3 * _HASH_BUFFER + 7))
+    stop = SetOnSecondCheck()
+    assert sha256_file(path, stop=stop) is None
+    assert stop.checks == 2
 
 
 _CHUNK_EDGES = _EDGE_CHUNK_IDS // 2

@@ -104,11 +104,16 @@ def test_edge_mean_matches_grouped_gather_exactly(
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(20, dim))
     edges = rng.integers(0, 20, size=(n_edges, 2))
+    # The same matrix Fortran-ordered and as a column-strided view: the
+    # gather copies rows into C-ordered blocks, so the bits do not move.
+    wide = np.zeros((20, 2 * dim))
+    wide[:, ::2] = values
+    layouts = [values, np.asfortranarray(values), wide[:, ::2]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ggi_mod, "_GATHER_ELEMENTS", gather_elements)
         mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
-        fast = ggi_mod._edge_mean_inner(values, edges)
-    assert fast == _grouped_gather_mean(values, edges, block_elements)
+        fast = [ggi_mod._edge_mean_inner(layout, edges) for layout in layouts]
+    assert fast == [_grouped_gather_mean(values, edges, block_elements)] * 3
 
 
 @pytest.mark.parametrize("dim", [8, 128, 512])
