@@ -9,7 +9,6 @@ Run with: python3 demos/01_quickstart.py
 import numpy as np
 
 from gramstab import (
-    ConfigurationEnsemble,
     GraphTopology,
     ggi_index,
     knn_neighbors,
@@ -27,12 +26,11 @@ graph, _, _ = GraphTopology.from_pairs(500, pairs)
 print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
 
 # Ten "configurations": the same model retrained with different seeds,
-# here simulated as the base embedding plus per-run Gaussian noise.
+# here simulated as the base embedding plus per-run Gaussian noise. An
+# ensemble is just a list of float64 arrays, one row per node.
 for noise in (0.0, 0.05, 0.2, 0.8):
-    configs = tuple(
-        perturb_gaussian(base, noise, seed=[7, run]) for run in range(10)
-    )
-    report = ggi_index(ConfigurationEnsemble(configs), graph)
+    configs = [perturb_gaussian(base, noise, seed=[7, run]) for run in range(10)]
+    report = ggi_index(configs, graph)
     print(f"noise {noise:4.2f}  ->  index {report.index_value:.6f}"
           f"  ({report.index_percent:.4f} per hundred)")
 
@@ -43,12 +41,12 @@ for noise in (0.0, 0.05, 0.2, 0.8):
 # is the mean cosine between embeddings of adjacent nodes after
 # centering. Here edges were built from proximity, so scores sit well
 # above 0; on a graph unrelated to the geometry they would hover near 0.
-configs = tuple(perturb_gaussian(base, 0.2, seed=[7, run]) for run in range(10))
-report = ggi_index(ConfigurationEnsemble(configs), graph)
+configs = [perturb_gaussian(base, 0.2, seed=[7, run]) for run in range(10)]
+report = ggi_index(configs, graph)
 print("\nper-config edge scores:",
       np.array2string(report.scores, precision=4))
 
 # Two dispersion conventions exist; N is small here, so they differ.
-sample = ggi_index(ConfigurationEnsemble(configs), graph, std="sample")
+sample = ggi_index(configs, graph, std="sample")
 print(f"population std {report.index_value:.6f}"
       f" vs sample std {sample.index_value:.6f}")

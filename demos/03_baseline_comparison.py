@@ -12,7 +12,6 @@ Run with: python3 demos/03_baseline_comparison.py
 """
 
 from gramstab import (
-    ConfigurationEnsemble,
     aligned_cosine_index,
     ggi_index,
     hausdorff_index,
@@ -38,14 +37,13 @@ print("-" * len(header))
 for noise in (0.02, 0.1, 0.3, 1.0):
     configs, g = synthetic_ensemble(graph, dim=16, n_configs=5,
                                     noise=noise, seed=6)
-    ens = ConfigurationEnsemble(tuple(configs))
     row = [
-        ggi_index(ens, g).index_value,
-        aligned_cosine_index(ens).aggregate,
-        knn_jaccard_index(ens, K).aggregate,
-        second_order_cosine_index(ens, K).aggregate,
-        hausdorff_index(ens).aggregate,
-        wasserstein_index(ens).aggregate,
+        ggi_index(configs, g).index_value,
+        aligned_cosine_index(configs).aggregate,
+        knn_jaccard_index(configs, K).aggregate,
+        second_order_cosine_index(configs, K).aggregate,
+        hausdorff_index(configs).aggregate,
+        wasserstein_index(configs).aggregate,
     ]
     print(f"{noise:6.2f} {row[0]:10.5f} {row[1]:12.5f} {row[2]:12.5f} "
           f"{row[3]:10.5f} {row[4]:10.4f} {row[5]:12.4f}")
@@ -54,7 +52,7 @@ for noise in (0.02, 0.1, 0.3, 1.0):
 # spotting the one run that disagrees with the rest of the ensemble.
 configs, g = synthetic_ensemble(graph, dim=16, n_configs=4,
                                 noise=0.3, seed=8)
-report = knn_jaccard_index(ConfigurationEnsemble(tuple(configs)), K)
+report = knn_jaccard_index(configs, K)
 print(f"\nper-pair kNN Jaccard ({report.pair_convention}):")
 for (l, m), score in sorted(report.per_pair.items()):
     print(f"  configs ({l}, {m}): {score:.4f}")

@@ -24,11 +24,8 @@ from .baselines import (
     wasserstein_index,
 )
 from .core import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     GraphTopology,
     center_normalize_inplace,
-    preprocess_center_normalize,
     validate_ensemble,
 )
 from .errors import (
@@ -79,10 +76,8 @@ from .transforms import (
 
 __all__ = [
     "__version__",
-    "ConfigurationEnsemble",
     "EdgeListResult",
     "EdgeSummaryScore",
-    "EmbeddingMatrix",
     "EmptyGraph",
     "GramstabError",
     "GraphTopology",
@@ -117,7 +112,6 @@ __all__ = [
     "load_id_map",
     "load_manifest",
     "perturb_gaussian",
-    "preprocess_center_normalize",
     "procrustes_align",
     "random_graph",
     "random_orthogonal",

@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import ConfigurationEnsemble, magnitude_scale, matrix_values, preprocess_center_normalize
-from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch
+from .core import center_normalize_inplace, magnitude_scale, matrix_values
+from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
 _METRICS = ("cosine", "euclidean")
 
@@ -81,14 +81,32 @@ def _node_mean(scores: np.ndarray) -> float:
 
 
 def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[list, float]:
-    """Each configuration, center-normalized if asked, divided by its
+    """Each configuration, checked by :func:`~gramstab.core.matrix_values`,
+    center-normalized if asked, divided by its
     :func:`~gramstab.core.magnitude_scale`; with ``shared``, all by the largest
-    one, which is returned so that distances can be multiplied back."""
-    if not isinstance(ensemble, ConfigurationEnsemble):
-        ensemble = ConfigurationEnsemble(tuple(ensemble))
-    # Center-normalizing works on a copy; unprocessed values are only read.
-    values = [preprocess_center_normalize(c)[0].values if preprocess else c.values
-              for c in ensemble.configs]
+    one, which is returned so that distances can be multiplied back.
+
+    Raises TooFewConfigs for under two configurations, ShapeMismatch for
+    unequal row counts, and NonFiniteScore when centering overflows."""
+    values = [matrix_values(c) for c in ensemble]
+    if len(values) < 2:
+        raise TooFewConfigs(f"need at least 2 configurations, got {len(values)}")
+    rows = values[0].shape[0]
+    for idx, arr in enumerate(values):
+        if arr.shape[0] != rows:
+            raise ShapeMismatch(f"config {idx} has {arr.shape[0]} rows, expected {rows}",
+                                config_index=idx)
+    if preprocess:
+        # Center-normalizing works on copies; unprocessed values are only read.
+        values = [v.copy() for v in values]
+        for idx, arr in enumerate(values):
+            center_normalize_inplace(arr)
+            if not np.isfinite(arr).all():
+                raise NonFiniteScore(
+                    f"config {idx}: centered values are not finite; the entries "
+                    f"are too large for float64 arithmetic (rescale the embeddings)",
+                    config_index=idx,
+                )
     scales = [magnitude_scale(v) for v in values]
     if shared:
         scales = [max(scales)] * len(values)
@@ -422,23 +440,23 @@ def wasserstein_index(
     that permutation is the unique optimum (:func:`_nearest_permutation`):
     only its n squared distances are computed, in ``cdist``'s column order,
     and the row-blocked check holds about one 16 MB block. Otherwise scipy
-    builds the dense |V| x |V| cost matrix and solves the assignment, hence
-    the ``max_nodes`` cap. Either way W is scipy's float bit for bit: the
-    same n costs, summed the same way.
+    builds the dense |V| x |V| cost matrix and solves the assignment; past
+    ``max_nodes`` nodes such a pair raises InstanceTooLarge instead. Either
+    way W is scipy's float bit for bit: the same n costs, summed the same way.
     """
     values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]
-    if n_nodes > max_nodes:
-        raise InstanceTooLarge(
-            f"wasserstein may need a dense {n_nodes} x {n_nodes} cost matrix; "
-            f"cap is {max_nodes} nodes"
-        )
 
     def wasserstein(l, m):
         match = _nearest_permutation(_Cloud.of(values[l]), _Cloud.of(values[m]))
         if match is not None:
             matched = _exact_sq(values[l].T, values[m][match].T, np.subtract)
+        elif n_nodes > max_nodes:
+            raise InstanceTooLarge(
+                f"wasserstein pair ({l}, {m}) needs a dense {n_nodes} x {n_nodes} "
+                f"cost matrix; cap is {max_nodes} nodes"
+            )
         else:
             from scipy.optimize import linear_sum_assignment
             from scipy.spatial.distance import cdist

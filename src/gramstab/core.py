@@ -1,15 +1,15 @@
-"""Shared domain types and the center-normalize preprocessing step.
+"""The graph type, matrix validation and the center-normalize step.
 
-All types here are plain frozen dataclasses around numpy arrays and are
-treated as read-only after construction; every operation is a pure
-function, so values can be shared freely across threads.
+Embeddings are plain float64 arrays, one row per node. The graph is a
+frozen dataclass around a numpy array and is treated as read-only after
+construction, so it can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -28,20 +28,6 @@ MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 # up to this many nodes.
 _KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
 
-MatrixLike = Union["EmbeddingMatrix", np.ndarray, Sequence[Sequence[float]]]
-
-
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"matrix must be at least 1x1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput("matrix contains NaN or infinite values")
-    return arr
-
-
 def _sorted_unique(keys) -> np.ndarray:
     """Sorted distinct values of ``keys``, flattened; equal to ``np.unique``.
 
@@ -58,37 +44,17 @@ def _sorted_unique(keys) -> np.ndarray:
     return keys[first]
 
 
-def matrix_values(mat: MatrixLike) -> np.ndarray:
-    """Return the validated float64 array behind any matrix-like input."""
-    if isinstance(mat, EmbeddingMatrix):
-        return mat.values
-    return _as_matrix(mat)
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """One configuration's node embeddings; row i is node i's vector.
-
-    Values are validated to be finite on construction and must not be
-    mutated afterwards.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_matrix(self.values))
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+def matrix_values(mat) -> np.ndarray:
+    """Return ``mat`` as a float64 array, without a copy when it is one,
+    after checking that it is 2-D, at least 1x1 and finite."""
+    arr = np.asarray(mat, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeMismatch(f"matrix must be at least 1x1, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("matrix contains NaN or infinite values")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -158,54 +124,6 @@ class GraphTopology:
         return cls(node_count, edges), n_self, n_dup
 
 
-@dataclass(frozen=True)
-class ConfigurationEnsemble:
-    """Ordered collection of N >= 2 embedding matrices over the same nodes.
-
-    Row counts must agree across members; embedding dimensions may
-    differ (indices that need equal dimensions enforce that themselves).
-    """
-
-    configs: tuple[EmbeddingMatrix, ...]
-
-    def __post_init__(self):
-        configs = tuple(
-            c if isinstance(c, EmbeddingMatrix) else EmbeddingMatrix(c)
-            for c in self.configs
-        )
-        object.__setattr__(self, "configs", configs)
-        if len(configs) < 2:
-            raise TooFewConfigs(f"need at least 2 configurations, got {len(configs)}")
-        rows = configs[0].rows
-        for idx, cfg in enumerate(configs):
-            if cfg.rows != rows:
-                raise ShapeMismatch(
-                    f"config {idx} has {cfg.rows} rows, expected {rows}",
-                    config_index=idx,
-                )
-
-    @property
-    def n_configs(self) -> int:
-        return len(self.configs)
-
-    @property
-    def node_count(self) -> int:
-        return self.configs[0].rows
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.cols for c in self.configs)
-
-    def __iter__(self):
-        return iter(self.configs)
-
-    def __len__(self) -> int:
-        return len(self.configs)
-
-    def __getitem__(self, idx: int) -> EmbeddingMatrix:
-        return self.configs[idx]
-
-
 def magnitude_scale(values: np.ndarray) -> float:
     """The power of two to divide ``values`` by before any arithmetic on them:
     1.0 when max |values| lies inside ``MAGNITUDE_WINDOW`` (or is 0 or not
@@ -222,9 +140,13 @@ def magnitude_scale(values: np.ndarray) -> float:
 def center_normalize_inplace(arr: np.ndarray) -> int:
     """Center columns and L2-normalize rows of a writable array, in place.
 
-    When the row norms leave ``MAGNITUDE_WINDOW``, the centered array is
-    first divided by its :func:`magnitude_scale`. Rows that are degenerate
-    (see ``DEGENERATE_ROW_NORM``) are set to exact zeros; returns their count.
+    Afterwards every entry of the Gram matrix Z Z^T is the cosine of two
+    centered embeddings. Copy an array you do not own first. When the row
+    norms leave ``MAGNITUDE_WINDOW``, the centered array is first divided
+    by its :func:`magnitude_scale`. Rows that are degenerate (see
+    ``DEGENERATE_ROW_NORM``) are set to exact zeros and tallied rather
+    than rejected; returns their count. Entries too large for float64
+    arithmetic leave NaN or inf, which callers check for.
     """
     mean = arr.mean(axis=0)
     arr -= mean
@@ -246,36 +168,12 @@ def center_normalize_inplace(arr: np.ndarray) -> int:
     return n_degenerate
 
 
-def preprocess_center_normalize(mat: MatrixLike) -> tuple[EmbeddingMatrix, int]:
-    """Subtract the mean embedding, then scale each row to unit L2 norm.
-
-    After this step every entry of the Gram matrix Z Z^T is the cosine
-    similarity of two centered embeddings, so edge-restricted sums land
-    in [-1, 1]. Rows that center to (near) zero stay all-zero and are
-    tallied rather than rejected: a constant embedding is a legitimate,
-    if pathological, model output.
-
-    Parameters
-    ----------
-    mat : EmbeddingMatrix or array_like
-        Finite 2-D input; raises NonFiniteInput otherwise.
-
-    Returns
-    -------
-    (EmbeddingMatrix, int)
-        The preprocessed matrix and the degenerate-row tally.
-    """
-    work = matrix_values(mat).copy()
-    n_degenerate = center_normalize_inplace(work)
-    return EmbeddingMatrix(work), n_degenerate
-
-
 def validate_ensemble(configs: Iterable, graph: GraphTopology) -> tuple[int, ...]:
     """Check each configuration's row count against the graph; return the dims.
 
-    Takes a ConfigurationEnsemble or any iterable of matrices, consumed one
-    at a time, so a lazy iterable holds one matrix. Raises ShapeMismatch
-    naming the first mismatched configuration, TooFewConfigs for under two.
+    Takes any iterable of matrices, consumed one at a time, so a lazy
+    iterable holds one matrix. Raises ShapeMismatch naming the first
+    mismatched configuration, TooFewConfigs for under two.
     """
     dims: list[int] = []
     for mat in configs:

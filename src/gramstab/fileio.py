@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GraphTopology
+from .core import GraphTopology, matrix_values
 from .errors import (
     EmptyGraph,
     ManifestError,
@@ -286,14 +286,15 @@ def _text_lines(path: Path, handle) -> Iterator[str]:
     their line."""
     handle.seek(0)
     # Each byte that is not UTF-8 decodes to a lone surrogate, which does not encode.
-    text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape")
-    for number, line in enumerate(text, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise ParseError(f"not UTF-8 text: byte {byte:#04x}", path=str(path), line=number)
-        yield line
+    # Closing the wrapper closes ``handle`` too; the caller's own close is then a no-op.
+    with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape") as text:
+        for number, line in enumerate(text, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(f"not UTF-8 text: byte {byte:#04x}", path=str(path), line=number)
+            yield line
 
 
 def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> None:
@@ -317,14 +318,17 @@ def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> No
             handle.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 
 
-def load_embeddings(path) -> EmbeddingMatrix:
-    """Read one embedding matrix: GGE1 when the file starts with the GGE1
-    magic, CSV otherwise."""
-    return EmbeddingMatrix(load_embedding_values(path))
+def load_embeddings(path) -> np.ndarray:
+    """:func:`load_embedding_values` checked by :func:`~gramstab.core.matrix_values`.
+
+    The two stay apart because perfbench times each by name, so merging
+    them is a change to the benchmark."""
+    return matrix_values(load_embedding_values(path))
 
 
 def load_embedding_values(path) -> np.ndarray:
-    """Like :func:`load_embeddings` but returns the raw float64 array.
+    """Read one embedding matrix, unchecked: GGE1 when the file starts with
+    the GGE1 magic, CSV otherwise.
 
     The array is freshly allocated and safe for callers to mutate; the
     streaming index pipeline relies on that to preprocess in place.
@@ -382,8 +386,7 @@ def _read_csv(path: Path, lines: Iterator[str]) -> np.ndarray:
 def save_embeddings(path, mat, fmt: str = "gge1") -> None:
     """Write one matrix as GGE1 (bit-exact) or CSV (17 significant digits)."""
     path = Path(path)
-    values = mat.values if isinstance(mat, EmbeddingMatrix) else np.asarray(mat)
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(mat, dtype=np.float64)
     if fmt == "gge1":
         with path.open("wb") as handle:
             handle.write(GGE1_MAGIC)

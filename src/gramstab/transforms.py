@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import EmbeddingMatrix, GraphTopology, _sorted_unique, matrix_values
+from .core import GraphTopology, _sorted_unique, matrix_values
 from .errors import NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
@@ -73,17 +73,6 @@ class Isometry:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def then(self, other: "Isometry") -> "Isometry":
-        """Composition: applying self and then other."""
-        if other.dim != self.dim:
-            raise ShapeMismatch(
-                f"cannot compose isometries of dimensions {self.dim} and {other.dim}"
-            )
-        return Isometry(
-            self.matrix @ other.matrix,
-            self.translation @ other.matrix + other.translation,
-        )
-
 
 @dataclass(frozen=True)
 class NodePermutation:
@@ -138,7 +127,7 @@ def random_permutation(node_count: int, seed: SeedLike) -> NodePermutation:
     return NodePermutation(rng.permutation(node_count))
 
 
-def apply_isometry(mat, iso: Isometry) -> EmbeddingMatrix:
+def apply_isometry(mat, iso: Isometry) -> np.ndarray:
     """Z @ T + t, an exact isometry of the embedded point cloud."""
     values = matrix_values(mat)
     if values.shape[1] != iso.dim:
@@ -146,12 +135,12 @@ def apply_isometry(mat, iso: Isometry) -> EmbeddingMatrix:
             f"matrix has {values.shape[1]} columns but the isometry is "
             f"{iso.dim}-dimensional"
         )
-    return EmbeddingMatrix(values @ iso.matrix + iso.translation)
+    return values @ iso.matrix + iso.translation
 
 
 def apply_permutation(
     mat, graph: GraphTopology, sigma: NodePermutation
-) -> tuple[EmbeddingMatrix, GraphTopology]:
+) -> tuple[np.ndarray, GraphTopology]:
     """Relabel nodes in both the embeddings and the edge set.
 
     Output row sigma(i) holds input row i, and each edge {i, j} becomes
@@ -168,18 +157,18 @@ def apply_permutation(
     permuted[sigma.mapping] = values
     relabeled = sigma.mapping[graph.edges]
     new_graph, _, _ = GraphTopology.from_pairs(graph.node_count, relabeled)
-    return EmbeddingMatrix(permuted), new_graph
+    return permuted, new_graph
 
 
-def perturb_gaussian(mat, sigma_noise: float, seed: SeedLike) -> EmbeddingMatrix:
+def perturb_gaussian(mat, sigma_noise: float, seed: SeedLike) -> np.ndarray:
     """Add seeded i.i.d. Gaussian noise of the given standard deviation."""
     if sigma_noise < 0:
         raise ValueError(f"sigma_noise must be >= 0, got {sigma_noise}")
     values = matrix_values(mat)
     if sigma_noise == 0.0:
-        return EmbeddingMatrix(values.copy())
+        return values.copy()
     rng = np.random.default_rng(seed)
-    return EmbeddingMatrix(values + rng.normal(0.0, sigma_noise, size=values.shape))
+    return values + rng.normal(0.0, sigma_noise, size=values.shape)
 
 
 def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTopology:
@@ -216,7 +205,7 @@ def synthetic_ensemble(
     noise: float = 0.0,
     transform: str = "none",
     seed: int = 0,
-) -> tuple[list[EmbeddingMatrix], GraphTopology]:
+) -> tuple[list[np.ndarray], GraphTopology]:
     """Noisy copies of one seeded base embedding, optionally transformed.
 
     Every configuration is base + Gaussian noise (std ``noise``), then:
@@ -235,21 +224,18 @@ def synthetic_ensemble(
     if transform not in TRANSFORM_KINDS:
         raise ValueError(f"transform must be one of {TRANSFORM_KINDS}")
     base = _stream(seed, _TAG_BASE).standard_normal((graph.node_count, dim))
-    configs: list[EmbeddingMatrix] = []
+    configs: list[np.ndarray] = []
     for idx in range(n_configs):
         if noise > 0.0:
             values = _stream(seed, _TAG_NOISE, idx).normal(0.0, noise, size=base.shape)
             values += base
         else:
             values = base.copy()
-        cfg = EmbeddingMatrix(values)
         if transform == "orthogonal":
-            cfg = apply_isometry(cfg, random_orthogonal(dim, [seed, _TAG_TRANSFORM, idx]))
+            values = apply_isometry(values, random_orthogonal(dim, [seed, _TAG_TRANSFORM, idx]))
         elif transform == "translation":
-            cfg = apply_isometry(
-                cfg, random_translation(dim, [seed, _TAG_TRANSFORM, idx])
-            )
-        configs.append(cfg)
+            values = apply_isometry(values, random_translation(dim, [seed, _TAG_TRANSFORM, idx]))
+        configs.append(values)
     out_graph = graph
     if transform == "permutation":
         sigma = random_permutation(graph.node_count, [seed, _TAG_TRANSFORM])

@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from gramstab import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     KTooLarge,
     NotABijection,
     TruncatedFile,
@@ -67,8 +65,7 @@ def test_criterion_01_invariance_suite():
         configs = [
             base + rng.normal(0.0, 0.1, size=(n, d)) for _ in range(n_configs)
         ]
-        ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-        reference = ggi_index(ens, graph).index_value
+        reference = ggi_index(configs, graph).index_value
 
         # (a) one node permutation applied to every config and the edges
         sigma = random_permutation(n, [2, trial])
@@ -76,30 +73,28 @@ def test_criterion_01_invariance_suite():
         for c in configs:
             pm, relabeled = apply_permutation(c, graph, sigma)
             permuted.append(pm)
-        val = ggi_index(ConfigurationEnsemble(tuple(permuted)), relabeled).index_value
+        val = ggi_index(permuted, relabeled).index_value
         worst = max(worst, abs(val - reference))
 
         # (b) a fresh random orthogonal transform per configuration
-        rotated = tuple(
+        rotated = [
             apply_isometry(c, random_orthogonal(d, [3, trial, i]))
             for i, c in enumerate(configs)
-        )
-        val = ggi_index(ConfigurationEnsemble(rotated), graph).index_value
+        ]
+        val = ggi_index(rotated, graph).index_value
         worst = max(worst, abs(val - reference))
 
         # (c) a fresh translation per configuration
-        shifted = tuple(
+        shifted = [
             apply_isometry(c, random_translation(d, [4, trial, i], scale=3.0))
             for i, c in enumerate(configs)
-        )
-        val = ggi_index(ConfigurationEnsemble(shifted), graph).index_value
+        ]
+        val = ggi_index(shifted, graph).index_value
         worst = max(worst, abs(val - reference))
 
         # (d) configuration order shuffle
         order = rng.permutation(n_configs)
-        shuffled = ConfigurationEnsemble(
-            tuple(EmbeddingMatrix(configs[i]) for i in order)
-        )
+        shuffled = [configs[i] for i in order]
         val = ggi_index(shuffled, graph).index_value
         worst = max(worst, abs(val - reference))
 
@@ -115,9 +110,7 @@ def test_criterion_02_zero_dispersion_exact():
     for n, d, n_configs in shapes:
         graph = random_graph(n, 3.0, seed=[5, n])
         base = rng.normal(size=(n, d))
-        ens = ConfigurationEnsemble(
-            tuple(EmbeddingMatrix(base.copy()) for _ in range(n_configs))
-        )
+        ens = [base.copy() for _ in range(n_configs)]
         for std in ("population", "sample"):
             report = ggi_index(ens, graph, std=std)
             assert report.index_value == 0.0, (n, d, n_configs, std)
@@ -125,7 +118,7 @@ def test_criterion_02_zero_dispersion_exact():
     # The seeded generator's zero-noise path must hit the same guarantee.
     graph = random_graph(64, 4.0, seed=6)
     configs, g = synthetic_ensemble(graph, 8, 6, noise=0.0, seed=7)
-    assert ggi_index(ConfigurationEnsemble(tuple(configs)), g).index_value == 0.0
+    assert ggi_index(configs, g).index_value == 0.0
     print(f"\nPASS zero dispersion: identical configs give exactly 0.0 "
           f"across {len(shapes) + 1} shapes and both std conventions")
 
@@ -156,8 +149,7 @@ def test_criterion_04_wasserstein_exactness():
         d = int(rng.integers(1, 5))
         a = rng.normal(size=(n, d))
         b = rng.normal(size=(n, d))
-        ens = ConfigurationEnsemble((EmbeddingMatrix(a), EmbeddingMatrix(b)))
-        fast = wasserstein_index(ens).per_pair[(0, 1)]
+        fast = wasserstein_index([a, b]).per_pair[(0, 1)]
         slow = oracles.wasserstein_brute(a, b)
         worst = max(worst, abs(fast - slow))
     assert worst <= 1e-10
@@ -178,10 +170,7 @@ def test_criterion_05_procrustes_recovery():
         target = source @ planted
         result = procrustes_align(source, target)
         worst_residual = max(worst_residual, result.residual)
-        ens = ConfigurationEnsemble(
-            (EmbeddingMatrix(source), EmbeddingMatrix(target))
-        )
-        score = aligned_cosine_index(ens).per_pair[(0, 1)]
+        score = aligned_cosine_index([source, target]).per_pair[(0, 1)]
         worst_cosine_gap = max(worst_cosine_gap, abs(score - 1.0))
     assert worst_residual <= 1e-8
     assert worst_cosine_gap <= 1e-8
@@ -200,7 +189,7 @@ def test_criterion_06_baseline_definitional_oracles():
         k = int(rng.integers(1, min(8, n)))
         a = rng.normal(size=(n, d))
         b = a + rng.normal(0.0, 0.4, size=(n, d))
-        ens = ConfigurationEnsemble((EmbeddingMatrix(a), EmbeddingMatrix(b)))
+        ens = [a, b]
         fast = knn_jaccard_index(ens, k).per_pair[(0, 1)]
         slow = oracles.jaccard_brute(a, b, k)
         worst["knn-jaccard"] = max(worst["knn-jaccard"], abs(fast - slow))
@@ -230,9 +219,7 @@ def test_criterion_07_noise_monotonicity():
         values = []
         for noise in (0.01, 0.1, 0.5):
             configs, g = synthetic_ensemble(graph, 32, 20, noise=noise, seed=seed)
-            values.append(
-                ggi_index(ConfigurationEnsemble(tuple(configs)), g).index_value
-            )
+            values.append(ggi_index(configs, g).index_value)
         rows.append(values)
         passing += values[0] < values[1] < values[2]
     assert passing >= 4, rows

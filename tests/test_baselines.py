@@ -9,17 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     InstanceTooLarge,
     KTooLarge,
+    NonFiniteInput,
     NonFiniteScore,
+    ShapeMismatch,
+    TooFewConfigs,
     aligned_cosine_index,
     apply_isometry,
     hausdorff_index,
     knn_jaccard_index,
     knn_neighbors,
-    preprocess_center_normalize,
     procrustes_align,
     random_orthogonal,
     second_order_cosine_index,
@@ -28,18 +28,18 @@ from gramstab import (
 
 import oracles
 from gramstab import baselines
-from gramstab.core import magnitude_scale
+from gramstab.core import center_normalize_inplace, magnitude_scale
 
 
 def _ensemble(seed, n=12, dim=3, n_configs=3, noise=0.3):
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(n, dim))
     configs = [base + rng.normal(0.0, noise, size=base.shape) for _ in range(n_configs)]
-    return configs, ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
+    return configs
 
 
 def test_knn_matches_brute_force_cosine_and_euclidean():
-    configs, _ = _ensemble(0, n=20)
+    configs = _ensemble(0, n=20)
     for metric in ("cosine", "euclidean"):
         fast = knn_neighbors(configs[0], 5, metric)
         slow = oracles.knn_brute(configs[0], 5, metric)
@@ -57,14 +57,14 @@ def test_knn_breaks_ties_by_ascending_id():
 
 
 def test_knn_never_contains_self():
-    configs, _ = _ensemble(1, n=15)
+    configs = _ensemble(1, n=15)
     result = knn_neighbors(configs[0], 14)
     for i, row in enumerate(result):
         assert i not in row
 
 
 def test_k_bounds():
-    configs, _ = _ensemble(2, n=8)
+    configs = _ensemble(2, n=8)
     with pytest.raises(KTooLarge):
         knn_neighbors(configs[0], 8)  # k == |V|
     with pytest.raises(KTooLarge):
@@ -72,8 +72,8 @@ def test_k_bounds():
 
 
 def test_jaccard_matches_brute_force():
-    configs, ens = _ensemble(3, n=18, n_configs=3)
-    report = knn_jaccard_index(ens, 4)
+    configs = _ensemble(3, n=18, n_configs=3)
+    report = knn_jaccard_index(configs, 4)
     for (l, m), score in report.per_pair.items():
         expected = oracles.jaccard_brute(configs[l], configs[m], 4)
         assert abs(score - expected) <= 1e-12
@@ -81,16 +81,16 @@ def test_jaccard_matches_brute_force():
 
 
 def test_second_order_matches_brute_force():
-    configs, ens = _ensemble(4, n=16, n_configs=3)
-    report = second_order_cosine_index(ens, 4)
+    configs = _ensemble(4, n=16, n_configs=3)
+    report = second_order_cosine_index(configs, 4)
     for (l, m), score in report.per_pair.items():
         expected = oracles.second_order_brute(configs[l], configs[m], 4)
         assert abs(score - expected) <= 1e-12
 
 
 def test_hausdorff_matches_brute_force():
-    configs, ens = _ensemble(5, n=14, n_configs=3)
-    report = hausdorff_index(ens)
+    configs = _ensemble(5, n=14, n_configs=3)
+    report = hausdorff_index(configs)
     for (l, m), score in report.per_pair.items():
         expected = oracles.hausdorff_brute(configs[l], configs[m])
         assert abs(score - expected) <= 1e-12
@@ -120,14 +120,16 @@ def _hausdorff_ensembles(draw):
 @settings(max_examples=300, deadline=None)
 @given(configs=_hausdorff_ensembles(), preprocess=st.booleans())
 @example(configs=[np.array([[0.5]]), np.array([[-1.25]])], preprocess=False)
-@example(configs=[_ensemble(8)[0][0]] * 2, preprocess=False)
-@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0][0]], preprocess=False)
-@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0][0]], preprocess=True)
+@example(configs=[_ensemble(8)[0]] * 2, preprocess=False)
+@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0]], preprocess=False)
+@example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0]], preprocess=True)
 def test_hausdorff_equals_the_columnwise_oracle_bit_for_bit(configs, preprocess):
     # The oracle sees what the index sees: each configuration center-
     # normalized if asked, all divided by the largest magnitude scale.
-    values = [preprocess_center_normalize(EmbeddingMatrix(c))[0].values if preprocess else c
-              for c in configs]
+    values = [np.array(c) for c in configs]
+    if preprocess:
+        for v in values:
+            center_normalize_inplace(v)
     scale = max(magnitude_scale(v) for v in values)
     report = hausdorff_index(configs, preprocess=preprocess)
     for (l, m), score in report.per_pair.items():
@@ -137,8 +139,8 @@ def test_hausdorff_equals_the_columnwise_oracle_bit_for_bit(configs, preprocess)
 
 
 def test_wasserstein_matches_enumeration():
-    configs, ens = _ensemble(6, n=6, n_configs=3)
-    report = wasserstein_index(ens)
+    configs = _ensemble(6, n=6, n_configs=3)
+    report = wasserstein_index(configs)
     for (l, m), score in report.per_pair.items():
         expected = oracles.wasserstein_brute(configs[l], configs[m])
         assert abs(score - expected) <= 1e-10
@@ -152,8 +154,7 @@ def test_wasserstein_enumeration_property(seed):
     dim = int(rng.integers(1, 4))
     a = rng.normal(size=(n, dim))
     b = rng.normal(size=(n, dim))
-    ens = ConfigurationEnsemble((EmbeddingMatrix(a), EmbeddingMatrix(b)))
-    fast = wasserstein_index(ens).per_pair[(0, 1)]
+    fast = wasserstein_index([a, b]).per_pair[(0, 1)]
     assert abs(fast - oracles.wasserstein_brute(a, b)) <= 1e-10
 
 
@@ -239,11 +240,17 @@ def test_wasserstein_equals_cdist_and_lsap_bit_for_bit():
 
 
 def test_wasserstein_instance_cap():
+    # The cap bounds the dense cost matrix, so it binds only a pair that
+    # the nearest-neighbour certificate does not solve.
     rng = np.random.default_rng(7)
     big = rng.normal(size=(11, 2))
-    ens = ConfigurationEnsemble((EmbeddingMatrix(big), EmbeddingMatrix(big.copy())))
-    with pytest.raises(InstanceTooLarge):
-        wasserstein_index(ens, max_nodes=10)
+    report = wasserstein_index([big, big.copy()], max_nodes=10)
+    assert report.per_pair == {(0, 1): 0.0}
+    assert report.metadata["max_nodes"] == 10
+    noisy = [big, big + rng.normal(size=big.shape)]
+    assert wasserstein_index(noisy, max_nodes=11).per_pair[(0, 1)] == _lsap_score(*noisy)
+    with pytest.raises(InstanceTooLarge, match=r"pair \(0, 1\) needs a dense 11 x 11"):
+        wasserstein_index(noisy, max_nodes=10)
 
 
 def test_scores_past_float64_are_named_errors():
@@ -257,20 +264,64 @@ def test_scores_past_float64_are_named_errors():
     triangle = [np.array([[0.0, 0.0]]), np.array([[1e308, 0.0]]), np.array([[5e307, 8.66e307]])]
     with pytest.raises(NonFiniteScore, match="hausdorff: the mean over pairs is inf"):
         hausdorff_index(triangle)
+    # Finite entries whose column sums overflow cannot be centered: every
+    # index names the configuration in ggi's words.
+    huge = [rng.normal(size=(50, 4)) for _ in range(3)]
+    for values in huge:
+        values[:, 0] = 1.7e308
+    for index in _INDICES.values():
+        index(huge)  # unprocessed, the entries are scored as they are
+        with pytest.raises(NonFiniteScore, match=r"^config 0: .* the entries are too large "
+                           r"for float64 arithmetic \(rescale the embeddings\)$") as info:
+            index(huge, preprocess=True)
+        assert info.value.config_index == 0
+
+
+_INDICES = {
+    "knn-jaccard": lambda e, **kw: knn_jaccard_index(e, 3, **kw),
+    "second-order-cosine": lambda e, **kw: second_order_cosine_index(e, 3, **kw),
+    "aligned-cosine": aligned_cosine_index,
+    "hausdorff": hausdorff_index,
+    "wasserstein": wasserstein_index,
+}
+
+
+@pytest.mark.parametrize("name", list(_INDICES))
+def test_every_index_checks_its_plain_list_input(name):
+    # Configurations are plain nested lists or arrays; each index checks them.
+    index = _INDICES[name]
+    grid = [[float(i), float(i * i % 5)] for i in range(6)]
+    with pytest.raises(TooFewConfigs):
+        index([grid])
+    with pytest.raises(ShapeMismatch, match="config 1 has 5 rows, expected 6") as info:
+        index([grid, grid[:5], grid])
+    assert info.value.config_index == 1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            index([grid, [*grid[:5], [bad, 0.0]]])
+    for rank in ([row[0] for row in grid], [grid, grid]):  # 1-D, 3-D
+        with pytest.raises(ShapeMismatch, match="expected a 2-D matrix"):
+            index([grid, rank])
+    wide = [[*row, 1.0] for row in grid]
+    if name.startswith(("knn", "second")):
+        assert index([grid, wide]).n_configs == 2
+    else:
+        with pytest.raises(ShapeMismatch, match="equal embedding dimensions") as info:
+            index([grid, wide])
+        assert info.value.config_index == 1
 
 
 def test_aligned_cosine_is_one_under_pure_rotation():
     rng = np.random.default_rng(8)
     base = rng.normal(size=(25, 5))
     rotated = apply_isometry(base, random_orthogonal(5, seed=9))
-    ens = ConfigurationEnsemble((EmbeddingMatrix(base), rotated))
-    report = aligned_cosine_index(ens)
+    report = aligned_cosine_index([base, rotated])
     assert report.per_pair[(0, 1)] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_aligned_cosine_penalizes_noise():
-    configs, ens = _ensemble(10, n=30, dim=4, noise=0.5)
-    report = aligned_cosine_index(ens)
+    configs = _ensemble(10, n=30, dim=4, noise=0.5)
+    report = aligned_cosine_index(configs)
     for score in report.per_pair.values():
         assert score < 1.0 - 1e-6
 
@@ -278,26 +329,23 @@ def test_aligned_cosine_penalizes_noise():
 def test_neighborhood_indices_survive_shared_relabel():
     # Relabeling nodes the same way in both configurations permutes
     # neighbor sets consistently, so set-overlap scores cannot change.
-    configs, _ = _ensemble(11, n=12, n_configs=2)
+    configs = _ensemble(11, n=12, n_configs=2)
     sigma = np.random.default_rng(12).permutation(12)
     relabeled = []
     for c in configs:
         out = np.empty_like(c)
         out[sigma] = c
         relabeled.append(out)
-    ens_a = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    ens_b = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in relabeled))
-    assert knn_jaccard_index(ens_a, 3).aggregate == pytest.approx(
-        knn_jaccard_index(ens_b, 3).aggregate, abs=1e-12
+    assert knn_jaccard_index(configs, 3).aggregate == pytest.approx(
+        knn_jaccard_index(relabeled, 3).aggregate, abs=1e-12
     )
-    assert second_order_cosine_index(ens_a, 3).aggregate == pytest.approx(
-        second_order_cosine_index(ens_b, 3).aggregate, abs=1e-12
+    assert second_order_cosine_index(configs, 3).aggregate == pytest.approx(
+        second_order_cosine_index(relabeled, 3).aggregate, abs=1e-12
     )
 
 
 def test_pairwise_report_shape():
-    _, ens = _ensemble(13, n_configs=4)
-    report = hausdorff_index(ens)
+    report = hausdorff_index(_ensemble(13, n_configs=4))
     assert set(report.per_pair) == {(l, m) for l in range(4) for m in range(l + 1, 4)}
     assert report.n_configs == 4
     assert "l < m" in report.pair_convention
@@ -306,7 +354,7 @@ def test_pairwise_report_shape():
 def test_identical_configs_are_perfectly_stable():
     rng = np.random.default_rng(14)
     base = rng.normal(size=(10, 3))
-    ens = ConfigurationEnsemble((EmbeddingMatrix(base), EmbeddingMatrix(base.copy())))
+    ens = [base, base.copy()]
     assert knn_jaccard_index(ens, 3).aggregate == 1.0
     assert hausdorff_index(ens).aggregate == 0.0
     assert wasserstein_index(ens).aggregate == 0.0
@@ -377,22 +425,21 @@ def test_blocked_search_matches_oracles_under_ties(seed, metric, step, n_blocks,
 
 
 def _check_against_oracles(configs, k, metric):
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
     for values in configs:
         fast = knn_neighbors(values, k, metric).tolist()
         assert fast == oracles.knn_brute(values, k, metric)
 
     a, b = configs
     # Both sum the same per-node ratios in node order: equal bit for bit.
-    assert knn_jaccard_index(ens, k, metric=metric).per_pair[(0, 1)] == oracles.jaccard_brute(a, b, k, metric)
-    report = second_order_cosine_index(ens, k, metric=metric)
+    assert knn_jaccard_index(configs, k, metric=metric).per_pair[(0, 1)] == oracles.jaccard_brute(a, b, k, metric)
+    report = second_order_cosine_index(configs, k, metric=metric)
     expected, zeros = oracles.second_order_brute_with_zeros(a, b, k, metric)
     assert abs(report.per_pair[(0, 1)] - expected) <= 1e-12
     assert report.metadata["zero_vector_scores"] == zeros
-    assert abs(hausdorff_index(ens).per_pair[(0, 1)] - oracles.hausdorff_brute(a, b)) <= 1e-12
+    assert abs(hausdorff_index(configs).per_pair[(0, 1)] - oracles.hausdorff_brute(a, b)) <= 1e-12
     # The rotation is procrustes_align's, checked in test_alignment; here
     # the row cosines, the zero-vector rule and the node mean are checked.
-    report = aligned_cosine_index(ens)
+    report = aligned_cosine_index(configs)
     expected, zeros = oracles.aligned_cosine_brute(a, b, procrustes_align(a, b).q)
     assert abs(report.per_pair[(0, 1)] - expected) <= 1e-12
     assert report.metadata["zero_vector_scores"] == zeros
@@ -408,17 +455,14 @@ def test_blocked_search_memory_stays_bounded():
     n, dim, k = 8000, 16, 10
     rng = np.random.default_rng(21)
     configs = [rng.normal(size=(n, dim)) for _ in range(2)]
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    near = ConfigurationEnsemble(tuple(
-        EmbeddingMatrix(configs[0] + 1e-3 * rng.normal(size=(n, dim))) for _ in range(2)
-    ))
+    near = [configs[0] + 1e-3 * rng.normal(size=(n, dim)) for _ in range(2)]
     block = baselines._BLOCK_ELEMENTS * 8
     # Fewer rows keep the all-ties sort short; its blocks are still full.
     tied = np.zeros((3000, dim))
     for blocks, run in (
         (3, lambda: knn_neighbors(configs[0], k, "cosine")),
         (3, lambda: knn_neighbors(configs[0], k, "euclidean")),
-        (3, lambda: hausdorff_index(ens)),
+        (3, lambda: hausdorff_index(configs)),
         (3, lambda: wasserstein_index(near)),
         (4, lambda: knn_neighbors(tied, k, "cosine")),
     ):

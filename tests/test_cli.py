@@ -282,6 +282,29 @@ def test_baseline_score_past_float64_exits_2_with_named_error(tmp_path):
     assert result.stdout == ""
 
 
+def test_baseline_preprocess_overflow_exits_2_with_named_error(tmp_path):
+    # Every entry is finite, but column 0's sum is not: centering fails, and
+    # each baseline names it as ggi does, not as a non-finite input.
+    rng = np.random.default_rng(6)
+    (tmp_path / "g.edges").write_text("".join(f"{i} {i + 1}\n" for i in range(49)))
+    names = [f"c{idx}.gge1" for idx in range(3)]
+    for name in names:
+        values = rng.normal(size=(50, 4))
+        values[:, 0] = 1.7e308
+        save_embeddings(tmp_path / name, values)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"graph_path": "g.edges", "embedding_paths": names}))
+    for index in ("aligned-cosine", "knn-jaccard", "second-order-cosine", "hausdorff",
+                  "wasserstein"):
+        result = _run(["baseline", "--manifest", str(manifest), "--index", index,
+                       "--k", "3", "--preprocess"])
+        assert result.returncode == 2, result.stderr
+        assert "config 0: " in result.stderr
+        assert ("the entries are too large for float64 arithmetic (rescale the embeddings)"
+                in result.stderr)
+        assert result.stdout == ""
+
+
 def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
     # "c0.gge1" and "./c0.gge1" are one file; scoring it twice would
     # report index_value 0.0, "perfectly stable".
@@ -469,7 +492,7 @@ def test_configuration_with_a_missing_row_exits_2(workspace, tmp_path, argv):
     for idx in (1, 0):
         doc = _manifest_doc(workspace)
         short = tmp_path / f"short{idx}.gge1"
-        save_embeddings(short, load_embeddings(doc["embedding_paths"][idx]).values[:-1])
+        save_embeddings(short, load_embeddings(doc["embedding_paths"][idx])[:-1])
         doc["embedding_paths"][idx] = str(short)
         path = tmp_path / f"manifest{idx}.json"
         path.write_text(json.dumps(doc))
@@ -520,7 +543,7 @@ def _broken_manifest(workspace, tmp_path, fault):
     else:
         assert fault == "short config 1"
         short = tmp_path / "short.gge1"
-        save_embeddings(short, load_embeddings(doc["embedding_paths"][1]).values[:-1])
+        save_embeddings(short, load_embeddings(doc["embedding_paths"][1])[:-1])
         doc["embedding_paths"][1] = str(short)
         stderr = "gramstab: error: config 1 has 39 rows but the graph has 40 nodes\n"
     path = tmp_path / "manifest.json"

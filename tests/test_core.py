@@ -6,40 +6,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     GraphTopology,
     NonFiniteInput,
     ShapeMismatch,
     TooFewConfigs,
     center_normalize_inplace,
-    preprocess_center_normalize,
     validate_ensemble,
 )
-from gramstab.core import _KEY_NODES, _sorted_unique
+from gramstab.core import _KEY_NODES, _sorted_unique, matrix_values
 
 import oracles
 
 
 def test_embedding_matrix_accepts_finite_2d():
-    mat = EmbeddingMatrix(np.arange(6, dtype=np.float64).reshape(3, 2))
-    assert mat.shape == (3, 2)
-    assert mat.rows == 3
-    assert mat.cols == 2
+    values = np.arange(6, dtype=np.float64).reshape(3, 2)
+    assert matrix_values(values) is values  # a float64 array is not copied
+    listed = matrix_values([[0, 1], [2, 3], [4, 5]])
+    assert listed.dtype == np.float64 and np.array_equal(listed, values)
 
 
 def test_embedding_matrix_rejects_nan_and_inf():
     with pytest.raises(NonFiniteInput):
-        EmbeddingMatrix(np.array([[1.0, np.nan]]))
+        matrix_values(np.array([[1.0, np.nan]]))
     with pytest.raises(NonFiniteInput):
-        EmbeddingMatrix(np.array([[np.inf, 0.0]]))
+        matrix_values([[np.inf, 0.0]])
 
 
 def test_embedding_matrix_rejects_wrong_rank():
-    with pytest.raises(ShapeMismatch):
-        EmbeddingMatrix(np.zeros(4))
-    with pytest.raises(ShapeMismatch):
-        EmbeddingMatrix(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        matrix_values(np.zeros(4))
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        matrix_values(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeMismatch, match="at least 1x1"):
+        matrix_values(np.zeros((0, 3)))
 
 
 def test_graph_canonicalizes_and_counts_drops():
@@ -106,30 +105,6 @@ def test_from_pairs_matches_the_brute_canonicalizer(case):
             GraphTopology(node_count, [edges[0], *edges])
 
 
-def test_ensemble_needs_two_configs():
-    one = EmbeddingMatrix(np.zeros((4, 2)))
-    with pytest.raises(TooFewConfigs):
-        ConfigurationEnsemble((one,))
-
-
-def test_ensemble_rejects_ragged_row_counts():
-    a = EmbeddingMatrix(np.zeros((4, 2)))
-    b = EmbeddingMatrix(np.zeros((5, 2)))
-    with pytest.raises(ShapeMismatch) as err:
-        ConfigurationEnsemble((a, b))
-    assert "1" in str(err.value)  # names the offending config
-
-
-def test_ensemble_allows_different_dims():
-    # Row counts must agree; column counts may differ per configuration.
-    a = EmbeddingMatrix(np.zeros((4, 2)))
-    b = EmbeddingMatrix(np.zeros((4, 7)))
-    ens = ConfigurationEnsemble((a, b))
-    assert ens.dims == (2, 7)
-    assert len(ens) == 2
-    assert ens[1].cols == 7
-
-
 def test_center_normalize_matches_dense_oracle():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(20, 5))
@@ -142,9 +117,8 @@ def test_center_normalize_matches_dense_oracle():
 def test_center_normalize_zeroes_degenerate_rows():
     # A constant matrix centers to exactly zero everywhere.
     values = np.full((6, 3), 2.5)
-    mat, n_deg = preprocess_center_normalize(values)
-    assert n_deg == 6
-    assert np.all(mat.values == 0.0)
+    assert center_normalize_inplace(values) == 6
+    assert np.all(values == 0.0)
 
 
 @pytest.mark.parametrize("scale", [10.0**e for e in range(-300, 301, 50)])
@@ -182,18 +156,13 @@ def test_center_normalize_properties(rows, cols, seed):
 
 def test_validate_ensemble_checks_graph_rows():
     graph = GraphTopology.from_pairs(4, np.array([[0, 1], [2, 3]]))[0]
-    good = ConfigurationEnsemble(
-        (EmbeddingMatrix(np.ones((4, 2))), EmbeddingMatrix(np.ones((4, 3))))
-    )
+    good = [np.ones((4, 2)), np.ones((4, 3))]
     assert validate_ensemble(good, graph) == (2, 3)
     # A lazy iterable of plain arrays is checked the same way.
     assert validate_ensemble(iter([np.ones((4, 2)), np.ones((4, 3))]), graph) == (2, 3)
 
-    bad = ConfigurationEnsemble(
-        (EmbeddingMatrix(np.ones((5, 2))), EmbeddingMatrix(np.ones((5, 2))))
-    )
     with pytest.raises(ShapeMismatch):
-        validate_ensemble(bad, graph)
+        validate_ensemble([np.ones((5, 2)), np.ones((5, 2))], graph)
     with pytest.raises(ShapeMismatch, match="config 1 has 3 rows") as info:
         validate_ensemble(iter([np.ones((4, 2)), np.ones((3, 2))]), graph)
     assert info.value.config_index == 1

@@ -55,9 +55,9 @@ def test_gge1_round_trip_is_bit_exact(tmp_path, values):
     path = tmp_path / "m.gge1"
     save_embeddings(path, values, fmt="gge1")
     back = load_embeddings(path)
-    assert back.values.dtype == np.float64
+    assert back.dtype == np.float64
     assert np.array_equal(
-        back.values.view(np.uint64), values.view(np.uint64)
+        back.view(np.uint64), values.view(np.uint64)
     )  # bit-level identity, including -0.0
 
 
@@ -76,7 +76,7 @@ def test_csv_round_trip_is_value_exact(tmp_path, values):
     save_embeddings(path, values, fmt="csv")
     back = load_embeddings(path)
     # %.17g prints enough digits to round-trip every float64 value.
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back, values)
 
 
 def test_format_autodetection(tmp_path, values):
@@ -84,8 +84,8 @@ def test_format_autodetection(tmp_path, values):
     csv = tmp_path / "b.csv"
     save_embeddings(gge1, values, fmt="gge1")
     save_embeddings(csv, values, fmt="csv")
-    assert np.array_equal(load_embeddings(gge1).values, values)
-    assert np.array_equal(load_embeddings(csv).values, values)
+    assert np.array_equal(load_embeddings(gge1), values)
+    assert np.array_equal(load_embeddings(csv), values)
 
 
 def test_truncated_header_and_payload(tmp_path, values):

@@ -6,8 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
-    ConfigurationEnsemble,
-    EmbeddingMatrix,
     EmptyGraph,
     GraphTopology,
     NonFiniteScore,
@@ -131,8 +129,7 @@ def test_edge_mean_matches_grouped_gather_at_scale(dim):
 
 def test_ggi_matches_dense_oracle():
     graph, configs = _random_instance(3)
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    report = ggi_index(ens, graph)
+    report = ggi_index(configs, graph)
     expected = oracles.ggi_dense(configs, graph.edges, graph.node_count)
     assert abs(report.index_value - expected) <= 1e-12
     assert report.index_percent == report.index_value * 100.0
@@ -140,9 +137,7 @@ def test_ggi_matches_dense_oracle():
 
 def test_identical_configs_score_exact_zero():
     graph, configs = _random_instance(5)
-    same = ConfigurationEnsemble(
-        tuple(EmbeddingMatrix(configs[0].copy()) for _ in range(4))
-    )
+    same = [configs[0].copy() for _ in range(4)]
     report = ggi_index(same, graph)
     assert report.index_value == 0.0
 
@@ -168,9 +163,8 @@ def test_dispersion_conventions():
 
 def test_sample_convention_flows_through():
     graph, configs = _random_instance(11)
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    pop = ggi_index(ens, graph, std="population").index_value
-    samp = ggi_index(ens, graph, std="sample").index_value
+    pop = ggi_index(configs, graph, std="population").index_value
+    samp = ggi_index(configs, graph, std="sample").index_value
     assert samp > pop  # ddof=1 inflates dispersion for small N
     assert samp == pytest.approx(pop * np.sqrt(len(configs) / (len(configs) - 1)))
 
@@ -229,8 +223,7 @@ def test_too_few_configs():
 
 def test_streaming_iterable_matches_ensemble():
     graph, configs = _random_instance(9, n_configs=5)
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c.copy()) for c in configs))
-    eager = ggi_index(ens, graph).index_value
+    eager = ggi_index(configs, graph).index_value
 
     def gen():
         for c in configs:
@@ -265,16 +258,14 @@ def test_preprocessed_scores_are_cosine_bounded():
 def test_no_preprocess_uses_raw_inner_products():
     graph, configs = _random_instance(4)
     scaled = [10.0 * c for c in configs]
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in scaled))
-    raw = ggi_index(ens, graph, preprocess=False).index_value
+    raw = ggi_index(scaled, graph, preprocess=False).index_value
     expected = oracles.ggi_dense(scaled, graph.edges, graph.node_count, preprocess=False)
     assert abs(raw - expected) <= 1e-10
 
 
 def test_report_metadata_names_conventions():
     graph, configs = _random_instance(8)
-    ens = ConfigurationEnsemble(tuple(EmbeddingMatrix(c) for c in configs))
-    report = ggi_index(ens, graph)
+    report = ggi_index(configs, graph)
     assert report.metadata["std"] == "population"
     assert report.metadata["preprocess"] is True
     assert len(report.metadata["degenerate_rows"]) == len(configs)
