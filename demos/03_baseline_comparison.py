@@ -37,6 +37,7 @@ print("-" * len(header))
 for noise in (0.02, 0.1, 0.3, 1.0):
     configs, g = synthetic_ensemble(graph, dim=16, n_configs=5,
                                     noise=noise, seed=6)
+    configs = list(configs)  # every index below reads them again
     row = [
         ggi_index(configs, g).index_value,
         aligned_cosine_index(configs).aggregate,

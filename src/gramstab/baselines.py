@@ -130,7 +130,8 @@ def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexRepor
     ``score_pair`` may add to counters in ``metadata`` as it goes. A pair
     score or mean past the float64 range raises NonFiniteScore."""
     pair_scores = {pair: score_pair(*pair) for pair in combinations(range(n_configs), 2)}
-    aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
+    with np.errstate(over="ignore"):  # named below, not warned about on stderr
+        aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
     if not np.isfinite(aggregate):
         bad = [f"pair {p} scores {s!r}" for p, s in pair_scores.items() if not np.isfinite(s)]
         where = bad[0] if bad else f"the mean over pairs is {aggregate!r}"

@@ -249,11 +249,10 @@ def _cmd_synth(args) -> int:
         + "\n}\n"
     )
     width = max(2, len(str(args.configs - 1)))
-    embedding_paths = []
-    for idx, cfg in enumerate(configs):
-        path = out_dir / f"config_{idx:0{width}d}.gge1"
-        save_embeddings(path, cfg, fmt="gge1")
-        embedding_paths.append(path)
+    embedding_paths = [out_dir / f"config_{idx:0{width}d}.gge1" for idx in range(args.configs)]
+    for path in embedding_paths:
+        # No name holds the written configuration while the next one is drawn.
+        save_embeddings(path, next(configs), fmt="gge1")
     manifest_path = out_dir / "manifest.json"
     save_manifest(
         manifest_path,

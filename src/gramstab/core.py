@@ -24,24 +24,50 @@ DEGENERATE_ROW_NORM = 1e-15
 # so that squares, inner products and distances stay inside the float64 range.
 MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 
-# from_pairs sorts edges through keys i * node_count + j, which fit in int64
+# Edges are canonicalized through keys i * node_count + j, which fit in int64
 # up to this many nodes.
 _KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
 
-def _sorted_unique(keys) -> np.ndarray:
-    """Sorted distinct values of ``keys``, flattened; equal to ``np.unique``.
+def _canonical_keys(node_count: int, pairs: np.ndarray, prior=None) -> tuple[np.ndarray, int]:
+    """Sorted distinct keys ``min(a, b) * node_count + max(a, b)`` of the
+    rows (a, b) of an (E, 2) int64 ``pairs`` that are not self-loops,
+    merged with the sorted distinct keys ``prior``; and the number of
+    self-loop rows. Needs node_count <= ``_KEY_NODES``.
 
-    A sort plus a first-difference mask: recent numpy releases take a
-    hash path in ``np.unique`` on integer input that is many times
-    slower than this.
+    The keys are built in one array this routine owns and sorted in place,
+    then a first-difference mask keeps the distinct ones: recent numpy
+    releases take a hash path in ``np.unique`` on integer input that is
+    many times slower. A caller that passes its only reference to ``pairs``
+    (a fresh draw) lets it go before the distinct keys are copied out.
     """
-    keys = np.sort(keys, axis=None)
-    if keys.size < 2:
-        return keys
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
+    start = 0 if prior is None else prior.size
+    keys = np.empty(start + pairs.shape[0], dtype=np.int64)
+    if start:
+        keys[:start] = prior
+    new = keys[start:]
+    a, b = pairs[:, 0], pairs[:, 1]
+    np.minimum(a, b, out=new)
+    new *= node_count - 1
+    new += a
+    new += b  # min * (n - 1) + a + b == min * n + max, without a max array
+    loops = a == b
+    n_self = int(np.count_nonzero(loops))
+    new[loops] = -1  # sorts ahead of every edge key, which is at least 1
+    del pairs, a, b, new, loops
+    keys.sort()
+    keys = keys[n_self:]
+    first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return keys[first], n_self
+
+
+def _split_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
+    """The (E, 2) edge array (key // node_count, key % node_count) of keys
+    from :func:`_canonical_keys`, written straight into its columns."""
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.floor_divide(keys, node_count, out=edges[:, 0])
+    np.remainder(keys, node_count, out=edges[:, 1])
+    return edges
 
 
 def matrix_values(mat) -> np.ndarray:
@@ -112,15 +138,9 @@ class GraphTopology:
             raise ShapeMismatch(
                 f"edge endpoint out of range for node_count={node_count}"
             )
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        self_mask = lo == hi
-        n_self = int(np.count_nonzero(self_mask))
-        lo, hi = lo[~self_mask], hi[~self_mask]
-        keys = lo * np.int64(node_count) + hi
-        uniq = _sorted_unique(keys)
-        n_dup = int(keys.size - uniq.size)
-        edges = np.column_stack([uniq // node_count, uniq % node_count])
+        keys, n_self = _canonical_keys(node_count, arr)
+        n_dup = arr.shape[0] - n_self - keys.size
+        edges = _split_keys(keys, node_count)
         return cls(node_count, edges), n_self, n_dup
 
 
@@ -137,6 +157,9 @@ def magnitude_scale(values: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
 
 
+# Overflow is reported by the callers' finiteness checks as a named error;
+# numpy's own warnings would only add lines to stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def center_normalize_inplace(arr: np.ndarray) -> int:
     """Center columns and L2-normalize rows of a writable array, in place.
 
@@ -146,7 +169,8 @@ def center_normalize_inplace(arr: np.ndarray) -> int:
     by its :func:`magnitude_scale`. Rows that are degenerate (see
     ``DEGENERATE_ROW_NORM``) are set to exact zeros and tallied rather
     than rejected; returns their count. Entries too large for float64
-    arithmetic leave NaN or inf, which callers check for.
+    arithmetic leave NaN or inf, without a numpy warning, which callers
+    check for.
     """
     mean = arr.mean(axis=0)
     arr -= mean

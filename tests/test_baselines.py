@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,7 +264,9 @@ def test_scores_past_float64_are_named_errors():
     # Here every pair is 1e308 apart, in range, but their sum is not.
     triangle = [np.array([[0.0, 0.0]]), np.array([[1e308, 0.0]]), np.array([[5e307, 8.66e307]])]
     with pytest.raises(NonFiniteScore, match="hausdorff: the mean over pairs is inf"):
-        hausdorff_index(triangle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the named error alone
+            hausdorff_index(triangle)
     # Finite entries whose column sums overflow cannot be centered: every
     # index names the configuration in ggi's words.
     huge = [rng.normal(size=(50, 4)) for _ in range(3)]

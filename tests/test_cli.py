@@ -80,6 +80,59 @@ def test_synth_multi_chunk_bytes_are_pinned(tmp_path):
     }
 
 
+# Digests of every file synth writes with --nodes 60 --avg-degree 4 --dim 3
+# --configs 3 --noise 0.1 --seed 23, per --transform. Only "permutation"
+# relabels the graph; every kind writes the same identity id map.
+_SYNTH_GRAPH_60 = "b6e0225ad71a1b7929b5ace8720c6e116538450d5cfc8cf78061ec2478575134"
+_SYNTH_IDS_60 = "3cf229608fd82b0a8b378fa72dc63d98b7be4fc0eafba28e5bf8ae7cdf48c0bf"
+
+
+@pytest.mark.parametrize("transform, digests", [
+    ("none", {
+        "config_00.gge1": "cdbf8719d3788900d5d9a1896d850b391bc4cb90c50f28cb0c468cb936afe9de",
+        "config_01.gge1": "8c7f496c7358fc3b04f157ad3c0ccc6e7a55b5249348d3fb9fcdd07d6feb7d00",
+        "config_02.gge1": "820898e5c2cc9f4ed4809c31a9a89a8360f9fb6becd4747d60a07e70570b89df",
+        "graph.edges": _SYNTH_GRAPH_60,
+        "ids.json": _SYNTH_IDS_60,
+        "manifest.json": "a7f383b1e581231abf2495906d94a87ae758e7e192674e9f4dbcbce09da7b808",
+    }),
+    ("orthogonal", {
+        "config_00.gge1": "7ba3c9cbf31a22672fdad490d7af43377658f447a42279385ae6a32945a98432",
+        "config_01.gge1": "8ed7d8cdb7aa4903dadd3968f770a16fccd7a946a7f6e2aecaddf71b03ed877b",
+        "config_02.gge1": "f29721021f4d9c04c1bb991a8185b3c6f2fdbc82a92b054c25aeef89dcad08a6",
+        "graph.edges": _SYNTH_GRAPH_60,
+        "ids.json": _SYNTH_IDS_60,
+        "manifest.json": "540390dcd501e6327a4d2dc3eb4f2d6ef443895b08c7c887084a3158d5815b37",
+    }),
+    ("permutation", {
+        "config_00.gge1": "ebe22ccfc8e3d774edbae26dc256aeccf34d0fe9348b6b07a7ba017be30a9c5c",
+        "config_01.gge1": "5fdcf73356ead50132c5414cef339535a18d9a304cdaec5739d6f7fd182ec0fe",
+        "config_02.gge1": "b5f3b272776b5fe633d458f5d445ada19e8688b36ecd0fd873b38297e65c412b",
+        "graph.edges": "5ca9794a68c5c5236511145542d765dd2b810861b477ffb0fb0289ad19a8b456",
+        "ids.json": _SYNTH_IDS_60,
+        "manifest.json": "7fa76582d5b904ffa3899ad188b517825c8a9516f295eb6be853cc14d47bffdb",
+    }),
+    ("translation", {
+        "config_00.gge1": "260a1919a8b86751ca5f6a321b59c261e1e04903a052cf140f2fc5aa09d515dc",
+        "config_01.gge1": "c260558ed8538f1284e697c939760ef5ea3d2db48048ad857ace442a9ee80ec2",
+        "config_02.gge1": "248d168f4cfc9f3cc6760a6063369cefef6c440a83d0bc4f6e085f721b5413cd",
+        "graph.edges": _SYNTH_GRAPH_60,
+        "ids.json": _SYNTH_IDS_60,
+        "manifest.json": "2c8551dd79a612983ae78cc295b70c981a99792b05e2a17991a3a65e65654d70",
+    }),
+])
+def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
+    code = run_cli([
+        "synth", "--nodes", "60", "--avg-degree", "4", "--dim", "3", "--configs", "3",
+        "--noise", "0.1", "--transform", transform, "--seed", "23", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    } == digests
+
+
 def _scipy_modules_after(tmp_path, *argvs, noise="0"):
     """The scipy modules one fresh interpreter has loaded after ``synth
     --noise NOISE`` and then each of ``argvs`` on the synthetic ensemble."""
@@ -302,7 +355,30 @@ def test_baseline_preprocess_overflow_exits_2_with_named_error(tmp_path):
         assert "config 0: " in result.stderr
         assert ("the entries are too large for float64 arithmetic (rescale the embeddings)"
                 in result.stderr)
+        assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", [["ggi"], ["baseline", "--index", "aligned-cosine",
+                                               "--preprocess"]])
+def test_overflow_prints_only_the_named_error(tmp_path, command):
+    # numpy's overflow warnings quote the installed core.py's absolute path,
+    # so they would make stderr differ between checkouts.
+    rng = np.random.default_rng(8)
+    (tmp_path / "g.edges").write_text("".join(f"{i} {i + 1}\n" for i in range(19)))
+    names = [f"c{idx}.csv" for idx in range(3)]
+    for name in names:
+        values = rng.normal(size=(20, 3))
+        values[:, 0] = 1.7e308
+        save_embeddings(tmp_path / name, values, fmt="csv")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"graph_path": "g.edges", "embedding_paths": names}))
+    result = _run([*command, "--manifest", str(manifest)])
+    assert result.returncode == 2, result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith("gramstab: error: config 0: "), line
+    assert line.endswith("the entries are too large for float64 arithmetic (rescale the embeddings)")
+    assert result.stdout == ""
 
 
 def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
@@ -520,6 +596,28 @@ def test_validate_holds_one_configuration_at_a_time(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "v.json").read_text())["dims"] == [dim] * configs
     # Loading all six matrices at once peaks at about three times this.
+    assert peak < budget, (peak, budget)
+
+
+def test_synth_holds_one_configuration_at_a_time(tmp_path):
+    nodes, dim, configs, avg_degree = 5000, 64, 6, 7
+    # random_graph peaks at its draw of 4 * |E| candidate pairs (16 bytes
+    # each) plus one int64 key per candidate; it is done before the base is drawn.
+    draw = 4 * round(nodes * avg_degree / 2) * (16 + 8)
+    budget = 2 * nodes * dim * 8 + draw
+    tracemalloc.start()
+    try:
+        code = run_cli([
+            "synth", "--nodes", str(nodes), "--dim", str(dim), "--configs", str(configs),
+            "--avg-degree", str(avg_degree), "--noise", "0.1", "--out-dir", str(tmp_path),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(list(tmp_path.glob("config_*.gge1"))) == configs
+    # Drawing every configuration before writing the first holds the base
+    # and all six: about three times this.
     assert peak < budget, (peak, budget)
 
 

@@ -1,5 +1,7 @@
 """Data types: validation, canonicalization, preprocessing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from gramstab import (
     center_normalize_inplace,
     validate_ensemble,
 )
-from gramstab.core import _KEY_NODES, _sorted_unique, matrix_values
+from gramstab.core import _KEY_NODES, _canonical_keys, _split_keys, matrix_values
 
 import oracles
 
@@ -105,6 +107,28 @@ def test_from_pairs_matches_the_brute_canonicalizer(case):
             GraphTopology(node_count, [edges[0], *edges])
 
 
+def test_from_pairs_peaks_under_twice_its_input():
+    # 400k pairs with self-loops, duplicates and reversed pairs: the keys are
+    # built and deduplicated in arrays from_pairs owns, then split into the
+    # edge columns, so the temporaries stay under two copies of the input.
+    rng = np.random.default_rng(12)
+    pairs = rng.integers(0, 30_000, size=(400_000, 2))
+    pairs[::50, 1] = pairs[::50, 0]
+    pairs[1::7] = pairs[::7, ::-1][: pairs[1::7].shape[0]]
+    edges, self_loops, duplicates = oracles.canonical_edges_brute(pairs[:20_000].tolist())
+    tracemalloc.start()
+    try:
+        graph, n_self, n_dup = GraphTopology.from_pairs(30_000, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_self >= 8_000 and n_dup >= 50_000
+    assert n_self + n_dup + graph.edge_count == pairs.shape[0]
+    assert peak < 2 * pairs.nbytes, (peak, pairs.nbytes)
+    head = GraphTopology.from_pairs(30_000, pairs[:20_000])
+    assert (head[0].edges.tolist(), head[1], head[2]) == (edges, self_loops, duplicates)
+
+
 def test_center_normalize_matches_dense_oracle():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(20, 5))
@@ -170,22 +194,38 @@ def test_validate_ensemble_checks_graph_rows():
         validate_ensemble(iter([np.ones((4, 2))]), graph)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.integers(min_value=-3, max_value=3),
-            st.integers(min_value=-(2**63), max_value=2**63 - 1),
-        ),
-        max_size=60,
-    )
-)
-@example([])
-@example([5])
-@example([7] * 9)
-def test_sorted_unique_equals_np_unique(values):
-    keys = np.array(values, dtype=np.int64)
-    expected = np.unique(keys)
-    for got in (_sorted_unique(keys), _sorted_unique(keys.reshape(-1, 1))):
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+@st.composite
+def _keyed_pairs(draw):
+    """A node count up to ``_KEY_NODES``, raw pairs over a few of its ids
+    (the largest and 0 included), and sorted distinct prior keys."""
+    node_count = draw(st.one_of(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=_KEY_NODES),
+        st.just(_KEY_NODES),
+    ))
+    pool = draw(st.lists(st.integers(0, node_count - 1), max_size=4)) + [0, node_count - 1]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=40))
+    prior = draw(st.lists(st.integers(0, node_count * node_count - 1), max_size=10))
+    return node_count, pairs, np.unique(np.array(prior, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_keyed_pairs())
+@example(case=(5, [], np.empty(0, dtype=np.int64)))
+@example(case=(5, [(3, 3)] * 4, np.empty(0, dtype=np.int64)))
+@example(case=(5, [(1, 4)] * 9, np.array([9], dtype=np.int64)))
+def test_canonical_keys_equal_np_unique(case):
+    # The in-place keys min * (n - 1) + a + b, with self-loops sorted to the
+    # front, are np.unique of min * n + max over the non-loop rows and prior.
+    node_count, pairs, prior = case
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    loops = arr[:, 0] == arr[:, 1]
+    lo, hi = arr[~loops].min(axis=1), arr[~loops].max(axis=1)
+    expected = np.unique(np.concatenate([prior, lo * node_count + hi]))
+    for given_prior in ((prior,) if prior.size else (prior, None)):
+        keys, n_self = _canonical_keys(node_count, arr.copy(), given_prior)
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected)
+        assert n_self == int(loops.sum())
+    assert _split_keys(expected, node_count).tolist() == [
+        [key // node_count, key % node_count] for key in expected.tolist()
+    ]

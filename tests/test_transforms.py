@@ -149,6 +149,7 @@ def test_random_graph_caps_at_complete_graph():
 def test_synthetic_zero_noise_yields_identical_configs():
     graph = random_graph(30, 4.0, 2)
     configs, _ = synthetic_ensemble(graph, 5, 4, noise=0.0, seed=3)
+    configs = list(configs)
     for cfg in configs[1:]:
         np.testing.assert_array_equal(cfg, configs[0])
 
@@ -157,6 +158,7 @@ def test_synthetic_zero_noise_configs_share_no_memory():
     graph = random_graph(30, 4.0, 2)
     for kind in TRANSFORM_KINDS:
         configs, _ = synthetic_ensemble(graph, 5, 3, noise=0.0, transform=kind, seed=3)
+        configs = list(configs)
         for idx, cfg in enumerate(configs):
             # A view would be a view of the base embedding.
             assert type(cfg) is np.ndarray and cfg.dtype == np.float64, kind
@@ -178,6 +180,7 @@ def test_synthetic_transforms_keep_index_at_zero():
 def test_synthetic_noise_separates_configs():
     graph = random_graph(30, 4.0, 6)
     configs, _ = synthetic_ensemble(graph, 5, 3, noise=0.2, seed=7)
+    configs = list(configs)
     assert not np.array_equal(configs[0], configs[1])
 
 
