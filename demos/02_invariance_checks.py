@@ -12,7 +12,6 @@ import numpy as np
 
 from gramstab import (
     GraphTopology,
-    apply_isometry,
     apply_permutation,
     ggi_index,
     knn_neighbors,
@@ -38,7 +37,7 @@ print(f"reference index: {reference:.10f}\n")
 #    per-configuration score is unchanged, so the index is too.
 dim = base.shape[1]
 rotated = [
-    apply_isometry(c, random_orthogonal(dim, seed=[10, i]))
+    c @ random_orthogonal(dim, seed=[10, i])
     for i, c in enumerate(configs)
 ]
 value = ggi_index(rotated, graph).index_value
@@ -47,7 +46,7 @@ print(f"per-config rotations:    drift {abs(value - reference):.2e}")
 # 2. Shift every configuration by its own random translation. The
 #    preprocessing centers columns first, so translations vanish there.
 shifted = [
-    apply_isometry(c, random_translation(dim, seed=[11, i], scale=5.0))
+    c + random_translation(dim, seed=[11, i], scale=5.0)
     for i, c in enumerate(configs)
 ]
 value = ggi_index(shifted, graph).index_value

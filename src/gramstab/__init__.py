@@ -56,15 +56,11 @@ from .fileio import (
     save_manifest,
 )
 from .ggi import (
-    EdgeSummaryScore,
     StabilityReport,
     ggi_index,
     score_configuration,
 )
 from .transforms import (
-    Isometry,
-    NodePermutation,
-    apply_isometry,
     apply_permutation,
     perturb_gaussian,
     random_graph,
@@ -77,17 +73,14 @@ from .transforms import (
 __all__ = [
     "__version__",
     "EdgeListResult",
-    "EdgeSummaryScore",
     "EmptyGraph",
     "GramstabError",
     "GraphTopology",
     "InstanceTooLarge",
     "InternalInvariant",
-    "Isometry",
     "KTooLarge",
     "Manifest",
     "ManifestError",
-    "NodePermutation",
     "NonFiniteInput",
     "NonFiniteScore",
     "NotABijection",
@@ -100,7 +93,6 @@ __all__ = [
     "TrailingBytes",
     "TruncatedFile",
     "aligned_cosine_index",
-    "apply_isometry",
     "apply_permutation",
     "center_normalize_inplace",
     "ggi_index",

@@ -34,7 +34,7 @@ from .alignment import procrustes_align
 from .core import center_normalize_inplace, magnitude_scale, matrix_values
 from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
-_METRICS = ("cosine", "euclidean")
+METRICS = ("cosine", "euclidean")
 
 PAIR_CONVENTION = "unordered pairs l < m, self-pairs excluded"
 
@@ -155,8 +155,8 @@ def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
     n = values.shape[0]
     if not 1 <= k < n:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < node_count={n}")
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     unit = _unit_rows(values) if metric == "cosine" else None
     if unit is None:
         from scipy.spatial.distance import cdist

@@ -14,6 +14,7 @@ included when explicitly requested with ``--timings``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import (
+    METRICS,
     aligned_cosine_index,
     hausdorff_index,
     knn_jaccard_index,
@@ -28,7 +30,7 @@ from .baselines import (
     wasserstein_index,
 )
 from .core import validate_ensemble
-from .errors import GramstabError, InternalInvariant
+from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
 from .fileio import (
     EdgeListResult,
     Manifest,
@@ -43,7 +45,7 @@ from .fileio import (
     save_manifest,
     sha256_file,
 )
-from .ggi import ggi_index
+from .ggi import STD_CONVENTIONS, ggi_index
 from .transforms import (
     GENERATOR_NAME,
     TRANSFORM_KINDS,
@@ -148,19 +150,17 @@ def _cmd_ggi(args) -> int:
             copy=False,
         )
         _emit("ggi", {
-            "index_name": report.index_name,
+            "index_name": "ggi",
             "index_value": report.index_value,
             "index_percent": report.index_percent,
             "n_configs": report.n_configs,
             "node_count": graph.node_count,
             "edge_count": graph.edge_count,
             "per_config": [
-                {
-                    "label": manifest.labels[s.config_index],
-                    "score": s.score,
-                    "degenerate_rows": s.degenerate_rows,
-                }
-                for s in report.per_config
+                {"label": label, "score": score, "degenerate_rows": degenerate}
+                for label, score, degenerate in zip(
+                    manifest.labels, report.scores.tolist(), report.degenerate_rows
+                )
             ],
             "options": options,
         }, args, hashes, started)
@@ -221,6 +221,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # Refused before anything is written: each would make synth fail midway
+    # or write an ensemble that the other commands reject.
+    if args.configs < 2:
+        raise TooFewConfigs(f"--configs must be at least 2, got {args.configs}")
+    if args.dim < 1:
+        raise ShapeMismatch(f"--dim must be at least 1, got {args.dim}")
+    if not (math.isfinite(args.avg_degree) and args.avg_degree > 0):
+        raise GramstabError(f"--avg-degree must be finite and > 0, got {args.avg_degree}")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise GramstabError(f"--noise must be finite and >= 0, got {args.noise}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = random_graph(args.nodes, args.avg_degree, args.seed)
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ggi.add_argument(
         "--std",
-        choices=("population", "sample"),
+        choices=STD_CONVENTIONS,
         default="population",
         help="dispersion convention (default: population)",
     )
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     baseline.add_argument(
         "--metric",
-        choices=("cosine", "euclidean"),
+        choices=METRICS,
         default="cosine",
         help="similarity metric for kNN indices",
     )

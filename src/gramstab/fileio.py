@@ -18,6 +18,7 @@ import os
 import struct
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -85,7 +86,8 @@ def load_id_map(path) -> dict:
     """Read a JSON object mapping original node ids to row indices.
 
     Values must be integers (a float or boolean is a ParseError) forming
-    a bijection onto 0..n-1; anything else raises NotABijection.
+    a bijection onto 0..n-1, and no two keys may name the same integer id;
+    anything else raises NotABijection.
     """
     path = Path(path)
     try:
@@ -105,6 +107,9 @@ def load_id_map(path) -> dict:
                 f"id map entries must be integers, got {key!r}: {value!r}",
                 path=str(path),
             ) from exc
+    if len(mapping) < len(raw):  # two keys, such as "1" and "01", spell one id
+        twice = next(i for i, count in Counter(map(int, raw)).items() if count > 1)
+        raise NotABijection(f"{path}: id map names id {twice} twice")
     rows = sorted(mapping.values())
     if rows != list(range(len(mapping))):
         raise NotABijection(

@@ -10,7 +10,7 @@ float64 per edge plus two gather blocks of ``_GATHER_ELEMENTS`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -39,32 +39,28 @@ _BLOCK_ELEMENTS = 2_097_152
 # while their row-wise dot products are taken.
 _GATHER_ELEMENTS = 32_768
 
-_STD_CONVENTIONS = ("population", "sample")
-
-
-@dataclass(frozen=True)
-class EdgeSummaryScore:
-    """Per-configuration summary: mean inner product over graph edges."""
-
-    config_index: int
-    score: float
-    degenerate_rows: int = 0
+STD_CONVENTIONS = ("population", "sample")
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Final index value plus the per-configuration scores behind it."""
+    """The index plus the per-configuration values behind it, each one a
+    column in ensemble order: ``scores`` (read-only float64) and
+    ``degenerate_rows``."""
 
-    index_name: str
     index_value: float
-    index_percent: float
-    n_configs: int
-    per_config: tuple[EdgeSummaryScore, ...]
-    metadata: dict = field(default_factory=dict)
+    scores: np.ndarray
+    degenerate_rows: tuple[int, ...]
+    preprocess: bool
+    std: str
 
     @property
-    def scores(self) -> np.ndarray:
-        return np.array([s.score for s in self.per_config])
+    def index_percent(self) -> float:
+        return self.index_value * 100.0
+
+    @property
+    def n_configs(self) -> int:
+        return self.scores.size
 
 
 def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
@@ -108,8 +104,11 @@ def score_configuration(
     *,
     preprocess: bool = True,
     copy: bool = True,
-) -> EdgeSummaryScore:
+) -> tuple[float, int]:
     """Preprocess (optionally) and summarize one configuration.
+
+    Returns the score, the mean inner product over graph edges, and the
+    number of degenerate rows the preprocessing found (0 without it).
 
     With ``copy=False`` the input array is centered and normalized in
     place; only pass arrays the caller owns. A score that is not finite
@@ -142,17 +141,15 @@ def score_configuration(
         raise InternalInvariant(
             f"preprocessed edge summary {score!r} escaped the cosine bound"
         )
-    return EdgeSummaryScore(
-        config_index=config_index, score=score, degenerate_rows=n_degenerate
-    )
+    return score, n_degenerate
 
 
 def _ddof(std: str) -> int:
     """The ddof of a dispersion convention: "population" divides by N (the
     ensemble is the whole object of study), "sample" by N - 1."""
-    if std not in _STD_CONVENTIONS:
-        raise ValueError(f"std must be one of {_STD_CONVENTIONS}, got {std!r}")
-    return _STD_CONVENTIONS.index(std)
+    if std not in STD_CONVENTIONS:
+        raise ValueError(f"std must be one of {STD_CONVENTIONS}, got {std!r}")
+    return STD_CONVENTIONS.index(std)
 
 
 def dispersion(scores: np.ndarray, std: str = "population") -> float:
@@ -193,39 +190,31 @@ def ggi_index(
     Returns
     -------
     StabilityReport
-        Per-configuration scores, the index (raw and percent), and the
-        conventions used. ``index_value`` is always recomputable from
-        ``per_config``.
+        The index, the per-configuration scores and degenerate-row counts,
+        and the conventions used. ``index_value`` is always recomputable
+        from ``scores``.
     """
     _ddof(std)
-    scores: list[EdgeSummaryScore] = []
+    scores: list[float] = []
+    degenerate_rows: list[int] = []
     # Deliberately not enumerate(): its cached result tuple keeps the
     # previous matrix alive while the iterable builds the next one,
     # which doubles peak memory when streaming large ensembles.
     idx = 0
     for mat in configs:
-        scores.append(
-            score_configuration(mat, graph, idx, preprocess=preprocess, copy=copy)
+        score, n_degenerate = score_configuration(
+            mat, graph, idx, preprocess=preprocess, copy=copy
         )
         del mat
+        scores.append(score)
+        degenerate_rows.append(n_degenerate)
         idx += 1
-    if len(scores) < 2:
-        raise TooFewConfigs(f"need at least 2 configurations, got {len(scores)}")
-    index_value = dispersion(np.array([s.score for s in scores]), std)
+    if idx < 2:
+        raise TooFewConfigs(f"need at least 2 configurations, got {idx}")
+    column = np.array(scores)
+    column.flags.writeable = False
+    index_value = dispersion(column, std)
     if not np.isfinite(index_value * 100.0):
         raise NonFiniteScore(f"the index is {index_value!r}; in percent it is too "
                              f"large for float64 (rescale the embeddings)")
-    metadata = {
-        "preprocess": preprocess,
-        "std": std,
-        "degenerate_rows": [s.degenerate_rows for s in scores],
-        "score_definition": "mean inner product over unordered graph edges",
-    }
-    return StabilityReport(
-        index_name="ggi",
-        index_value=index_value,
-        index_percent=index_value * 100.0,
-        n_configs=len(scores),
-        per_config=tuple(scores),
-        metadata=metadata,
-    )
+    return StabilityReport(index_value, column, tuple(degenerate_rows), preprocess, std)

@@ -1,5 +1,5 @@
-"""Seeded generators of isometries, permutations, noise, and synthetic
-ensembles.
+"""Seeded generators of orthogonal matrices, translations, permutations,
+noise, and synthetic ensembles.
 
 Everything here is deterministic per seed: randomness comes from
 numpy's default_rng (PCG64), with derived streams keyed by
@@ -10,7 +10,6 @@ studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -23,8 +22,6 @@ GENERATOR_NAME = "numpy-default_rng-pcg64"
 # Anything numpy's default_rng accepts as entropy; derived streams use
 # [root_seed, tag, ...] sequences.
 SeedLike = Union[int, Sequence[int]]
-
-_ORTHOGONALITY_TOL = 1e-10
 
 # Derived-stream tags for synthetic ensembles.
 _TAG_GRAPH = 0
@@ -44,64 +41,8 @@ def _stream(seed: SeedLike, *tags: int) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Orthogonal transform plus translation: Z -> Z @ matrix + translation."""
-
-    matrix: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        translation = np.asarray(self.translation, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeMismatch(f"isometry matrix must be square, got {matrix.shape}")
-        if translation.shape != (matrix.shape[0],):
-            raise ShapeMismatch(
-                f"translation shape {translation.shape} does not match "
-                f"matrix dimension {matrix.shape[0]}"
-            )
-        gram_error = np.abs(matrix.T @ matrix - np.eye(matrix.shape[0])).max()
-        if gram_error > _ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"matrix is not orthogonal: max |T^T T - I| = {gram_error:.3e}"
-            )
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "translation", translation)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class NodePermutation:
-    """Node relabeling: input row i lands at output row mapping[i]."""
-
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        mapping = np.asarray(self.mapping, dtype=np.int64)
-        if mapping.ndim != 1:
-            raise NotABijection("permutation mapping must be one-dimensional")
-        if not np.array_equal(np.sort(mapping), np.arange(mapping.size)):
-            raise NotABijection(
-                "mapping is not a bijection onto 0..n-1"
-            )
-        object.__setattr__(self, "mapping", mapping)
-
-    @property
-    def node_count(self) -> int:
-        return self.mapping.size
-
-    def inverse(self) -> "NodePermutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(self.mapping.size)
-        return NodePermutation(inv)
-
-
-def random_orthogonal(dim: int, seed: SeedLike) -> Isometry:
-    """Random orthogonal matrix, zero translation, deterministic per seed.
+def random_orthogonal(dim: int, seed: SeedLike) -> np.ndarray:
+    """Random (dim, dim) orthogonal matrix, deterministic per seed.
 
     Built by QR-orthogonalizing a seeded Gaussian matrix with the usual
     sign fix on R's diagonal (uniform over the orthogonal group).
@@ -113,64 +54,60 @@ def random_orthogonal(dim: int, seed: SeedLike) -> Isometry:
     q, r = np.linalg.qr(gaussian)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return Isometry(q * signs, np.zeros(dim))
+    return q * signs
 
 
-def random_translation(dim: int, seed: SeedLike, scale: float = 1.0) -> Isometry:
-    """Identity transform plus a seeded Gaussian translation vector."""
+def random_translation(dim: int, seed: SeedLike, scale: float = 1.0) -> np.ndarray:
+    """Seeded Gaussian translation vector of shape (dim,)."""
     rng = np.random.default_rng(seed)
-    return Isometry(np.eye(dim), rng.normal(0.0, scale, size=dim))
+    return rng.normal(0.0, scale, size=dim)
 
 
-def random_permutation(node_count: int, seed: SeedLike) -> NodePermutation:
+def random_permutation(node_count: int, seed: SeedLike) -> np.ndarray:
+    """Seeded int64 node mapping: row i goes to row mapping[i]."""
     rng = np.random.default_rng(seed)
-    return NodePermutation(rng.permutation(node_count))
-
-
-def apply_isometry(mat, iso: Isometry) -> np.ndarray:
-    """Z @ T + t, an exact isometry of the embedded point cloud."""
-    values = matrix_values(mat)
-    if values.shape[1] != iso.dim:
-        raise ShapeMismatch(
-            f"matrix has {values.shape[1]} columns but the isometry is "
-            f"{iso.dim}-dimensional"
-        )
-    moved = values @ iso.matrix
-    moved += iso.translation
-    return moved
+    return rng.permutation(node_count)
 
 
 def apply_permutation(
-    mat, graph: GraphTopology, sigma: NodePermutation
+    mat, graph: GraphTopology, mapping
 ) -> tuple[np.ndarray, GraphTopology]:
     """Relabel nodes in both the embeddings and the edge set.
 
-    Output row sigma(i) holds input row i, and each edge {i, j} becomes
-    {sigma(i), sigma(j)}; relabeling both together is what leaves
-    edge-restricted sums unchanged.
+    Output row mapping[i] holds input row i, and each edge {i, j} becomes
+    {mapping[i], mapping[j]}; relabeling both together is what leaves
+    edge-restricted sums unchanged. A mapping that is not a bijection
+    onto 0..n-1 raises NotABijection.
     """
     values = matrix_values(mat)
-    if values.shape[0] != sigma.node_count or graph.node_count != sigma.node_count:
+    mapping = np.asarray(mapping, dtype=np.int64)
+    if mapping.ndim != 1 or not np.array_equal(np.sort(mapping), np.arange(mapping.size)):
+        raise NotABijection("mapping is not a bijection onto 0..n-1")
+    if values.shape[0] != mapping.size or graph.node_count != mapping.size:
         raise ShapeMismatch(
-            f"permutation covers {sigma.node_count} nodes but the matrix has "
+            f"permutation covers {mapping.size} nodes but the matrix has "
             f"{values.shape[0]} rows and the graph {graph.node_count} nodes"
         )
     permuted = np.empty_like(values)
-    permuted[sigma.mapping] = values
-    relabeled = sigma.mapping[graph.edges]
-    new_graph, _, _ = GraphTopology.from_pairs(graph.node_count, relabeled)
+    permuted[mapping] = values
+    new_graph, _, _ = GraphTopology.from_pairs(graph.node_count, mapping[graph.edges])
     return permuted, new_graph
 
 
 def perturb_gaussian(mat, sigma_noise: float, seed: SeedLike) -> np.ndarray:
-    """Add seeded i.i.d. Gaussian noise of the given standard deviation."""
-    if sigma_noise < 0:
-        raise ValueError(f"sigma_noise must be >= 0, got {sigma_noise}")
+    """Add seeded i.i.d. Gaussian noise of the given standard deviation.
+
+    The noise is drawn first and the input added to it in place, so the
+    result is the one matrix drawn.
+    """
+    if not (np.isfinite(sigma_noise) and sigma_noise >= 0):
+        raise ValueError(f"sigma_noise must be finite and >= 0, got {sigma_noise}")
     values = matrix_values(mat)
     if sigma_noise == 0.0:
         return values.copy()
-    rng = np.random.default_rng(seed)
-    return values + rng.normal(0.0, sigma_noise, size=values.shape)
+    noisy = np.random.default_rng(seed).normal(0.0, sigma_noise, size=values.shape)
+    noisy += values
+    return noisy
 
 
 def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTopology:
@@ -238,7 +175,7 @@ def synthetic_ensemble(
     base = _stream(seed, _TAG_BASE).standard_normal((graph.node_count, dim))
     mapping = None
     if transform == "permutation":
-        mapping = random_permutation(graph.node_count, [seed, _TAG_TRANSFORM]).mapping
+        mapping = random_permutation(graph.node_count, [seed, _TAG_TRANSFORM])
         graph, _, _ = GraphTopology.from_pairs(graph.node_count, mapping[graph.edges])
     # A generator expression holds no name for the configuration it yielded,
     # so that one is freed as soon as the caller drops it.
@@ -250,17 +187,12 @@ def synthetic_ensemble(
 
 def _configuration(base, idx, noise, transform, seed, mapping) -> np.ndarray:
     """Configuration ``idx`` of :func:`synthetic_ensemble`."""
-    if noise > 0.0:
-        values = _stream(seed, _TAG_NOISE, idx).normal(0.0, noise, size=base.shape)
-        values += base
-    else:
-        values = base.copy()
-    dim = base.shape[1]
+    values = perturb_gaussian(base, noise, [seed, _TAG_NOISE, idx])
     if transform == "orthogonal":
-        return apply_isometry(values, random_orthogonal(dim, [seed, _TAG_TRANSFORM, idx]))
+        return values @ random_orthogonal(base.shape[1], [seed, _TAG_TRANSFORM, idx])
     if transform == "translation":
-        return apply_isometry(values, random_translation(dim, [seed, _TAG_TRANSFORM, idx]))
-    if mapping is not None:
+        values += random_translation(base.shape[1], [seed, _TAG_TRANSFORM, idx])
+    elif mapping is not None:
         permuted = np.empty_like(values)
         permuted[mapping] = values
         return permuted

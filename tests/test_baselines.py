@@ -17,7 +17,6 @@ from gramstab import (
     ShapeMismatch,
     TooFewConfigs,
     aligned_cosine_index,
-    apply_isometry,
     hausdorff_index,
     knn_jaccard_index,
     knn_neighbors,
@@ -317,7 +316,7 @@ def test_every_index_checks_its_plain_list_input(name):
 def test_aligned_cosine_is_one_under_pure_rotation():
     rng = np.random.default_rng(8)
     base = rng.normal(size=(25, 5))
-    rotated = apply_isometry(base, random_orthogonal(5, seed=9))
+    rotated = base @ random_orthogonal(5, seed=9)
     report = aligned_cosine_index([base, rotated])
     assert report.per_pair[(0, 1)] == pytest.approx(1.0, abs=1e-10)
 

@@ -133,6 +133,30 @@ def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
     } == digests
 
 
+# Digests of the reports on the ensemble of the "none" case above, run from
+# its directory with --manifest manifest.json so the bytes do not depend on
+# where the ensemble was written.
+@pytest.mark.parametrize("argv, digest", [
+    (["ggi"], "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
+    (["ggi", "--no-preprocess"],
+     "9e6dcc8f47d99adf84db2a8dda887f09583c2436f7c1b4b31a2dd41fc65f7cf1"),
+    (["ggi", "--std", "sample"],
+     "12e37b94c6b41ec1303fc20ddc61f890ca3f6a86c12a8d0e55bf5a75346f9694"),
+    (["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
+    (["baseline", "--index", "aligned-cosine"],
+     "09b08b057c1ebbd7719c329c7ee0deb32e4637cd0aa53fe0281d2aa537853b0a"),
+])
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([
+        "synth", "--nodes", "60", "--avg-degree", "4", "--dim", "3", "--configs", "3",
+        "--noise", "0.1", "--seed", "23", "--out-dir", ".",
+    ]) == 0
+    capsys.readouterr()
+    assert run_cli([*argv, "--manifest", "manifest.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _scipy_modules_after(tmp_path, *argvs, noise="0"):
     """The scipy modules one fresh interpreter has loaded after ``synth
     --noise NOISE`` and then each of ``argvs`` on the synthetic ensemble."""
@@ -280,6 +304,23 @@ def test_usage_errors_exit_2():
     assert _run(["ggi"]).returncode == 2  # --manifest required
     assert _run(["frobnicate"]).returncode == 2
     assert _run(["baseline", "--manifest", "x", "--index", "nope"]).returncode == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--configs", "1"), ("--configs", "-2"), ("--dim", "0"), ("--dim", "-1"),
+    ("--avg-degree", "nan"), ("--avg-degree", "inf"), ("--avg-degree", "-5"),
+    ("--noise", "-1"), ("--noise", "nan"),
+])
+def test_synth_refuses_bad_arguments_before_writing(tmp_path, capsys, flag, value):
+    # These used to write an ensemble that ggi, baseline and validate all
+    # refuse, or to fail midway with an internal error.
+    argv = {"--nodes": "30", "--dim": "3", "--configs": "3", flag: value}
+    code = run_cli(["synth", *(s for item in argv.items() for s in item),
+                    "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"gramstab: error: {flag} must be") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_truncated_embedding_exits_2_with_named_error(workspace, tmp_path):

@@ -486,6 +486,24 @@ def test_id_map_rejects_float_and_bool_rows(rows, slot, bad):
             load_id_map(path)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.permutations(range(6)),
+    slot=st.integers(min_value=0, max_value=5),
+    prefix=st.sampled_from(["0", "+"]),
+)
+def test_id_map_rejects_an_id_named_twice(rows, slot, prefix):
+    # int() reads "010" and "+10" as 10, so the later key used to replace
+    # the earlier one and the map loaded with an entry gone.
+    doc = {str(10 * key): row for key, row in enumerate(rows)}
+    doc[prefix + str(10 * slot)] = rows[slot]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NotABijection, match=f"id {10 * slot} twice"):
+            load_id_map(path)
+
+
 def test_manifest_round_trip(tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("0 1\n")

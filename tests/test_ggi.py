@@ -31,7 +31,7 @@ def _random_instance(seed, n_nodes=30, dim=4, n_configs=3, noise=0.1):
 def test_edge_summary_matches_dense_mask():
     graph, configs = _random_instance(0)
     for values in configs:
-        fast = score_configuration(values, graph, preprocess=False).score
+        fast = score_configuration(values, graph, preprocess=False)[0]
         slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
         assert abs(fast - slow) <= 1e-12
 
@@ -44,7 +44,7 @@ def test_edge_summary_matches_dense_mask_property(seed):
     dim = int(rng.integers(1, 9))
     graph = random_graph(n, min(3.0, n - 1), seed)
     values = rng.normal(size=(n, dim))
-    fast = score_configuration(values, graph, preprocess=False).score
+    fast = score_configuration(values, graph, preprocess=False)[0]
     slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
     assert abs(fast - slow) <= 1e-12
 
@@ -57,11 +57,11 @@ def test_blockwise_accumulation_is_exact(monkeypatch):
     import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
-    whole = score_configuration(configs[0], graph, preprocess=False).score
+    whole = score_configuration(configs[0], graph, preprocess=False)[0]
     monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 8)
-    assert score_configuration(configs[0], graph, preprocess=False).score == whole
+    assert score_configuration(configs[0], graph, preprocess=False)[0] == whole
     monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
-    chunked = score_configuration(configs[0], graph, preprocess=False).score
+    chunked = score_configuration(configs[0], graph, preprocess=False)[0]
     assert abs(whole - chunked) <= 1e-12
 
 
@@ -212,7 +212,7 @@ def test_huge_entries_score_as_their_rescaled_copy():
     assert huge.scores == pytest.approx(plain.scores, abs=1e-12)
     assert abs(huge.index_value - plain.index_value) <= 1e-12
     assert plain.index_value > 1e-3
-    assert [s.degenerate_rows for s in huge.per_config] == [0, 0, 0]
+    assert huge.degenerate_rows == (0, 0, 0)
 
 
 def test_too_few_configs():
@@ -251,7 +251,7 @@ def test_copy_false_preprocesses_in_place():
 def test_preprocessed_scores_are_cosine_bounded():
     graph, configs = _random_instance(21, n_nodes=50, dim=2)
     for values in configs:
-        s = score_configuration(values, graph).score
+        s = score_configuration(values, graph)[0]
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
@@ -266,6 +266,7 @@ def test_no_preprocess_uses_raw_inner_products():
 def test_report_metadata_names_conventions():
     graph, configs = _random_instance(8)
     report = ggi_index(configs, graph)
-    assert report.metadata["std"] == "population"
-    assert report.metadata["preprocess"] is True
-    assert len(report.metadata["degenerate_rows"]) == len(configs)
+    assert report.std == "population"
+    assert report.preprocess is True
+    assert len(report.degenerate_rows) == report.n_configs == len(configs)
+    assert report.scores.dtype == np.float64 and not report.scores.flags.writeable

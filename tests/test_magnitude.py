@@ -33,7 +33,7 @@ GRAPH = random_graph(_N, 4.0, 40)
 def _scale_free(configs):
     """Each scale-free index as (scores, counters)."""
     report = ggi_index(iter(configs), GRAPH)
-    out = {"ggi": (report.scores, report.metadata["degenerate_rows"])}
+    out = {"ggi": (report.scores, report.degenerate_rows)}
     for pre in (False, True):
         for metric in ("cosine", "euclidean"):
             for fn in (knn_jaccard_index, second_order_cosine_index):
