@@ -21,6 +21,7 @@ from gramstab import (
     synthetic_ensemble,
     wasserstein_index,
 )
+from gramstab.baselines import PAIR_CONVENTION
 
 # Small ensemble: Wasserstein solves a |V| x |V| assignment for each pair
 # whose nearest-neighbour certificate fails, so keep |V| modest for a demo
@@ -54,6 +55,6 @@ for noise in (0.02, 0.1, 0.3, 1.0):
 configs, g = synthetic_ensemble(graph, dim=16, n_configs=4,
                                 noise=0.3, seed=8)
 report = knn_jaccard_index(configs, K)
-print(f"\nper-pair kNN Jaccard ({report.pair_convention}):")
+print(f"\nper-pair kNN Jaccard ({PAIR_CONVENTION}):")
 for (l, m), score in sorted(report.per_pair.items()):
     print(f"  configs ({l}, {m}): {score:.4f}")

@@ -14,14 +14,12 @@ from .errors import ShapeMismatch
 class ProcrustesAlignment:
     """Orthogonal map from one configuration's space onto another's.
 
-    ``q`` is d x d orthogonal; ``residual`` is the Frobenius norm of
-    source @ q - target. ``degenerate`` flags a rank-deficient cross
-    matrix, where the optimum is non-unique and q is the deterministic
-    choice made by the SVD's sign convention.
+    ``q`` is d x d orthogonal. ``degenerate`` flags a rank-deficient
+    cross matrix, where the optimum is non-unique and q is the
+    deterministic choice made by the SVD's sign convention.
     """
 
     q: np.ndarray
-    residual: float
     degenerate: bool = False
 
 
@@ -51,10 +49,9 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
     cross = a.T @ b
     u, s, vt = np.linalg.svd(cross)
     q = u @ vt
-    residual = float(np.linalg.norm(a @ q - b))
     if s.size == 0 or s[0] == 0.0:
         degenerate = True
     else:
         # Same rank tolerance as numpy's matrix_rank default.
         degenerate = bool(s[-1] <= s[0] * max(cross.shape) * np.finfo(np.float64).eps)
-    return ProcrustesAlignment(q=q, residual=residual, degenerate=degenerate)
+    return ProcrustesAlignment(q=q, degenerate=degenerate)

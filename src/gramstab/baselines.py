@@ -24,7 +24,7 @@ indices, and Wasserstein on ensembles of near-copies do not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,17 +40,19 @@ PAIR_CONVENTION = "unordered pairs l < m, self-pairs excluded"
 
 _BLOCK_ELEMENTS = 1 << 21  # keys per row block: 16 MB of float64
 
+# Nodes past which a Wasserstein pair that needs the dense |V| x |V| cost
+# matrix (800 MB of float64 at the cap) raises InstanceTooLarge.
+_DENSE_MAX_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class PairwiseIndexReport:
-    """Scores per unordered configuration pair plus their mean."""
+    """Scores per unordered configuration pair (:data:`PAIR_CONVENTION`),
+    their mean, and what the index counted as it ran."""
 
-    index_name: str
     per_pair: dict
     aggregate: float
-    n_configs: int
-    pair_convention: str = PAIR_CONVENTION
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
@@ -128,7 +130,8 @@ def _require_equal_dims(values: list[np.ndarray], index_name: str) -> None:
 def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexReport:
     """Report ``score_pair(l, m)`` for every pair l < m, and their mean;
     ``score_pair`` may add to counters in ``metadata`` as it goes. A pair
-    score or mean past the float64 range raises NonFiniteScore."""
+    score or mean past the float64 range raises NonFiniteScore, named
+    after ``index_name``."""
     pair_scores = {pair: score_pair(*pair) for pair in combinations(range(n_configs), 2)}
     with np.errstate(over="ignore"):  # named below, not warned about on stderr
         aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
@@ -136,7 +139,7 @@ def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexRepor
         bad = [f"pair {p} scores {s!r}" for p, s in pair_scores.items() if not np.isfinite(s)]
         where = bad[0] if bad else f"the mean over pairs is {aggregate!r}"
         raise NonFiniteScore(f"{index_name}: {where}, past float64; rescale the embeddings")
-    return PairwiseIndexReport(index_name, pair_scores, aggregate, n_configs, metadata=metadata)
+    return PairwiseIndexReport(pair_scores, aggregate, metadata)
 
 
 def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
@@ -212,8 +215,7 @@ def knn_jaccard_index(
         # Each list holds k distinct ids, so the union has 2k - inter.
         return _node_mean(inter / (2 * k - inter))
 
-    metadata = {"k": k, "metric": metric, "preprocess": preprocess}
-    return _pairwise("knn-jaccard", len(values), jaccard, metadata)
+    return _pairwise("knn-jaccard", len(values), jaccard, {})
 
 
 def second_order_cosine_index(
@@ -233,7 +235,7 @@ def second_order_cosine_index(
     units = [_unit_rows(v) for v in values]
     neighbors = [knn_neighbors(v, k, metric) for v in values]
     n = len(neighbors[0])
-    metadata = {"k": k, "metric": metric, "preprocess": preprocess, "zero_vector_scores": 0}
+    metadata = {"zero_vector_scores": 0}
 
     def profile_cosine(l, m):
         pair, scores = (units[l], units[m]), np.empty(n)
@@ -261,7 +263,7 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     """
     values, _ = _prepared_values(ensemble, preprocess)
     _require_equal_dims(values, "aligned-cosine")
-    metadata = {"preprocess": preprocess, "zero_vector_scores": 0, "degenerate_alignments": 0}
+    metadata = {"zero_vector_scores": 0, "degenerate_alignments": 0}
 
     def aligned_cosine(l, m):
         alignment = procrustes_align(values[l], values[m])
@@ -397,7 +399,7 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
         worst = max(_directed_sq(a, b, row_low), _directed_sq(b, a, col_low))
         return scale * float(np.sqrt(worst))
 
-    return _pairwise("hausdorff", len(values), hausdorff, {"preprocess": preprocess})
+    return _pairwise("hausdorff", len(values), hausdorff, {})
 
 
 def _nearest_permutation(a: _Cloud, b: _Cloud) -> np.ndarray | None:
@@ -429,9 +431,7 @@ def _nearest_permutation(a: _Cloud, b: _Cloud) -> np.ndarray | None:
     return match
 
 
-def wasserstein_index(
-    ensemble, *, preprocess: bool = False, max_nodes: int = 10_000
-) -> PairwiseIndexReport:
+def wasserstein_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
     """Minimum total squared displacement over node bijections, rooted.
 
     For pair (l, m): W = (min over bijections eta of
@@ -442,8 +442,10 @@ def wasserstein_index(
     only its n squared distances are computed, in ``cdist``'s column order,
     and the row-blocked check holds about one 16 MB block. Otherwise scipy
     builds the dense |V| x |V| cost matrix and solves the assignment; past
-    ``max_nodes`` nodes such a pair raises InstanceTooLarge instead. Either
-    way W is scipy's float bit for bit: the same n costs, summed the same way.
+    ``_DENSE_MAX_NODES`` (10 000) nodes such a pair raises InstanceTooLarge
+    instead, and the report's metadata names that cap as ``max_nodes``.
+    Either way W is scipy's float bit for bit: the same n costs, summed the
+    same way.
     """
     values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "wasserstein")
@@ -453,10 +455,10 @@ def wasserstein_index(
         match = _nearest_permutation(_Cloud.of(values[l]), _Cloud.of(values[m]))
         if match is not None:
             matched = _exact_sq(values[l].T, values[m][match].T, np.subtract)
-        elif n_nodes > max_nodes:
+        elif n_nodes > _DENSE_MAX_NODES:
             raise InstanceTooLarge(
                 f"wasserstein pair ({l}, {m}) needs a dense {n_nodes} x {n_nodes} "
-                f"cost matrix; cap is {max_nodes} nodes"
+                f"cost matrix; cap is {_DENSE_MAX_NODES} nodes"
             )
         else:
             from scipy.optimize import linear_sum_assignment
@@ -466,5 +468,4 @@ def wasserstein_index(
             matched = cost[linear_sum_assignment(cost)]
         return scale * float(np.sqrt(matched.sum()))
 
-    metadata = {"preprocess": preprocess, "max_nodes": max_nodes}
-    return _pairwise("wasserstein", len(values), wasserstein, metadata)
+    return _pairwise("wasserstein", len(values), wasserstein, {"max_nodes": _DENSE_MAX_NODES})

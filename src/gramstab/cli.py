@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .baselines import (
     METRICS,
+    PAIR_CONVENTION,
     aligned_cosine_index,
     hausdorff_index,
     knn_jaccard_index,
@@ -181,10 +182,10 @@ def _cmd_baseline(args) -> int:
             options.update(k=args.k, metric=args.metric)
         report = _baselines()[args.index](configs, **options)
         _emit("baseline", {
-            "index_name": report.index_name,
+            "index_name": args.index,
             "aggregate": report.aggregate,
-            "n_configs": report.n_configs,
-            "pair_convention": report.pair_convention,
+            "n_configs": len(configs),
+            "pair_convention": PAIR_CONVENTION,
             "per_pair": [
                 {
                     "pair": [l, m],
@@ -194,7 +195,7 @@ def _cmd_baseline(args) -> int:
                 for l, m in sorted(report.per_pair)
             ],
             "options": options,
-            "metadata": {k: report.metadata[k] for k in sorted(report.metadata)},
+            "metadata": dict(sorted({**options, **report.metadata}.items())),
         }, args, hashes, started)
     return 0
 
@@ -202,11 +203,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
     parsed = _load_graph(manifest)
-    # The id map is not reported: let it go before the configurations stream.
     graph = parsed.graph
-    tallies = {"self_loops_dropped": parsed.self_loops_dropped,
-               "duplicates_dropped": parsed.duplicates_dropped}
-    del parsed
     dims = validate_ensemble(map(load_embeddings, manifest.embedding_paths), graph)
     _emit("validate", {
         "ok": True,
@@ -215,7 +212,8 @@ def _cmd_validate(args) -> int:
         "edge_count": graph.edge_count,
         "dims": list(dims),
         "labels": list(manifest.labels),
-        **tallies,
+        "self_loops_dropped": parsed.self_loops_dropped,
+        "duplicates_dropped": parsed.duplicates_dropped,
     }, args)
     return 0
 
@@ -223,6 +221,8 @@ def _cmd_validate(args) -> int:
 def _cmd_synth(args) -> int:
     # Refused before anything is written: each would make synth fail midway
     # or write an ensemble that the other commands reject.
+    if args.nodes < 2:
+        raise ShapeMismatch(f"--nodes must be at least 2, got {args.nodes}")
     if args.configs < 2:
         raise TooFewConfigs(f"--configs must be at least 2, got {args.configs}")
     if args.dim < 1:
@@ -231,6 +231,8 @@ def _cmd_synth(args) -> int:
         raise GramstabError(f"--avg-degree must be finite and > 0, got {args.avg_degree}")
     if not (math.isfinite(args.noise) and args.noise >= 0):
         raise GramstabError(f"--noise must be finite and >= 0, got {args.noise}")
+    if args.seed < 0:
+        raise GramstabError(f"--seed must be >= 0, got {args.seed}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = random_graph(args.nodes, args.avg_degree, args.seed)

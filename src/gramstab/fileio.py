@@ -19,7 +19,7 @@ import struct
 import threading
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -58,10 +58,14 @@ _HASH_BUFFER = 1 << 18
 
 @dataclass(frozen=True)
 class EdgeListResult:
-    """Parsed edge list plus the id remapping and cleanup tallies."""
+    """Parsed edge list plus the original ids and cleanup tallies.
+
+    ``ids[i]`` is row i's original id, an ascending int64 array, when the
+    loader numbered the rows itself; None when the caller's id map did.
+    """
 
     graph: GraphTopology
-    id_map: dict
+    ids: np.ndarray | None
     self_loops_dropped: int
     duplicates_dropped: int
 
@@ -74,12 +78,6 @@ class Manifest:
     embedding_paths: tuple[Path, ...]
     labels: tuple[str, ...]
     node_id_map: Path | None = None
-    path: Path | None = None
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def n_configs(self) -> int:
-        return len(self.embedding_paths)
 
 
 def load_id_map(path) -> dict:
@@ -122,10 +120,11 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
     """Parse a text edge list into a canonical undirected simple graph.
 
     Node ids need not be contiguous: without an explicit ``id_map`` the
-    distinct ids are remapped to 0..n-1 in ascending order and the
-    mapping is returned. With one, ids are looked up in it (and the map
-    also fixes the node count, so isolated nodes survive). Self-loops
-    and duplicate or reversed pairs are dropped and tallied.
+    distinct ids are remapped to 0..n-1 in ascending order and returned
+    as the array ``ids``, row i's original id at ``ids[i]``. With one, ids
+    are looked up in it (and the map also fixes the node count, so
+    isolated nodes survive), and ``ids`` is None. Self-loops and
+    duplicate or reversed pairs are dropped and tallied.
 
     The file is parsed in one bulk call to numpy's C reader, and the ids
     are checked and remapped with array operations. When the bulk parse
@@ -145,18 +144,14 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
         pairs = _scan_edge_lines(path, id_map)
     if not pairs.size:
         raise EmptyGraph(f"{path}: no edges found")
-    if id_map is None:
-        original = _rank_ids(pairs)
-        id_map = dict(zip(original.tolist(), range(original.size)))
-        node_count = original.size
-    else:
-        node_count = len(id_map)
+    ids = _rank_ids(pairs) if id_map is None else None
+    node_count = len(id_map) if ids is None else ids.size
     graph, n_self, n_dup = GraphTopology.from_pairs(node_count, pairs)
     if graph.edge_count == 0:
         raise EmptyGraph(f"{path}: no edges left after dropping self-loops")
     return EdgeListResult(
         graph=graph,
-        id_map=id_map,
+        ids=ids,
         self_loops_dropped=n_self,
         duplicates_dropped=n_dup,
     )
@@ -408,8 +403,7 @@ def load_manifest(path) -> Manifest:
 
     Required keys: ``graph_path`` and ``embedding_paths`` (at least two,
     all distinct). Optional: ``labels`` (one per embedding, defaults to
-    file stems) and ``node_id_map``. Unknown keys are preserved in
-    ``extra`` and otherwise ignored.
+    file stems) and ``node_id_map``. Unknown keys are ignored.
     """
     path = Path(path)
     try:
@@ -447,24 +441,19 @@ def load_manifest(path) -> Manifest:
         if len(labels) != len(embedding_paths):
             raise ManifestError(f"{path}: labels must match embedding_paths in length")
         labels = tuple(str(label) for label in labels)
-    extra = {
-        k: v
-        for k, v in raw.items()
-        if k not in ("graph_path", "embedding_paths", "labels", "node_id_map")
-    }
     return Manifest(
         graph_path=base / graph_path,
         embedding_paths=embeddings,
         labels=labels,
         node_id_map=(base / node_id_map) if node_id_map else None,
-        path=path,
-        extra=extra,
     )
 
 
 def save_manifest(path, graph_path, embedding_paths, labels=None, node_id_map=None,
                   extra: dict | None = None) -> None:
-    """Write a manifest with paths stored relative to the manifest file."""
+    """Write a manifest with paths stored relative to the manifest file,
+    and the keys of ``extra`` beside them (:func:`load_manifest` ignores
+    those)."""
     path = Path(path)
     base = path.parent
 

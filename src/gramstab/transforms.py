@@ -124,8 +124,8 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     if node_count < 2:
         raise ShapeMismatch(f"need at least 2 nodes to draw edges, got {node_count}")
     max_edges = node_count * (node_count - 1) // 2
-    target = int(round(node_count * avg_degree / 2.0))
-    target = max(1, min(target, max_edges))
+    # Clamped before int(): a huge finite degree makes an infinite product.
+    target = max(1, int(round(min(node_count * avg_degree / 2.0, max_edges))))
     rng = _stream(seed, _TAG_GRAPH)
     keys = np.empty(0, dtype=np.int64)
     draw = max(4 * target, 1024)

@@ -239,18 +239,22 @@ def test_wasserstein_equals_cdist_and_lsap_bit_for_bit():
     assert set(certified) == {True, False}
 
 
-def test_wasserstein_instance_cap():
+def test_wasserstein_instance_cap(monkeypatch):
     # The cap bounds the dense cost matrix, so it binds only a pair that
     # the nearest-neighbour certificate does not solve.
+    assert wasserstein_index([[[0.0], [1.0]]] * 2).metadata == {"max_nodes": 10_000}
     rng = np.random.default_rng(7)
     big = rng.normal(size=(11, 2))
-    report = wasserstein_index([big, big.copy()], max_nodes=10)
+    monkeypatch.setattr(baselines, "_DENSE_MAX_NODES", 10)
+    report = wasserstein_index([big, big.copy()])
     assert report.per_pair == {(0, 1): 0.0}
     assert report.metadata["max_nodes"] == 10
     noisy = [big, big + rng.normal(size=big.shape)]
-    assert wasserstein_index(noisy, max_nodes=11).per_pair[(0, 1)] == _lsap_score(*noisy)
+    monkeypatch.setattr(baselines, "_DENSE_MAX_NODES", 11)
+    assert wasserstein_index(noisy).per_pair[(0, 1)] == _lsap_score(*noisy)
+    monkeypatch.setattr(baselines, "_DENSE_MAX_NODES", 10)
     with pytest.raises(InstanceTooLarge, match=r"pair \(0, 1\) needs a dense 11 x 11"):
-        wasserstein_index(noisy, max_nodes=10)
+        wasserstein_index(noisy)
 
 
 def test_scores_past_float64_are_named_errors():
@@ -306,7 +310,7 @@ def test_every_index_checks_its_plain_list_input(name):
             index([grid, rank])
     wide = [[*row, 1.0] for row in grid]
     if name.startswith(("knn", "second")):
-        assert index([grid, wide]).n_configs == 2
+        assert list(index([grid, wide]).per_pair) == [(0, 1)]
     else:
         with pytest.raises(ShapeMismatch, match="equal embedding dimensions") as info:
             index([grid, wide])
@@ -349,8 +353,8 @@ def test_neighborhood_indices_survive_shared_relabel():
 def test_pairwise_report_shape():
     report = hausdorff_index(_ensemble(13, n_configs=4))
     assert set(report.per_pair) == {(l, m) for l in range(4) for m in range(l + 1, 4)}
-    assert report.n_configs == 4
-    assert "l < m" in report.pair_convention
+    assert report.aggregate == np.mean([report.per_pair[p] for p in sorted(report.per_pair)])
+    assert report.metadata == {}
 
 
 def test_identical_configs_are_perfectly_stable():

@@ -37,12 +37,12 @@ def workspace(tmp_path_factory):
 
 def test_synth_writes_complete_ensemble(workspace):
     manifest = load_manifest(workspace / "manifest.json")
-    assert manifest.n_configs == 3
+    assert len(manifest.embedding_paths) == 3
     assert manifest.graph_path.exists()
     assert manifest.node_id_map is not None and manifest.node_id_map.exists()
     for path in manifest.embedding_paths:
         assert path.exists()
-    assert manifest.extra["generator"]["seed"] == 17
+    assert json.loads((workspace / "manifest.json").read_text())["generator"]["seed"] == 17
 
 
 # Digests of graph.edges as written by synth --nodes 300 --avg-degree 6
@@ -145,6 +145,22 @@ def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
     (["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
     (["baseline", "--index", "aligned-cosine"],
      "09b08b057c1ebbd7719c329c7ee0deb32e4637cd0aa53fe0281d2aa537853b0a"),
+    (["baseline", "--index", "knn-jaccard"],
+     "f85a2d618f617fcb54e79729e19a4bfd05292df2c663d9c6ccd9203bf83bb9fc"),
+    (["baseline", "--index", "knn-jaccard", "--preprocess"],
+     "0c500b3f3d9888dd5da5e95db4a58e85685dbabe572fac44bd7f7fefe0d21660"),
+    (["baseline", "--index", "knn-jaccard", "--metric", "euclidean"],
+     "0c6bb687c3a61741139095e60ac866094bb0ddbacbe9955821595b4bb03bb277"),
+    (["baseline", "--index", "second-order-cosine"],
+     "e12e6a29e1712898055bb754533998ef8c03a6441dc5909cbb10bd22b67c02a7"),
+    (["baseline", "--index", "second-order-cosine", "--preprocess"],
+     "f130b508d1c0a7406efbe8d130f81fac095904effd8b7eac6db0d9031a39dc4a"),
+    (["baseline", "--index", "second-order-cosine", "--metric", "euclidean"],
+     "f9a3dc63dc915c630158db1a9d49dda290bc6a6ac07eb959652f955db1cf6b07"),
+    (["baseline", "--index", "hausdorff"],
+     "32eaeb36b371f836e66dddbc13f53b6a14997af118356c384b0213638d7ba2a4"),
+    (["baseline", "--index", "wasserstein"],
+     "711e70a8401c5e16c05b216cf59a38b12c4650ed0a562a67a53177a6eca85352"),
 ])
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
@@ -309,14 +325,16 @@ def test_usage_errors_exit_2():
 @pytest.mark.parametrize("flag, value", [
     ("--configs", "1"), ("--configs", "-2"), ("--dim", "0"), ("--dim", "-1"),
     ("--avg-degree", "nan"), ("--avg-degree", "inf"), ("--avg-degree", "-5"),
-    ("--noise", "-1"), ("--noise", "nan"),
+    ("--noise", "-1"), ("--noise", "nan"), ("--seed", "-1"), ("--nodes", "1"),
+    ("--nodes", "0"),
 ])
 def test_synth_refuses_bad_arguments_before_writing(tmp_path, capsys, flag, value):
     # These used to write an ensemble that ggi, baseline and validate all
-    # refuse, or to fail midway with an internal error.
+    # refuse, or to fail midway with an internal error, or to create
+    # --out-dir before failing.
     argv = {"--nodes": "30", "--dim": "3", "--configs": "3", flag: value}
     code = run_cli(["synth", *(s for item in argv.items() for s in item),
-                    "--out-dir", str(tmp_path)])
+                    "--out-dir", str(tmp_path / "ensemble")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"gramstab: error: {flag} must be") and err.count("\n") == 1

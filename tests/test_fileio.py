@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +149,31 @@ def test_edge_list_remaps_noncontiguous_ids(tmp_path):
     path.write_text("10 500\n500 9000\n")
     result = load_edge_list(path)
     assert result.graph.node_count == 3
-    assert result.id_map == {10: 0, 500: 1, 9000: 2}
+    assert result.ids.dtype == np.int64
+    assert result.ids.tolist() == [10, 500, 9000]
     assert result.graph.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_sparse_ids_load_as_one_array(tmp_path):
+    # 200k distinct 40-bit ids without an id map: the result holds row i's
+    # original id in an int64 array, not a Python object per id.
+    rng = np.random.default_rng(19)
+    ids = rng.permutation(np.unique(rng.integers(0, 2**40, size=200_100))[:200_000])
+    pairs = ids.reshape(-1, 2)
+    path = tmp_path / "sparse.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load_edge_list(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * (result.graph.edges.nbytes + result.ids.nbytes)
+    assert result.ids.dtype == np.int64 and (np.diff(result.ids) > 0).all()
+    canonical = np.sort(pairs, axis=1)
+    canonical = canonical[np.lexsort((canonical[:, 1], canonical[:, 0]))]
+    np.testing.assert_array_equal(result.ids[result.graph.edges], canonical)
 
 
 def test_edge_list_counts_drops(tmp_path):
@@ -167,6 +191,7 @@ def test_edge_list_id_map_keeps_isolated_nodes(tmp_path):
     id_map = {0: 0, 1: 1, 2: 2}  # node 2 has no edges
     result = load_edge_list(path, id_map=id_map)
     assert result.graph.node_count == 3
+    assert result.ids is None  # the caller holds the map
 
 
 def test_edge_list_errors(tmp_path):
@@ -282,9 +307,14 @@ def _library_outcome(path, id_map):
         return ("parse", err.line)
     except EmptyGraph:
         return ("empty", None)
+    if id_map is None:
+        assert result.ids.dtype == np.int64
+        id_map = dict(zip(result.ids.tolist(), range(result.ids.size)))
+    else:
+        assert result.ids is None
     return (
         result.graph.edges.tolist(),
-        result.id_map,
+        id_map,
         result.graph.node_count,
         result.self_loops_dropped,
         result.duplicates_dropped,
@@ -518,8 +548,7 @@ def test_manifest_round_trip(tmp_path):
     assert manifest.graph_path == graph
     assert manifest.embedding_paths == (a, b)
     assert manifest.labels == ("run-a", "run-b")
-    assert manifest.n_configs == 2
-    assert manifest.extra == {"note": "kept"}
+    assert json.loads(manifest_path.read_text())["note"] == "kept"  # written, then ignored
 
 
 def test_manifest_labels_default_to_stems(tmp_path):

@@ -136,6 +136,8 @@ def test_random_graph_matches_row_masking_oracle(node_count, degree_share, seed)
 def test_random_graph_caps_at_complete_graph():
     graph = random_graph(5, 100.0, 0)
     assert graph.edge_count == 10  # 5 choose 2
+    # 30 * 1e308 overflows to inf; the target is clamped before int().
+    assert random_graph(30, 1e308, 0).edge_count == 435  # 30 choose 2
 
 
 def test_synthetic_zero_noise_yields_identical_configs():
