@@ -4,7 +4,8 @@ Real ensembles arrive as files: an edge list from one pipeline,
 embedding matrices from N training runs. This script builds such a
 directory by hand (mixing the binary and CSV formats), describes it
 with a manifest, and then drives the command line interface in-process
-to validate it and compute indices. Everything lands in a temp dir.
+to validate it and compute indices. Everything lands in a temp dir,
+removed at the end.
 Run with: python3 demos/04_files_and_cli.py
 """
 
@@ -17,7 +18,8 @@ import numpy as np
 from gramstab import save_embeddings, save_manifest
 from gramstab.cli import run_cli
 
-root = Path(tempfile.mkdtemp(prefix="gramstab-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="gramstab-demo-")
+root = Path(workdir.name)
 print(f"working in {root}\n")
 
 # An edge list is whitespace-separated integer pairs; comments and
@@ -77,3 +79,5 @@ save_manifest(bad_manifest, graph_path, [clipped, paths[1]])
 print("\n$ gramstab ggi --manifest bad_manifest.json   (truncated file)")
 code = run_cli(["ggi", "--manifest", str(bad_manifest)])
 print(f"exit code {code}")
+
+workdir.cleanup()

@@ -69,8 +69,8 @@ def _baselines() -> dict:
 
 
 def _load_graph(manifest: Manifest) -> EdgeListResult:
-    id_map = load_id_map(manifest.node_id_map) if manifest.node_id_map else None
-    return load_edge_list(manifest.graph_path, id_map=id_map)
+    ids = None if manifest.node_id_map is None else load_id_map(manifest.node_id_map)
+    return load_edge_list(manifest.graph_path, ids=ids)
 
 
 class _InputHashes:

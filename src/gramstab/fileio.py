@@ -18,7 +18,6 @@ import os
 import struct
 import threading
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -45,11 +44,11 @@ _CSV_FORMAT = "%.17g"
 # Node ids per formatted chunk of an edge list written by save_edge_list.
 _EDGE_CHUNK_IDS = 1 << 16
 
-# An id map whose keys are non-negative and below this many times their
-# count is looked up through a dense table. The table beat binary search
-# at every spread measured, up to 256 times the id count, so memory sets
-# the cutoff: at 8 the table takes at most 64 bytes per id, less than
-# the id map's dict already holds.
+# Ids that are non-negative and below this many times their count are
+# looked up through a dense table. The table beat binary search at every
+# spread measured, up to 256 times the id count, so memory sets the
+# cutoff: at 8 the table takes at most 64 bytes per id, eight times the
+# ids array, and it lives only while one edge list loads.
 _DENSE_ID_SPREAD = 8
 
 # Bytes per read when hashing a file.
@@ -60,12 +59,12 @@ _HASH_BUFFER = 1 << 18
 class EdgeListResult:
     """Parsed edge list plus the original ids and cleanup tallies.
 
-    ``ids[i]`` is row i's original id, an ascending int64 array, when the
-    loader numbered the rows itself; None when the caller's id map did.
+    ``ids[i]`` is row i's original id: the caller's array when one was
+    given, otherwise the ascending int64 array the loader numbered.
     """
 
     graph: GraphTopology
-    ids: np.ndarray | None
+    ids: np.ndarray
     self_loops_dropped: int
     duplicates_dropped: int
 
@@ -80,12 +79,14 @@ class Manifest:
     node_id_map: Path | None = None
 
 
-def load_id_map(path) -> dict:
-    """Read a JSON object mapping original node ids to row indices.
+def load_id_map(path) -> np.ndarray:
+    """Read a JSON object mapping original node ids to row indices, and
+    return ``ids``, where ``ids[row]`` is that row's original id.
 
-    Values must be integers (a float or boolean is a ParseError) forming
-    a bijection onto 0..n-1, and no two keys may name the same integer id;
-    anything else raises NotABijection.
+    ``ids`` is int64, or an object array of Python ints when a key does
+    not fit in int64. Rows must be integers (a float or boolean is a
+    ParseError) forming a bijection onto 0..n-1, and no two keys may name
+    the same integer id; anything else raises NotABijection.
     """
     path = Path(path)
     try:
@@ -94,36 +95,48 @@ def load_id_map(path) -> dict:
         raise ParseError(f"invalid JSON id map: {exc}", path=str(path)) from exc
     if not isinstance(raw, dict) or not raw:
         raise ParseError("id map must be a non-empty JSON object", path=str(path))
-    mapping = {}
+    keys, rows = [], []
     for key, value in raw.items():
         try:
             if isinstance(value, (bool, float)):  # int() makes 1.9 row 1, false row 0
                 raise TypeError(f"row {value!r} is not an integer")
-            mapping[int(key)] = int(value)
+            keys.append(int(key))
+            rows.append(int(value))
         except (TypeError, ValueError) as exc:
-            raise ParseError(
-                f"id map entries must be integers, got {key!r}: {value!r}",
-                path=str(path),
-            ) from exc
-    if len(mapping) < len(raw):  # two keys, such as "1" and "01", spell one id
-        twice = next(i for i, count in Counter(map(int, raw)).items() if count > 1)
-        raise NotABijection(f"{path}: id map names id {twice} twice")
-    rows = sorted(mapping.values())
-    if rows != list(range(len(mapping))):
+            raise ParseError(f"id map entries must be integers, got {key!r}: {value!r}",
+                             path=str(path)) from exc
+    try:
+        keys = np.array(keys, dtype=np.int64)
+    except OverflowError:  # a key past int64: only the rescan compares it exactly
+        keys = np.array(keys, dtype=object)
+    _require_distinct(keys, f"{path}: id map")  # "1" and "01" spell one id
+    rows = np.array(rows)
+    if not np.array_equal(np.sort(rows), np.arange(rows.size)):
         raise NotABijection(
-            f"{path}: id map values must be a bijection onto 0..{len(mapping) - 1}"
+            f"{path}: id map values must be a bijection onto 0..{rows.size - 1}"
         )
-    return mapping
+    ids = np.empty_like(keys)
+    ids[rows] = keys
+    return ids
 
 
-def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
+def _require_distinct(ids: np.ndarray, source: str) -> None:
+    """Raise NotABijection naming an id that ``ids`` holds twice."""
+    ordered = np.sort(ids)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if twice.size:
+        raise NotABijection(f"{source} names id {twice[0]} twice")
+
+
+def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     """Parse a text edge list into a canonical undirected simple graph.
 
-    Node ids need not be contiguous: without an explicit ``id_map`` the
-    distinct ids are remapped to 0..n-1 in ascending order and returned
-    as the array ``ids``, row i's original id at ``ids[i]``. With one, ids
-    are looked up in it (and the map also fixes the node count, so
-    isolated nodes survive), and ``ids`` is None. Self-loops and
+    Node ids need not be contiguous. Given ``ids``, as
+    :func:`load_id_map` returns it, the id ``ids[i]`` becomes row i (and
+    ``ids`` also fixes the node count, so isolated nodes survive); an id
+    it holds twice is a NotABijection. Without it, the distinct ids are
+    remapped to 0..n-1 in ascending order. Either way the result's
+    ``ids`` holds row i's original id at ``ids[i]``. Self-loops and
     duplicate or reversed pairs are dropped and tallied.
 
     The file is parsed in one bulk call to numpy's C reader, and the ids
@@ -135,26 +148,23 @@ def load_edge_list(path, id_map: dict | None = None) -> EdgeListResult:
     on which path ran.
     """
     path = Path(path)
+    if ids is not None:
+        _require_distinct(ids, "ids")
     pairs = _read_pairs(path)
-    if pairs is not None and id_map is not None:
-        pairs = _lookup_ids(pairs, id_map)
+    if pairs is not None and ids is not None:
+        pairs = _lookup_ids(pairs, ids)
     elif pairs is not None and pairs.size and pairs.min() < 0:
         pairs = None
     if pairs is None:
-        pairs = _scan_edge_lines(path, id_map)
+        pairs = _scan_edge_lines(path, ids)
     if not pairs.size:
         raise EmptyGraph(f"{path}: no edges found")
-    ids = _rank_ids(pairs) if id_map is None else None
-    node_count = len(id_map) if ids is None else ids.size
-    graph, n_self, n_dup = GraphTopology.from_pairs(node_count, pairs)
+    if ids is None:
+        ids = _rank_ids(pairs)
+    graph, n_self, n_dup = GraphTopology.from_pairs(ids.size, pairs)
     if graph.edge_count == 0:
         raise EmptyGraph(f"{path}: no edges left after dropping self-loops")
-    return EdgeListResult(
-        graph=graph,
-        ids=ids,
-        self_loops_dropped=n_self,
-        duplicates_dropped=n_dup,
-    )
+    return EdgeListResult(graph, ids, self_loops_dropped=n_self, duplicates_dropped=n_dup)
 
 
 def _read_pairs(path: Path) -> np.ndarray | None:
@@ -193,91 +203,71 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     return distinct
 
 
-def _lookup_ids(pairs: np.ndarray, id_map: dict) -> np.ndarray | None:
-    """Map ids to rows through ``id_map``; None if an id is missing.
+def _lookup_ids(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
+    """Map each id to its row, the i with ``ids[i]`` equal to it, given
+    distinct ``ids``; None if an id is missing.
 
-    Non-negative keys below ``_DENSE_ID_SPREAD`` times their count index a
-    table of rows directly; other keys are looked up by binary search.
+    Non-negative ids below ``_DENSE_ID_SPREAD`` times their count index a
+    table of rows directly; other ids are looked up by binary search.
     """
-    keys = np.array(list(id_map))
-    if keys.dtype != np.int64:
-        # Keys beyond int64 (numpy would compare them with int64 ids as
-        # float64) or keys that are not integers: the rescan looks them
-        # up exactly.
+    if ids.dtype != np.int64:
+        # Ids beyond int64 (numpy would compare them with int64 ids as
+        # float64) or not integers: the rescan looks them up exactly.
         return None
-    rows = np.array(list(id_map.values()), dtype=np.int64)
-    top = int(keys.max())
-    if keys.min() >= 0 and top < _DENSE_ID_SPREAD * keys.size:
+    # ``initial`` keeps the bounds checks valid on empty ``ids`` and on an
+    # edge list without edges.
+    top = int(ids.max(initial=-1))
+    if ids.min(initial=0) >= 0 and top < _DENSE_ID_SPREAD * ids.size:
         table = np.full(top + 1, -1, dtype=np.int64)
-        table[keys] = rows
-        # ``initial`` keeps the bounds check valid on an edge list without edges.
+        table[ids] = np.arange(ids.size)
         if pairs.min(initial=0) < 0 or pairs.max(initial=0) > top:
             return None
         mapped = table[pairs]
         return None if (mapped < 0).any() else mapped
-    order = np.argsort(keys)
-    keys, rows = keys[order], rows[order]
+    order = np.argsort(ids)
+    keys = ids[order]
     pos = np.searchsorted(keys, pairs)
     found = pos < keys.size
     if not found.all() or (keys[pos] != pairs).any():
         return None
-    return rows[pos]
+    return order[pos]
 
 
-def _scan_edge_lines(path: Path, id_map: dict | None) -> np.ndarray:
+def _scan_edge_lines(path: Path, ids: np.ndarray | None) -> np.ndarray:
     """Line-by-line parse behind :func:`load_edge_list`'s bulk path.
 
     Raises the ParseError of the first bad line. Returns the pairs as an
-    (E, 2) int64 array, already mapped through ``id_map`` if one is given.
+    (E, 2) int64 array, already mapped to rows of ``ids`` if given.
     """
-    sources: list[int] = []
-    targets: list[int] = []
+    id_map = None if ids is None else dict(zip(ids.tolist(), range(ids.size)))
+    pairs: list[tuple[int, int]] = []
     with path.open("rb") as handle:
         for line_number, line in enumerate(_text_lines(path, handle), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
             tokens = body.split()
+            where = {"path": str(path), "line": line_number}
             if len(tokens) < 2:
-                raise ParseError(
-                    f"expected at least two columns, got {len(tokens)}",
-                    path=str(path),
-                    line=line_number,
-                )
+                raise ParseError(f"expected at least two columns, got {len(tokens)}", **where)
             try:
                 a, b = int(tokens[0]), int(tokens[1])
             except ValueError as exc:
-                raise ParseError(
-                    f"node ids must be integers: {exc}",
-                    path=str(path),
-                    line=line_number,
-                ) from exc
+                raise ParseError(f"node ids must be integers: {exc}", **where) from exc
             if id_map is not None:
                 try:
                     a, b = id_map[a], id_map[b]
                 except KeyError as exc:
-                    raise ParseError(
-                        f"node id {exc.args[0]} is not in the id map",
-                        path=str(path),
-                        line=line_number,
-                    ) from exc
+                    message = f"node id {exc.args[0]} is not in the id map"
+                    raise ParseError(message, **where) from exc
             elif a < 0 or b < 0:
-                raise ParseError(
-                    "node ids must be non-negative",
-                    path=str(path),
-                    line=line_number,
-                )
+                raise ParseError("node ids must be non-negative", **where)
             elif max(a, b) > _INT64_MAX:
                 raise ParseError(
-                    f"node id {max(a, b)} does not fit in a signed 64-bit integer",
-                    path=str(path),
-                    line=line_number,
+                    f"node id {max(a, b)} does not fit in a signed 64-bit integer", **where
                 )
-            sources.append(a)
-            targets.append(b)
-    return np.column_stack(
-        [np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)]
-    )
+            pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _text_lines(path: Path, handle) -> Iterator[str]:
@@ -424,7 +414,8 @@ def load_manifest(path) -> Manifest:
     if node_id_map is not None:
         named.append(("node_id_map", node_id_map))
     for key, value in named:
-        if not isinstance(value, str):
+        # An empty string would name the manifest's own directory.
+        if not isinstance(value, str) or not value:
             raise ManifestError(f"{path}: {key}: expected a path string, got {value!r}")
     base = path.parent
     embeddings = tuple(base / p for p in embedding_paths)
@@ -445,7 +436,7 @@ def load_manifest(path) -> Manifest:
         graph_path=base / graph_path,
         embedding_paths=embeddings,
         labels=labels,
-        node_id_map=(base / node_id_map) if node_id_map else None,
+        node_id_map=None if node_id_map is None else base / node_id_map,
     )
 
 

@@ -286,6 +286,18 @@ def edge_list_brute(path, id_map=None):
     return [list(edge) for edge in sorted(seen)], id_map, self_loops, duplicates
 
 
+def id_map_brute(doc):
+    """An id-map JSON object read as plain python: ``{int(key): int(row)}``,
+    or "twice" when two keys spell one id, or "rows" when the rows are not
+    0..n-1."""
+    mapping = {int(key): int(row) for key, row in doc.items()}
+    if len(mapping) < len(doc):
+        return "twice"
+    if sorted(mapping.values()) != list(range(len(mapping))):
+        return "rows"
+    return mapping
+
+
 def edge_list_text_brute(edges, comment=None):
     """The text of an edge list written one f-string per edge row: an
     optional ``# comment`` line, then ``i j`` for each row of ``edges``."""

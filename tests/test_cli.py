@@ -164,11 +164,48 @@ def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
 ])
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
+    _synth_report_ensemble()
+    capsys.readouterr()
+    assert run_cli([*argv, "--manifest", "manifest.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _synth_report_ensemble():
+    """The ensemble behind the pinned reports, written to the working directory."""
     assert run_cli([
         "synth", "--nodes", "60", "--avg-degree", "4", "--dim", "3", "--configs", "3",
         "--noise", "0.1", "--seed", "23", "--out-dir", ".",
     ]) == 0
+
+
+# Synth's identity id map takes the dense table. These maps rename node j
+# of the ensemble above to id KEY(j) at row 7j mod 60, in both the edge
+# list and the id map: sparse negative ids take the binary search, and an
+# id of 2**64 takes the rescan. validate reports only counts, so its bytes
+# are the identity map's.
+_RENAMED_IDS = {
+    "sparse": lambda j: 1009 * (j - 30),
+    "past int64": lambda j: 2**64 if j == 30 else j,
+}
+
+
+@pytest.mark.parametrize("ids, argv, digest", [
+    ("sparse", ["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
+    ("sparse", ["ggi"], "9f3323b9503fd7682c66d6e805babe643e710fe04502fbe159f49aa5ee846b4d"),
+    ("past int64", ["validate"],
+     "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
+    ("past int64", ["ggi"], "dc208e2e9d8bfcb4ebc25d225e86028800a213d44fc9ff986e4e7c083df44fe6"),
+])
+def test_report_bytes_through_an_id_map_are_pinned(tmp_path, monkeypatch, capsys, ids, argv,
+                                                   digest):
+    monkeypatch.chdir(tmp_path)
+    _synth_report_ensemble()
     capsys.readouterr()
+    key = _RENAMED_IDS[ids]
+    Path("ids.json").write_text(json.dumps({str(key(j)): 7 * j % 60 for j in range(60)}))
+    header, *lines = Path("graph.edges").read_text().splitlines(keepends=True)
+    Path("graph.edges").write_text(header + "".join(
+        f"{key(int(a))} {key(int(b))}\n" for a, b in map(str.split, lines)))
     assert run_cli([*argv, "--manifest", "manifest.json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -465,6 +502,7 @@ def test_aliased_embedding_paths_exit_2(workspace, tmp_path):
         ({"graph_path": 7}, "graph_path"),
         ({"node_id_map": 3}, "node_id_map"),
         ({"labels": 5}, "labels"),
+        ({"node_id_map": ""}, "node_id_map"),
     ],
 )
 def test_manifest_field_of_wrong_type_exits_2(workspace, tmp_path, fields, key):

@@ -188,10 +188,10 @@ def test_edge_list_counts_drops(tmp_path):
 def test_edge_list_id_map_keeps_isolated_nodes(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n")
-    id_map = {0: 0, 1: 1, 2: 2}  # node 2 has no edges
-    result = load_edge_list(path, id_map=id_map)
+    ids = np.array([0, 1, 2])  # node 2 has no edges
+    result = load_edge_list(path, ids=ids)
     assert result.graph.node_count == 3
-    assert result.ids is None  # the caller holds the map
+    assert result.ids is ids
 
 
 def test_edge_list_errors(tmp_path):
@@ -214,10 +214,13 @@ def test_edge_list_errors(tmp_path):
     missing = tmp_path / "missing.edges"
     missing.write_text("0 1\n1 5\n")
     with pytest.raises(ParseError) as err:
-        load_edge_list(missing, id_map={0: 0, 1: 1})
+        load_edge_list(missing, ids=np.array([0, 1]))
     assert err.value.line == 2
     with pytest.raises(ParseError) as err:
-        load_edge_list(missing, id_map={"0": 0, "1": 1})  # keys must be ints
+        load_edge_list(missing, ids=np.array(["0", "1"]))  # ids must be ints
+    assert err.value.line == 1
+    with pytest.raises(ParseError) as err:
+        load_edge_list(missing, ids=np.array([], dtype=np.int64))
     assert err.value.line == 1
 
     with pytest.raises(FileNotFoundError, match="No such file or directory"):
@@ -300,21 +303,29 @@ def _maybe_id_map(draw):
     return dict(zip(keys, rows))
 
 
+def _written_id_map(path, id_map):
+    """``id_map`` as :func:`load_id_map` reads it back from a JSON file."""
+    path.write_text(json.dumps({str(key): row for key, row in id_map.items()}))
+    return load_id_map(path)
+
+
 def _library_outcome(path, id_map):
+    """The loader's outcome on ``path``, with ``id_map`` passed through a
+    JSON file beside it and :func:`load_id_map`."""
+    ids = None if id_map is None else _written_id_map(path.with_name("ids.json"), id_map)
     try:
-        result = load_edge_list(path, id_map=id_map)
+        result = load_edge_list(path, ids=ids)
     except ParseError as err:
         return ("parse", err.line)
     except EmptyGraph:
         return ("empty", None)
-    if id_map is None:
+    if ids is None:
         assert result.ids.dtype == np.int64
-        id_map = dict(zip(result.ids.tolist(), range(result.ids.size)))
     else:
-        assert result.ids is None
+        assert result.ids is ids
     return (
         result.graph.edges.tolist(),
-        id_map,
+        dict(zip(result.ids.tolist(), range(result.ids.size))),
         result.graph.node_count,
         result.self_loops_dropped,
         result.duplicates_dropped,
@@ -333,8 +344,9 @@ def _oracle_outcome(path, id_map):
 @given(text=_edge_list_text(), id_map=_maybe_id_map())
 @example(text="0 1\n-4 1\n", id_map=None)
 @example(text="1_000 7\n\u0663 1\n", id_map=None)
-# 2**63 makes the keys uint64, and numpy compares uint64 with int64 as
-# float64, where 2**63 - 1 and 2**63 are equal.
+# 2**63 does not fit in int64, so the ids are an object array, which only
+# the rescan compares exactly: numpy compares uint64 with int64 as float64,
+# where 2**63 - 1 and 2**63 are equal.
 @example(text="0 1\n9223372036854775807 1\n", id_map={0: 0, 1: 1, 2**63: 2})
 def test_edge_list_matches_per_line_oracle(text, id_map):
     with tempfile.TemporaryDirectory() as tmp:
@@ -393,21 +405,37 @@ def _id_lookup_case(draw):
 def test_dense_id_table_matches_binary_search(case):
     id_map, ids = case
     pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    dense = fileio_mod._lookup_ids(pairs.copy(), id_map)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio_mod, "_DENSE_ID_SPREAD", 0)
-        searched = fileio_mod._lookup_ids(pairs.copy(), id_map)
-    if all(i in id_map for i in ids):
-        expected = np.array([id_map[i] for i in ids]).reshape(-1, 2)
-        assert np.array_equal(dense, expected) and np.array_equal(searched, expected)
-    else:
-        assert dense is None and searched is None
-    # Through the loader: an unmapped id is the oracle's ParseError line.
     text = "# ids\n" + "".join(f"{a} {b}\n" for a, b in zip(ids[::2], ids[1::2]))
     with tempfile.TemporaryDirectory() as tmp:
+        row_ids = _written_id_map(Path(tmp) / "ids.json", id_map)
+        dense = fileio_mod._lookup_ids(pairs.copy(), row_ids)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio_mod, "_DENSE_ID_SPREAD", 0)
+            searched = fileio_mod._lookup_ids(pairs.copy(), row_ids)
+        if all(i in id_map for i in ids):
+            expected = np.array([id_map[i] for i in ids]).reshape(-1, 2)
+            assert np.array_equal(dense, expected) and np.array_equal(searched, expected)
+        else:
+            assert dense is None and searched is None
+        # Through the loader: an unmapped id is the oracle's ParseError line.
         path = Path(tmp) / "g.edges"
         path.write_text(text)
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
+
+
+@pytest.mark.parametrize("spread", [_SPREAD, 0])
+@pytest.mark.parametrize("ids, twice", [
+    ([0, 1, 2, 1], 1),  # dense at the default spread
+    ([-5, 40, 7, -5], -5),  # binary search at any spread
+    ([0, 1, 2**64, 2**64], 2**64),  # the rescan
+])
+def test_repeated_caller_id_is_not_a_bijection(tmp_path, monkeypatch, spread, ids, twice):
+    # A dict or a table would keep one row of a repeated id and drop the other.
+    monkeypatch.setattr(fileio_mod, "_DENSE_ID_SPREAD", spread)
+    path = tmp_path / "g.edges"
+    path.write_text(f"{ids[0]} {ids[1]}\n")
+    with pytest.raises(NotABijection, match=f"id {twice} twice"):
+        load_edge_list(path, ids=np.array(ids, dtype=object if twice == 2**64 else np.int64))
 
 
 @pytest.mark.parametrize("id_map", [{0: 1, 1: 0}, {5: 0, 2**40: 1}, {-2: 0, 3: 1}])
@@ -415,7 +443,7 @@ def test_comments_only_edge_list_with_id_map_is_empty_graph(tmp_path, id_map):
     path = tmp_path / "g.edges"
     path.write_text("# no edges\n\n# at all\n")
     with pytest.raises(EmptyGraph):
-        load_edge_list(path, id_map=id_map)
+        load_edge_list(path, ids=_written_id_map(tmp_path / "ids.json", id_map))
 
 
 @pytest.mark.parametrize("size", [0, 1, _HASH_BUFFER - 1, _HASH_BUFFER, _HASH_BUFFER + 1,
@@ -477,7 +505,7 @@ def test_save_edge_list_round_trips(tmp_path):
     graph = random_graph(25, 4.0, 3)
     path = tmp_path / "g.edges"
     save_edge_list(path, graph, comment="round trip")
-    back = load_edge_list(path, id_map={i: i for i in range(25)})
+    back = load_edge_list(path, ids=np.arange(25))
     assert np.array_equal(back.graph.edges, graph.edges)
     assert back.graph.node_count == 25
 
@@ -491,9 +519,66 @@ def test_id_map_must_be_bijection(tmp_path):
     with pytest.raises(NotABijection):
         load_id_map(path)
     path.write_text(json.dumps({"0": 0, "1": 1}))
-    assert load_id_map(path) == {0: 0, 1: 1}
+    assert load_id_map(path).tolist() == [0, 1]
     path.write_text(json.dumps({"0": "1", "1": 0}))  # integer strings still load
-    assert load_id_map(path) == {0: 1, 1: 0}
+    assert load_id_map(path).tolist() == [1, 0]
+
+
+# Keys in and past int64, each in several spellings int() accepts.
+_MAP_KEYS = [0, 1, 7, 10, -3, -2**63, 2**63 - 1, 2**63, 2**64]
+
+
+@st.composite
+def _id_map_text(draw):
+    """An id-map JSON text; some spell one id twice or break the rows."""
+    keys = draw(st.lists(st.sampled_from(_MAP_KEYS) | st.integers(-10**6, 10**6),
+                         min_size=1, max_size=10, unique=True))
+    rows = draw(st.permutations(range(len(keys))))
+    if draw(st.integers(0, 4)) == 0:
+        rows[0] = draw(st.sampled_from([len(keys), -1, rows[-1], 2**64]))
+    if draw(st.integers(0, 4)) == 0:
+        keys.append(draw(st.sampled_from(keys)))
+        rows.append(len(rows))
+    doc = {}
+    for key, row in zip(keys, rows):
+        digits = "0" * draw(st.integers(0, 1)) + str(abs(key))
+        sign = "-" if key < 0 else draw(st.sampled_from(["", "+"]))
+        doc[sign + digits] = draw(st.sampled_from([row, str(row)]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_id_map_text())
+@example(text='{"9223372036854775807": 0, "+9223372036854775808": "1", "07": 2}')
+@example(text='{"18446744073709551616": 1, "-9223372036854775808": 0}')
+@example(text='{"7": 0, "+7": 1}')
+def test_id_map_matches_int_oracle(text):
+    expected = oracles.id_map_brute(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.json"
+        path.write_text(text)
+        try:
+            ids = load_id_map(path)
+        except NotABijection as err:
+            assert expected == ("twice" if "twice" in str(err) else "rows")
+            return
+    assert ids.dtype == (np.int64 if all(-2**63 <= i < 2**63 for i in expected) else object)
+    assert dict(zip(ids.tolist(), range(ids.size))) == expected
+
+
+def test_id_map_holds_only_its_ids(tmp_path):
+    # A dict of 100k Python ints held 10.8 MB after the map loaded.
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({str(i): i for i in range(100_000)}))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ids = load_id_map(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * ids.nbytes
+    assert np.array_equal(ids, np.arange(100_000))
 
 
 @settings(max_examples=100, deadline=None)
@@ -509,7 +594,7 @@ def test_id_map_rejects_float_and_bool_rows(rows, slot, bad):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ids.json"
         path.write_text(json.dumps(doc))
-        assert sorted(load_id_map(path).values()) == list(range(6))
+        assert sorted(load_id_map(path).tolist()) == [10 * key for key in range(6)]
         doc[str(10 * slot)] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"'{10 * slot}'"):
