@@ -102,13 +102,7 @@ def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[
         # Center-normalizing works on copies; unprocessed values are only read.
         values = [v.copy() for v in values]
         for idx, arr in enumerate(values):
-            center_normalize_inplace(arr)
-            if not np.isfinite(arr).all():
-                raise NonFiniteScore(
-                    f"config {idx}: centered values are not finite; the entries "
-                    f"are too large for float64 arithmetic (rescale the embeddings)",
-                    config_index=idx,
-                )
+            center_normalize_inplace(arr, idx)
     scales = [magnitude_scale(v) for v in values]
     if shared:
         scales = [max(scales)] * len(values)

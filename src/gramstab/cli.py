@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="center and normalize configurations first (off by default)",
     )
-    baseline.add_argument("--out", default=None)
-    baseline.add_argument("--timings", action="store_true")
+    baseline.add_argument("--out", default=None, help="write the report here instead of stdout")
+    baseline.add_argument("--timings", action="store_true",
+                          help="include wall-clock timings (makes the report nondeterministic)")
     baseline.set_defaults(func=_cmd_baseline)
 
     synth = sub.add_parser("synth", help="write a synthetic ensemble to disk")
@@ -351,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=_cmd_synth)
 
     validate = sub.add_parser("validate", help="check a manifest's files")
-    validate.add_argument("--manifest", required=True)
-    validate.add_argument("--out", default=None)
+    validate.add_argument("--manifest", required=True, help="ensemble manifest JSON")
+    validate.add_argument("--out", default=None, help="write the report here instead of stdout")
     validate.set_defaults(func=_cmd_validate)
 
     return parser

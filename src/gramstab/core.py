@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NonFiniteInput, ShapeMismatch, TooFewConfigs
+from .errors import NonFiniteInput, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
 # A row whose centered norm is below this times its configuration's magnitude
 # (the larger of its largest centered row norm and largest |column mean|) is
@@ -157,10 +157,10 @@ def magnitude_scale(values: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
 
 
-# Overflow is reported by the callers' finiteness checks as a named error;
-# numpy's own warnings would only add lines to stderr.
+# Overflow is raised below as a named error; numpy's own warnings would only
+# add lines to stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def center_normalize_inplace(arr: np.ndarray) -> int:
+def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     """Center columns and L2-normalize rows of a writable array, in place.
 
     Afterwards every entry of the Gram matrix Z Z^T is the cosine of two
@@ -169,8 +169,8 @@ def center_normalize_inplace(arr: np.ndarray) -> int:
     by its :func:`magnitude_scale`. Rows that are degenerate (see
     ``DEGENERATE_ROW_NORM``) are set to exact zeros and tallied rather
     than rejected; returns their count. Entries too large for float64
-    arithmetic leave NaN or inf, without a numpy warning, which callers
-    check for.
+    arithmetic raise NonFiniteScore labelled with ``config_index``, so no
+    NaN or inf is ever left in ``arr``.
     """
     mean = arr.mean(axis=0)
     arr -= mean
@@ -180,9 +180,15 @@ def center_normalize_inplace(arr: np.ndarray) -> int:
         scale = magnitude_scale(arr)
         arr /= scale
         norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    # A row norm is finite exactly when every entry of its row is.
+    if not np.isfinite(norms).all():
+        raise NonFiniteScore(
+            f"config {config_index}: centered values are not finite; the entries "
+            f"are too large for float64 arithmetic (rescale the embeddings)",
+            config_index=config_index,
+        )
     magnitude = max(norms.max(), np.abs(mean).max() / scale)
-    # Strictly below, so that rows left infinite by an overflowed mean are
-    # not zeroed but turn NaN; all-zero rows have no norm to be below.
+    # An all-zero configuration has magnitude 0, so zero norms count as well.
     degenerate = (norms < DEGENERATE_ROW_NORM * magnitude) | (norms == 0.0)
     n_degenerate = int(np.count_nonzero(degenerate))
     if n_degenerate:

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 
 class GramstabError(Exception):
-    """Base class for input and validation errors."""
+    """Base class for input and validation errors. ``config_index`` names
+    the configuration of an ensemble an error was found in, or is None."""
 
     exit_code = 2
+
+    def __init__(self, message: str = "", config_index: int | None = None):
+        super().__init__(message)
+        self.config_index = config_index
 
 
 class NonFiniteInput(GramstabError):
@@ -26,22 +31,14 @@ class ShapeMismatch(GramstabError):
     was detected inside an ensemble.
     """
 
-    def __init__(self, message: str, config_index: int | None = None):
-        super().__init__(message)
-        self.config_index = config_index
-
 
 class NonFiniteScore(GramstabError):
     """A score or index is NaN or infinite although every entry is finite.
 
-    The result is too large for float64: a raw edge summary, a pair's
-    distance, or their spread. ``config_index`` names the configuration
-    of an edge summary; the message names the pair of a pair score.
+    The result is too large for float64: centered values, a raw edge
+    summary, a pair's distance, or their spread. ``config_index`` names
+    the configuration of the first two; the message names a pair's.
     """
-
-    def __init__(self, message: str, config_index: int | None = None):
-        super().__init__(message)
-        self.config_index = config_index
 
 
 class EmptyGraph(GramstabError):

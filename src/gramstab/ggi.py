@@ -51,8 +51,6 @@ class StabilityReport:
     index_value: float
     scores: np.ndarray
     degenerate_rows: tuple[int, ...]
-    preprocess: bool
-    std: str
 
     @property
     def index_percent(self) -> float:
@@ -110,8 +108,9 @@ def score_configuration(
     Returns the score, the mean inner product over graph edges, and the
     number of degenerate rows the preprocessing found (0 without it).
 
-    With ``copy=False`` the input array is centered and normalized in
-    place; only pass arrays the caller owns. A score that is not finite
+    With ``copy=False`` a writable float64 input array is centered and
+    normalized in place; only pass arrays the caller owns. An input that
+    must be converted is never copied again. A score that is not finite
     (finite entries too large for float64 arithmetic) raises
     NonFiniteScore. Preprocessed scores are checked against the cosine
     bound |s| <= 1.
@@ -127,9 +126,10 @@ def score_configuration(
         )
     n_degenerate = 0
     if preprocess:
-        if copy or not (isinstance(mat, np.ndarray) and values.flags.writeable):
+        # A converted input is already a fresh array this call owns.
+        if np.may_share_memory(values, mat) and (copy or not values.flags.writeable):
             values = values.copy()
-        n_degenerate = center_normalize_inplace(values)
+        n_degenerate = center_normalize_inplace(values, config_index)
     score = _edge_mean_inner(values, graph.edges)
     if not np.isfinite(score):
         raise NonFiniteScore(
@@ -190,9 +190,9 @@ def ggi_index(
     Returns
     -------
     StabilityReport
-        The index, the per-configuration scores and degenerate-row counts,
-        and the conventions used. ``index_value`` is always recomputable
-        from ``scores``.
+        The index and the per-configuration scores and degenerate-row
+        counts. ``index_value`` is always recomputable from ``scores``
+        under the ``std`` passed.
     """
     _ddof(std)
     scores: list[float] = []
@@ -217,4 +217,4 @@ def ggi_index(
     if not np.isfinite(index_value * 100.0):
         raise NonFiniteScore(f"the index is {index_value!r}; in percent it is too "
                              f"large for float64 (rescale the embeddings)")
-    return StabilityReport(index_value, column, tuple(degenerate_rows), preprocess, std)
+    return StabilityReport(index_value, column, tuple(degenerate_rows))

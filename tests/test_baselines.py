@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
+    GraphTopology,
     InstanceTooLarge,
     KTooLarge,
     NonFiniteInput,
@@ -17,6 +18,7 @@ from gramstab import (
     ShapeMismatch,
     TooFewConfigs,
     aligned_cosine_index,
+    ggi_index,
     hausdorff_index,
     knn_jaccard_index,
     knn_neighbors,
@@ -290,6 +292,45 @@ _INDICES = {
     "hausdorff": hausdorff_index,
     "wasserstein": wasserstein_index,
 }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    dim=st.integers(min_value=1, max_value=6),
+    n_configs=st.integers(min_value=2, max_value=4),
+    bad=st.integers(min_value=0, max_value=3),
+    column=st.integers(min_value=0, max_value=5),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_centering_overflow_is_one_named_error_for_every_index(n, dim, n_configs, bad,
+                                                               column, sign, seed):
+    # One column of one configuration at +-1.7e308 overflows its column sum.
+    # ggi and every baseline name that configuration through the one rule
+    # in center_normalize_inplace, which never hands back a non-finite entry.
+    rng = np.random.default_rng(seed)
+    bad, column = bad % n_configs, column % dim
+    configs = [rng.normal(size=(n, dim)) for _ in range(n_configs)]
+    configs[bad][:, column] = sign * 1.7e308
+    graph = GraphTopology(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+    indices = [lambda e, **kw: ggi_index(e, graph, **kw),
+               *(lambda e, f=f, **kw: f(e, 1, **kw)
+                 for f in (knn_jaccard_index, second_order_cosine_index)),
+               aligned_cosine_index, hausdorff_index, wasserstein_index]
+    for index in indices:
+        with pytest.raises(NonFiniteScore, match=rf"^config {bad}: centered values are "
+                           r"not finite; the entries are too large") as info:
+            index(configs, preprocess=True)
+        assert info.value.config_index == bad
+    for idx, values in enumerate(configs):
+        work = values.copy()
+        try:
+            center_normalize_inplace(work, idx)
+        except NonFiniteScore as exc:
+            assert idx == bad and exc.config_index == bad
+        else:
+            assert idx != bad and np.isfinite(work).all()
 
 
 @pytest.mark.parametrize("name", list(_INDICES))

@@ -637,6 +637,53 @@ def test_non_utf8_input_exits_2_with_named_error(workspace, tmp_path, bad_file):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["ggi", "validate"])
+@pytest.mark.parametrize("bad_file, text, message", [
+    ("id map", '{"0": 0, "1": 1', "invalid JSON id map: "),
+    ("id map", "[0, 1]", "id map must be a non-empty JSON object"),
+    ("manifest", '["g.edges", "a.gge1", "b.gge1"]', "manifest must be a JSON object"),
+    ("embedding", "\n  \n\n", "file contains no data rows"),
+])
+def test_malformed_input_file_exits_2_naming_it(workspace, tmp_path, capsys, command,
+                                                bad_file, text, message):
+    doc = _manifest_doc(workspace)
+    manifest = tmp_path / "manifest.json"
+    bad = {"id map": tmp_path / "ids.json", "manifest": manifest,
+           "embedding": tmp_path / "blank.csv"}[bad_file]
+    if bad_file == "id map":
+        doc["node_id_map"] = str(bad)
+    elif bad_file == "embedding":
+        doc["embedding_paths"][1] = str(bad)
+    manifest.write_text(json.dumps(doc))
+    bad.write_text(text)  # the manifest itself is overwritten
+    code = run_cli([command, "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"gramstab: error: {bad}: {message}"), line
+    assert captured.out == ""
+
+
+def test_csv_with_blank_lines_between_rows_loads(workspace, tmp_path, capsys):
+    doc = _manifest_doc(workspace)
+    values = load_embeddings(doc["embedding_paths"][1])
+    spaced = tmp_path / "spaced.csv"
+    save_embeddings(spaced, values, fmt="csv")
+    rows = spaced.read_text().splitlines()
+    spaced.write_text("\n" + "\n\n".join(rows) + "\n  \n\n")
+    assert np.array_equal(load_embeddings(spaced), values)
+    doc["embedding_paths"][1] = str(spaced)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    reports = []
+    for path in (workspace / "manifest.json", manifest):
+        assert run_cli(["ggi", "--manifest", str(path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    scores = [[c["score"] for c in report["per_config"]] for report in reports]
+    assert scores[1] == scores[0]
+    assert reports[1]["index_value"] == reports[0]["index_value"]
+
+
 @pytest.mark.parametrize("fmt", ["gge1", "csv"])
 def test_report_hashes_are_the_input_files_sha256(tmp_path, fmt):
     rng = np.random.default_rng(2)

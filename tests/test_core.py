@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gramstab import (
     GraphTopology,
     NonFiniteInput,
+    NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
     center_normalize_inplace,
@@ -174,6 +176,37 @@ def test_center_normalize_properties(rows, cols, seed):
     work = rng.normal(size=(rows, cols))
     center_normalize_inplace(work)
     # Rows are unit length or exactly zero; that is the whole contract.
+    norms = np.linalg.norm(work, axis=1)
+    assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
+
+
+_HUGE_COLUMN = np.random.default_rng(3).normal(size=(50, 4))
+_HUGE_COLUMN[:, 0] = 1.7e308
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    config_index=st.integers(min_value=0, max_value=9),
+)
+@example(values=_HUGE_COLUMN, config_index=0)
+@example(values=-_HUGE_COLUMN, config_index=3)
+@example(values=np.array([[1.7e308, 0.0], [-1.7e308, 1.0], [-1.7e308, 2.0]]), config_index=1)
+def test_center_normalize_never_leaves_non_finite_values(values, config_index):
+    # Any finite input is centered and normalized, or refused by name:
+    # no NaN or inf is ever left for a caller to score.
+    work = values.copy()
+    try:
+        center_normalize_inplace(work, config_index)
+    except NonFiniteScore as exc:
+        assert exc.config_index == config_index
+        assert str(exc).startswith(f"config {config_index}: centered values are not finite")
+        return
+    assert np.isfinite(work).all()
     norms = np.linalg.norm(work, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
 

@@ -1,5 +1,7 @@
 """Edge-restricted Gram summaries and their dispersion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +195,50 @@ def test_overflowing_score_is_a_named_error(preprocess):
     assert "config 2" in str(err.value)
 
 
+def test_overflow_in_a_row_off_every_edge_is_named():
+    # Row 0 alone overflows when centered (its column mean is finite), and
+    # no edge reads it: the edge summary stays finite, so only centering
+    # itself can refuse the configuration instead of scoring it 0.0.
+    graph = GraphTopology(3, np.array([[1, 2]]))
+    far = np.array([[1.7e308, 0.0], [-1.7e308, 1.0], [-1.7e308, 2.0]])
+    near = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 5.0]])
+    with pytest.raises(NonFiniteScore, match="^config 1: centered values") as err:
+        ggi_index([near, far], graph)
+    assert err.value.config_index == 1
+
+
+def test_converted_input_is_copied_once():
+    # A float32 configuration is converted to a fresh float64 array, which
+    # the pipeline owns: copying it again would double the peak.
+    n, dim = 20_000, 64
+    graph = GraphTopology(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+    values = np.random.default_rng(4).normal(size=(n, dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        score_configuration(values, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * dim * 8, peak / (n * dim * 8)
+
+
+def test_shared_input_is_left_unchanged(tmp_path):
+    # np.asarray of a memmap is another object over the same memory, and a
+    # read-only array cannot be preprocessed in place even with copy=False.
+    graph, configs = _random_instance(12)
+    mapped = np.memmap(tmp_path / "values.f8", dtype=np.float64, mode="w+",
+                       shape=configs[0].shape)
+    mapped[:] = configs[0]
+    frozen = configs[1].copy()
+    frozen.flags.writeable = False
+    for mat, copy in ((mapped, True), (frozen, False)):
+        before = np.array(mat)
+        score, _ = score_configuration(mat, graph, copy=copy)
+        assert np.array_equal(mat, before)
+        assert score == score_configuration(before, graph)[0]
+    del mapped
+
+
 def test_index_past_float64_is_a_named_error():
     # Raw scores of +-3e307 are finite, but their spread, in percent, is not.
     graph = GraphTopology.from_pairs(2, np.array([[0, 1]]))[0]
@@ -266,7 +312,5 @@ def test_no_preprocess_uses_raw_inner_products():
 def test_report_metadata_names_conventions():
     graph, configs = _random_instance(8)
     report = ggi_index(configs, graph)
-    assert report.std == "population"
-    assert report.preprocess is True
     assert len(report.degenerate_rows) == report.n_configs == len(configs)
     assert report.scores.dtype == np.float64 and not report.scores.flags.writeable
