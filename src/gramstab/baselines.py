@@ -90,7 +90,10 @@ def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[
 
     Raises TooFewConfigs for under two configurations, ShapeMismatch for
     unequal row counts, and NonFiniteScore when centering overflows."""
-    values = [matrix_values(c) for c in ensemble]
+    # Center-normalizing works on copies, each one conversion to float64;
+    # unprocessed values are only read.
+    values = [matrix_values(np.array(c, dtype=np.float64, order="C") if preprocess else c)
+              for c in ensemble]
     if len(values) < 2:
         raise TooFewConfigs(f"need at least 2 configurations, got {len(values)}")
     rows = values[0].shape[0]
@@ -99,8 +102,6 @@ def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[
             raise ShapeMismatch(f"config {idx} has {arr.shape[0]} rows, expected {rows}",
                                 config_index=idx)
     if preprocess:
-        # Center-normalizing works on copies; unprocessed values are only read.
-        values = [v.copy() for v in values]
         for idx, arr in enumerate(values):
             center_normalize_inplace(arr, idx)
     scales = [magnitude_scale(v) for v in values]

@@ -341,14 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.set_defaults(func=_cmd_baseline)
 
     synth = sub.add_parser("synth", help="write a synthetic ensemble to disk")
-    synth.add_argument("--nodes", type=int, required=True)
-    synth.add_argument("--avg-degree", type=float, default=8.0)
-    synth.add_argument("--dim", type=int, required=True)
-    synth.add_argument("--configs", type=int, required=True)
-    synth.add_argument("--noise", type=float, default=0.0)
-    synth.add_argument("--transform", choices=TRANSFORM_KINDS, default="none")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out-dir", required=True)
+    synth.add_argument("--nodes", type=int, required=True,
+                       help="node count of the random graph (at least 2)")
+    synth.add_argument("--avg-degree", type=float, default=8.0,
+                       help="mean node degree of the random graph (default: 8.0)")
+    synth.add_argument("--dim", type=int, required=True,
+                       help="embedding dimension, in columns (at least 1)")
+    synth.add_argument("--configs", type=int, required=True,
+                       help="number of configurations to write (at least 2)")
+    synth.add_argument("--noise", type=float, default=0.0,
+                       help="std of the Gaussian noise added to each configuration, whose "
+                            "base has std 1 (default: 0.0)")
+    synth.add_argument("--transform", choices=TRANSFORM_KINDS, default="none",
+                       help="transform applied to each configuration (default: none)")
+    synth.add_argument("--seed", type=int, default=0,
+                       help="seed of every random draw, at least 0 (default: 0)")
+    synth.add_argument("--out-dir", required=True,
+                       help="directory to write the graph, id map, configurations and "
+                            "manifest into; created if missing")
     synth.set_defaults(func=_cmd_synth)
 
     validate = sub.add_parser("validate", help="check a manifest's files")
@@ -368,16 +378,13 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GramstabError as exc:
-        print(f"gramstab: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
+    except (GramstabError, OSError) as exc:
         # Missing or unreadable files are input problems, not bugs.
         print(f"gramstab: error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariant as exc:
         print(f"gramstab: internal error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return 3
     except Exception as exc:  # noqa: BLE001  anything unexpected is internal
         print(f"gramstab: internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -1,23 +1,33 @@
 """Exception types raised across the package.
 
 Every error that stems from bad user input derives from
-:class:`GramstabError` and carries ``exit_code = 2`` for the CLI.
-:class:`InternalInvariant` signals a broken internal contract and maps
-to exit code 3.
+:class:`GramstabError`; :class:`InternalInvariant` signals a broken
+internal contract. The CLI alone decides exit codes: 2 for a
+GramstabError or an OSError, 3 for anything else.
 """
 
 from __future__ import annotations
 
+import os
+
 
 class GramstabError(Exception):
-    """Base class for input and validation errors. ``config_index`` names
-    the configuration of an ensemble an error was found in, or is None."""
+    """Base class for input and validation errors.
 
-    exit_code = 2
+    ``config_index``, ``path`` and ``line`` name the configuration, the
+    file and its 1-based line the error was found in, each None when not
+    known. A path prefixes the message as ``path:`` or ``path:line:``.
+    """
 
-    def __init__(self, message: str = "", config_index: int | None = None):
+    def __init__(self, message: str = "", *, config_index: int | None = None,
+                 path: str | os.PathLike | None = None, line: int | None = None):
+        if path is not None:
+            path = str(path)
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
         super().__init__(message)
         self.config_index = config_index
+        self.path = path
+        self.line = line
 
 
 class NonFiniteInput(GramstabError):
@@ -67,39 +77,13 @@ class ParseError(GramstabError):
     Carries the path and 1-based line number where parsing failed.
     """
 
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:" if line is None else f"{path}:{line}:"
-        super().__init__(f"{loc} {message}".strip())
-        self.path = path
-        self.line = line
-
 
 class TruncatedFile(GramstabError):
     """A binary embedding file is shorter than its header promises."""
 
-    def __init__(self, path: str, expected_bytes: int, actual_bytes: int):
-        super().__init__(
-            f"{path}: truncated file, expected {expected_bytes} bytes "
-            f"but found {actual_bytes}"
-        )
-        self.path = path
-        self.expected_bytes = expected_bytes
-        self.actual_bytes = actual_bytes
-
 
 class TrailingBytes(GramstabError):
     """A binary embedding file is longer than its header promises."""
-
-    def __init__(self, path: str, expected_bytes: int, actual_bytes: int):
-        super().__init__(
-            f"{path}: {actual_bytes - expected_bytes} trailing bytes, expected "
-            f"{expected_bytes} bytes but found {actual_bytes}"
-        )
-        self.path = path
-        self.expected_bytes = expected_bytes
-        self.actual_bytes = actual_bytes
 
 
 class ManifestError(GramstabError):
@@ -108,5 +92,3 @@ class ManifestError(GramstabError):
 
 class InternalInvariant(Exception):
     """An internal consistency check failed; indicates a bug, not bad input."""
-
-    exit_code = 3

@@ -92,9 +92,9 @@ def load_id_map(path) -> np.ndarray:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"invalid JSON id map: {exc}", path=str(path)) from exc
+        raise ParseError(f"invalid JSON id map: {exc}", path=path) from exc
     if not isinstance(raw, dict) or not raw:
-        raise ParseError("id map must be a non-empty JSON object", path=str(path))
+        raise ParseError("id map must be a non-empty JSON object", path=path)
     keys, rows = [], []
     for key, value in raw.items():
         try:
@@ -104,28 +104,28 @@ def load_id_map(path) -> np.ndarray:
             rows.append(int(value))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"id map entries must be integers, got {key!r}: {value!r}",
-                             path=str(path)) from exc
+                             path=path) from exc
     try:
         keys = np.array(keys, dtype=np.int64)
     except OverflowError:  # a key past int64: only the rescan compares it exactly
         keys = np.array(keys, dtype=object)
-    _require_distinct(keys, f"{path}: id map")  # "1" and "01" spell one id
+    _require_distinct(keys, "id map", path=path)  # "1" and "01" spell one id
     rows = np.array(rows)
     if not np.array_equal(np.sort(rows), np.arange(rows.size)):
-        raise NotABijection(
-            f"{path}: id map values must be a bijection onto 0..{rows.size - 1}"
-        )
+        raise NotABijection(f"id map values must be a bijection onto 0..{rows.size - 1}",
+                            path=path)
     ids = np.empty_like(keys)
     ids[rows] = keys
     return ids
 
 
-def _require_distinct(ids: np.ndarray, source: str) -> None:
-    """Raise NotABijection naming an id that ``ids`` holds twice."""
+def _require_distinct(ids: np.ndarray, source: str, path: Path | None = None) -> None:
+    """Raise NotABijection naming an id that ``ids``, read from ``path``
+    if given, holds twice."""
     ordered = np.sort(ids)
     twice = ordered[1:][ordered[1:] == ordered[:-1]]
     if twice.size:
-        raise NotABijection(f"{source} names id {twice[0]} twice")
+        raise NotABijection(f"{source} names id {twice[0]} twice", path=path)
 
 
 def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
@@ -158,12 +158,12 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     if pairs is None:
         pairs = _scan_edge_lines(path, ids)
     if not pairs.size:
-        raise EmptyGraph(f"{path}: no edges found")
+        raise EmptyGraph("no edges found", path=path)
     if ids is None:
         ids = _rank_ids(pairs)
     graph, n_self, n_dup = GraphTopology.from_pairs(ids.size, pairs)
     if graph.edge_count == 0:
-        raise EmptyGraph(f"{path}: no edges left after dropping self-loops")
+        raise EmptyGraph("no edges left after dropping self-loops", path=path)
     return EdgeListResult(graph, ids, self_loops_dropped=n_self, duplicates_dropped=n_dup)
 
 
@@ -247,7 +247,7 @@ def _scan_edge_lines(path: Path, ids: np.ndarray | None) -> np.ndarray:
             if not body:
                 continue
             tokens = body.split()
-            where = {"path": str(path), "line": line_number}
+            where = {"path": path, "line": line_number}
             if len(tokens) < 2:
                 raise ParseError(f"expected at least two columns, got {len(tokens)}", **where)
             try:
@@ -283,7 +283,7 @@ def _text_lines(path: Path, handle) -> Iterator[str]:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
                 byte = ord(line[exc.start]) - 0xDC00
-                raise ParseError(f"not UTF-8 text: byte {byte:#04x}", path=str(path), line=number)
+                raise ParseError(f"not UTF-8 text: byte {byte:#04x}", path=path, line=number)
             yield line
 
 
@@ -333,15 +333,16 @@ def load_embedding_values(path) -> np.ndarray:
 def _read_gge1(path: Path, handle) -> np.ndarray:
     """The matrix behind a GGE1 header; ``handle`` is just past the magic."""
     actual = os.fstat(handle.fileno()).st_size
-    header_bytes = len(GGE1_MAGIC) + _HEADER.size
-    if actual < header_bytes:
-        raise TruncatedFile(str(path), header_bytes, actual)
-    rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
-    expected = header_bytes + rows * cols * 8
+    expected = len(GGE1_MAGIC) + _HEADER.size
+    if actual >= expected:  # else the header itself is cut short
+        rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
+        expected += rows * cols * 8
     if actual < expected:
-        raise TruncatedFile(str(path), expected, actual)
+        raise TruncatedFile(f"truncated file, expected {expected} bytes but found {actual}",
+                            path=path)
     if actual > expected:
-        raise TrailingBytes(str(path), expected, actual)
+        raise TrailingBytes(f"{actual - expected} trailing bytes, expected {expected} bytes "
+                            f"but found {actual}", path=path)
     return np.fromfile(handle, dtype="<f8", count=rows * cols).reshape(rows, cols)
 
 
@@ -356,20 +357,15 @@ def _read_csv(path: Path, lines: Iterator[str]) -> np.ndarray:
         try:
             row = np.array([float(tok) for tok in tokens], dtype=np.float64)
         except ValueError as exc:
-            raise ParseError(
-                f"could not parse value: {exc}", path=str(path), line=line_number
-            ) from exc
+            raise ParseError(f"could not parse value: {exc}", path=path, line=line_number) from exc
         if cols is None:
             cols = row.size
         elif row.size != cols:
-            raise ParseError(
-                f"expected {cols} columns, got {row.size}",
-                path=str(path),
-                line=line_number,
-            )
+            raise ParseError(f"expected {cols} columns, got {row.size}", path=path,
+                             line=line_number)
         rows.append(row)
     if not rows:
-        raise ParseError("file contains no data rows", path=str(path))
+        raise ParseError("file contains no data rows", path=path)
     return np.vstack(rows)
 
 
@@ -399,16 +395,16 @@ def load_manifest(path) -> Manifest:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
+        raise ManifestError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(raw, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
+        raise ManifestError("manifest must be a JSON object", path=path)
     try:
         graph_path = raw["graph_path"]
         embedding_paths = raw["embedding_paths"]
     except KeyError as exc:
-        raise ManifestError(f"{path}: missing required key {exc.args[0]!r}") from exc
+        raise ManifestError(f"missing required key {exc.args[0]!r}", path=path) from exc
     if not isinstance(embedding_paths, list) or len(embedding_paths) < 2:
-        raise ManifestError(f"{path}: embedding_paths must list at least 2 files")
+        raise ManifestError("embedding_paths must list at least 2 files", path=path)
     node_id_map = raw.get("node_id_map")
     named = [("graph_path", graph_path), *(("embedding_paths", p) for p in embedding_paths)]
     if node_id_map is not None:
@@ -416,21 +412,21 @@ def load_manifest(path) -> Manifest:
     for key, value in named:
         # An empty string would name the manifest's own directory.
         if not isinstance(value, str) or not value:
-            raise ManifestError(f"{path}: {key}: expected a path string, got {value!r}")
+            raise ManifestError(f"{key}: expected a path string, got {value!r}", path=path)
     base = path.parent
     embeddings = tuple(base / p for p in embedding_paths)
     # Spellings such as "a.gge1" and "./a.gge1" name one file; counting
     # it twice would report a single configuration as perfectly stable.
     if len({p.resolve() for p in embeddings}) != len(embeddings):
-        raise ManifestError(f"{path}: embedding_paths must name distinct files")
+        raise ManifestError("embedding_paths must name distinct files", path=path)
     labels = raw.get("labels")
     if labels is None:
         labels = tuple(Path(p).stem for p in embedding_paths)
     else:
         if not isinstance(labels, list):
-            raise ManifestError(f"{path}: labels must be a list, got {labels!r}")
+            raise ManifestError(f"labels must be a list, got {labels!r}", path=path)
         if len(labels) != len(embedding_paths):
-            raise ManifestError(f"{path}: labels must match embedding_paths in length")
+            raise ManifestError("labels must match embedding_paths in length", path=path)
         labels = tuple(str(label) for label in labels)
     return Manifest(
         graph_path=base / graph_path,

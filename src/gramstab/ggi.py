@@ -109,12 +109,14 @@ def score_configuration(
     number of degenerate rows the preprocessing found (0 without it).
 
     With ``copy=False`` a writable float64 input array is centered and
-    normalized in place; only pass arrays the caller owns. An input that
-    must be converted is never copied again. A score that is not finite
-    (finite entries too large for float64 arithmetic) raises
+    normalized in place; only pass arrays the caller owns. Otherwise the
+    input is copied once, by its conversion to float64. A score that is
+    not finite (finite entries too large for float64 arithmetic) raises
     NonFiniteScore. Preprocessed scores are checked against the cosine
     bound |s| <= 1.
     """
+    if preprocess and copy:
+        mat = np.array(mat, dtype=np.float64, order="C")
     values = matrix_values(mat)
     if graph.edge_count == 0:
         raise EmptyGraph("graph has no edges")
@@ -126,8 +128,7 @@ def score_configuration(
         )
     n_degenerate = 0
     if preprocess:
-        # A converted input is already a fresh array this call owns.
-        if np.may_share_memory(values, mat) and (copy or not values.flags.writeable):
+        if not values.flags.writeable:
             values = values.copy()
         n_degenerate = center_normalize_inplace(values, config_index)
     score = _edge_mean_inner(values, graph.edges)

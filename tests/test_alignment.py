@@ -51,6 +51,12 @@ def test_degenerate_flag_on_rank_collapse():
     assert np.linalg.norm(a @ result.q - a) <= 1e-12
 
 
+def test_degenerate_flag_on_all_zero_clouds():
+    # The cross matrix is zero, so every rotation is optimal.
+    zeros = np.zeros((6, 3))
+    assert procrustes_align(zeros, zeros).degenerate
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ShapeMismatch):
         procrustes_align(np.ones((5, 2)), np.ones((5, 3)))

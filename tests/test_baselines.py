@@ -521,3 +521,25 @@ def test_blocked_search_memory_stays_bounded():
             tracemalloc.stop()
         budget = blocks * block + n * k * 8
         assert peak < budget, f"peak {peak / 1e6:.1f} MB over {budget / 1e6:.1f} MB"
+
+
+def test_preprocessed_float32_configurations_are_converted_once():
+    # Each float32 configuration is converted to one float64 array, which
+    # preprocessing then centers in place: a second copy would make the
+    # peak two float64 matrices per configuration.
+    n, dim, n_configs = 20_000, 64, 3
+    rng = np.random.default_rng(8)
+    configs = [rng.normal(size=(n, dim)).astype(np.float32) for _ in range(n_configs)]
+    tracemalloc.start()
+    try:
+        baselines._prepared_values(configs, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_config = peak / (n_configs * n * dim * 8)
+    assert per_config < 1.5, per_config
+
+
+def test_unknown_knn_metric_is_a_value_error():
+    with pytest.raises(ValueError, match="metric must be one of"):
+        knn_neighbors(_ensemble(0)[0], 2, metric="manhattan")

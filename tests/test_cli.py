@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramstab import load_edge_list, load_embeddings, load_manifest, save_embeddings
+from gramstab import (
+    InternalInvariant,
+    load_edge_list,
+    load_embeddings,
+    load_manifest,
+    save_embeddings,
+)
 import gramstab.cli as cli_mod
 from gramstab.cli import run_cli
 
@@ -567,6 +573,23 @@ def test_run_cli_in_process_matches_subprocess(workspace, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["ok"] is True
+
+
+def test_every_synth_flag_has_help():
+    synth = cli_mod.build_parser()._subparsers._group_actions[0].choices["synth"]
+    assert all(action.help for action in synth._actions)
+
+
+def test_internal_invariant_exits_3_with_one_line(workspace, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInvariant("scores escaped their bound")
+
+    monkeypatch.setattr(cli_mod, "ggi_index", broken)
+    code = run_cli(["ggi", "--manifest", str(workspace / "manifest.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "gramstab: internal error: scores escaped their bound\n"
 
 
 def test_version_flag():

@@ -103,8 +103,7 @@ def test_truncated_header_and_payload(tmp_path, values):
     payload_cut.write_bytes(whole[:-8])
     with pytest.raises(TruncatedFile) as err:
         load_embeddings(payload_cut)
-    assert err.value.expected_bytes == len(whole)
-    assert err.value.actual_bytes == len(whole) - 8
+    assert f"expected {len(whole)} bytes but found {len(whole) - 8}" in str(err.value)
 
     # A longer file is as wrong as a shorter one: the header no longer
     # describes what the file holds.
@@ -112,8 +111,7 @@ def test_truncated_header_and_payload(tmp_path, values):
     padded.write_bytes(whole + b"\0" * 8)
     with pytest.raises(TrailingBytes) as err:
         load_embeddings(padded)
-    assert err.value.expected_bytes == len(whole)
-    assert err.value.actual_bytes == len(whole) + 8
+    assert f"expected {len(whole)} bytes but found {len(whole) + 8}" in str(err.value)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):
@@ -615,8 +613,9 @@ def test_id_map_rejects_an_id_named_twice(rows, slot, prefix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ids.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(NotABijection, match=f"id {10 * slot} twice"):
+        with pytest.raises(NotABijection, match=f"id {10 * slot} twice") as err:
             load_id_map(path)
+        assert err.value.path == str(path)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -634,6 +633,27 @@ def test_manifest_round_trip(tmp_path):
     assert manifest.embedding_paths == (a, b)
     assert manifest.labels == ("run-a", "run-b")
     assert json.loads(manifest_path.read_text())["note"] == "kept"  # written, then ignored
+
+
+def test_manifest_keeps_a_path_outside_its_directory(tmp_path):
+    # An embedding beside the manifest's directory is not below it, so it
+    # is stored as given.
+    (tmp_path / "m").mkdir()
+    graph = tmp_path / "m" / "g.edges"
+    inside = tmp_path / "m" / "a.gge1"
+    outside = tmp_path / "b.gge1"
+    manifest_path = tmp_path / "m" / "manifest.json"
+    save_manifest(manifest_path, graph, [inside, outside])
+    doc = json.loads(manifest_path.read_text())
+    assert doc["embedding_paths"] == ["a.gge1", str(outside)]
+    assert load_manifest(manifest_path).embedding_paths == (inside, outside)
+
+
+def test_unknown_embedding_format_writes_nothing(tmp_path):
+    path = tmp_path / "m.npy"
+    with pytest.raises(ValueError, match="unknown format 'npy'"):
+        save_embeddings(path, np.zeros((2, 2)), fmt="npy")
+    assert not path.exists()
 
 
 def test_manifest_labels_default_to_stems(tmp_path):

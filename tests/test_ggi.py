@@ -222,6 +222,28 @@ def test_converted_input_is_copied_once():
     assert peak < 1.3 * n * dim * 8, peak / (n * dim * 8)
 
 
+class _CountedArray:
+    """A matrix behind ``__array__``, as a tensor type holds one; counts
+    how often it is converted."""
+
+    def __init__(self, values):
+        self.values = values
+        self.conversions = 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.conversions += 1
+        return np.array(self.values, dtype=dtype)
+
+
+@pytest.mark.parametrize("copy", [True, False])
+def test_array_like_input_is_converted_once(copy):
+    graph, configs = _random_instance(5)
+    counted = _CountedArray(configs[0])
+    score, _ = score_configuration(counted, graph, copy=copy)
+    assert counted.conversions == 1
+    assert score == score_configuration(configs[0], graph)[0]
+
+
 def test_shared_input_is_left_unchanged(tmp_path):
     # np.asarray of a memmap is another object over the same memory, and a
     # read-only array cannot be preprocessed in place even with copy=False.

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
+    GraphTopology,
     NotABijection,
+    ShapeMismatch,
     apply_permutation,
     ggi_index,
     perturb_gaussian,
@@ -62,6 +64,19 @@ def test_permutation_requires_bijection():
         apply_permutation(values, graph, np.array([0, 0, 2]))
     with pytest.raises(NotABijection):
         apply_permutation(values, graph, np.array([0, 1, 3]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GraphTopology(0, []),
+    lambda: GraphTopology(3, [[0, 3]]),
+    lambda: random_orthogonal(0, 1),
+    lambda: random_graph(1, 2.0, 0),
+    lambda: apply_permutation(np.zeros((2, 2)), random_graph(3, 2.0, 0), [2, 0, 1]),
+], ids=["no-nodes", "endpoint-out-of-range", "orthogonal-dim-0", "graph-one-node",
+        "permutation-rows"])
+def test_sizes_out_of_range_raise_shape_mismatch(build):
+    with pytest.raises(ShapeMismatch):
+        build()
 
 
 def test_permutation_inverse_round_trips():
