@@ -8,6 +8,8 @@ construction, so it can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +29,55 @@ MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 # Edges are canonicalized through keys i * node_count + j, which fit in int64
 # up to this many nodes.
 _KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+# A row pass is split across CPUs only when each span holds at least this
+# many values (512 KB of float64), enough to pay for starting a thread.
+_SPAN_ELEMENTS = 65_536
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _over_spans(count: int, work, min_span: int) -> None:
+    """Run ``work(lo, hi)`` over contiguous spans of ``range(count)``, one
+    span per CPU and at least ``min_span`` long, and return once all have.
+
+    The caller's thread runs the first span and plain threads the rest;
+    with one CPU, or ``count < 2 * min_span``, it runs ``work(0, count)``
+    inline. numpy releases the GIL in the copies and arithmetic a span
+    does, so the spans run at the same time. An exception in any span is
+    raised here after every thread has been joined, so a caller never
+    reads the output of a span that did not finish.
+    """
+    spans = min(_cpu_count(), count // min_span)
+    if spans < 2:
+        work(0, count)
+        return
+    bounds = [count * k // spans for k in range(spans + 1)]
+    errors: list = [None] * spans
+
+    def run(k: int) -> None:
+        try:
+            work(bounds[k], bounds[k + 1])
+        except BaseException as exc:  # raised again by the caller below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, spans)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
 
 def _canonical_keys(node_count: int, pairs: np.ndarray, prior=None) -> tuple[np.ndarray, int]:
     """Sorted distinct keys ``min(a, b) * node_count + max(a, b)`` of the
@@ -70,16 +121,24 @@ def _split_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
     return edges
 
 
-def matrix_values(mat) -> np.ndarray:
+def matrix_values(mat, *, config_index: int | None = None, path=None) -> np.ndarray:
     """Return ``mat`` as a float64 array, without a copy when it is one,
-    after checking that it is 2-D, at least 1x1 and finite."""
+    after checking that it is 2-D, at least 1x1 and finite.
+
+    An error names the file ``path`` or, as ``config {i}:``, the
+    configuration ``config_index`` the matrix came from, when given.
+    """
+    where = "" if config_index is None else f"config {config_index}: "
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise ShapeMismatch(f"{where}expected a 2-D matrix, got ndim={arr.ndim}",
+                            config_index=config_index, path=path)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"matrix must be at least 1x1, got shape {arr.shape}")
+        raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {arr.shape}",
+                            config_index=config_index, path=path)
     if not np.isfinite(arr).all():
-        raise NonFiniteInput("matrix contains NaN or infinite values")
+        raise NonFiniteInput(f"{where}matrix contains NaN or infinite values",
+                             config_index=config_index, path=path)
     return arr
 
 
@@ -158,7 +217,8 @@ def magnitude_scale(values: np.ndarray) -> float:
 
 
 # Overflow is raised below as a named error; numpy's own warnings would only
-# add lines to stderr.
+# add lines to stderr. The row passes run in their own threads, which do not
+# inherit this error state, so they set it again.
 @np.errstate(over="ignore", invalid="ignore")
 def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     """Center columns and L2-normalize rows of a writable array, in place.
@@ -171,10 +231,23 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     than rejected; returns their count. Entries too large for float64
     arithmetic raise NonFiniteScore labelled with ``config_index``, so no
     NaN or inf is ever left in ``arr``.
+
+    Centering and the final division run over row spans, one per CPU;
+    each row's arithmetic is the same in any span, so are the bits.
     """
+    rows = arr.shape[0]
+    min_span = max(1, _SPAN_ELEMENTS // arr.shape[1])
     mean = arr.mean(axis=0)
-    arr -= mean
-    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    norms = np.empty(rows)
+
+    def center(lo: int, hi: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = arr[lo:hi]
+            block -= mean
+            np.einsum("ij,ij->i", block, block, out=norms[lo:hi])
+            np.sqrt(norms[lo:hi], out=norms[lo:hi])
+
+    _over_spans(rows, center, min_span)
     scale = 1.0
     if not MAGNITUDE_WINDOW[0] <= norms.max() <= MAGNITUDE_WINDOW[1]:
         scale = magnitude_scale(arr)
@@ -194,7 +267,11 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     if n_degenerate:
         arr[degenerate] = 0.0
         norms[degenerate] = 1.0
-    arr /= norms[:, None]
+
+    def normalize(lo: int, hi: int) -> None:
+        arr[lo:hi] /= norms[lo:hi, None]
+
+    _over_spans(rows, normalize, min_span)
     return n_degenerate
 
 
@@ -207,7 +284,7 @@ def validate_ensemble(configs: Iterable, graph: GraphTopology) -> tuple[int, ...
     """
     dims: list[int] = []
     for mat in configs:
-        rows, cols = matrix_values(mat).shape
+        rows, cols = matrix_values(mat, config_index=len(dims)).shape
         if rows != graph.node_count:
             raise ShapeMismatch(
                 f"config {len(dims)} has {rows} rows but the graph has "

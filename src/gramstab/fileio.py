@@ -313,7 +313,7 @@ def load_embeddings(path) -> np.ndarray:
 
     The two stay apart because perfbench times each by name, so merging
     them is a change to the benchmark."""
-    return matrix_values(load_embedding_values(path))
+    return matrix_values(load_embedding_values(path), path=path)
 
 
 def load_embedding_values(path) -> np.ndarray:

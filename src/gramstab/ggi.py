@@ -5,7 +5,8 @@ pairs joined by an edge; the index is the standard deviation of those
 summaries across configurations. The adjacency-masked Gram matrix is
 never materialized: only edge-indexed inner products are computed, so
 the cost is O(|E| d) time per configuration and its extra memory is one
-float64 per edge plus two gather blocks of ``_GATHER_ELEMENTS`` values.
+float64 per edge plus, for each CPU the process may use, two gather
+blocks of ``_GATHER_ELEMENTS`` values (1 MB per CPU).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .core import (
     GraphTopology,
+    _over_spans,
     center_normalize_inplace,
     magnitude_scale,
     matrix_values,
@@ -35,9 +37,10 @@ from .errors import (
 _BLOCK_ELEMENTS = 2_097_152
 
 # Endpoint rows are gathered in blocks of about this many elements per
-# side (256 KB of float64), so both gathered blocks stay in L2 cache
-# while their row-wise dot products are taken.
-_GATHER_ELEMENTS = 32_768
+# side (512 KB of float64), so both gathered blocks stay in L2 cache
+# while their row-wise dot products are taken. Each CPU's span of edges
+# holds at least one block.
+_GATHER_ELEMENTS = 65_536
 
 STD_CONVENTIONS = ("population", "sample")
 
@@ -66,28 +69,33 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
 
     Identical to summing the adjacency-masked Gram matrix over all
     ordered pairs and dividing by 2|E|, since each unordered edge
-    contributes the same inner product in both directions. The gather
-    block size does not affect the result: each edge's inner product is
-    computed on its own, and only the summation groups fix the order of
-    the additions.
+    contributes the same inner product in both directions. Neither the
+    gather block size nor the edge spans, one per CPU, affect the
+    result: each edge's inner product is computed on its own, and only
+    the summation groups, summed in one thread, fix the order of the
+    additions.
     """
     n_edges = edges.shape[0]
     dim = values.shape[1]
     dots = np.empty(n_edges)
     gather = max(1, _GATHER_ELEMENTS // dim)
-    sources = np.empty((min(gather, n_edges), dim))
-    targets = np.empty_like(sources)
-    for start in range(0, n_edges, gather):
-        chunk = edges[start : start + gather]
-        left, right = sources[: chunk.shape[0]], targets[: chunk.shape[0]]
-        # mode="clip" skips the per-index bounds check (and the copy of
-        # ``out`` that mode="raise" makes). No index is out of range:
-        # GraphTopology range-checks every endpoint against its node
-        # count, and score_configuration checks that ``values`` has that
-        # many rows.
-        np.take(values, chunk[:, 0], axis=0, out=left, mode="clip")
-        np.take(values, chunk[:, 1], axis=0, out=right, mode="clip")
-        np.einsum("ij,ij->i", left, right, out=dots[start : start + gather])
+
+    def gather_span(lo: int, hi: int) -> None:
+        sources = np.empty((min(gather, hi - lo), dim))
+        targets = np.empty_like(sources)
+        for start in range(lo, hi, gather):
+            chunk = edges[start : min(start + gather, hi)]
+            left, right = sources[: chunk.shape[0]], targets[: chunk.shape[0]]
+            # mode="clip" skips the per-index bounds check (and the copy of
+            # ``out`` that mode="raise" makes). No index is out of range:
+            # GraphTopology range-checks every endpoint against its node
+            # count, and score_configuration checks that ``values`` has that
+            # many rows.
+            np.take(values, chunk[:, 0], axis=0, out=left, mode="clip")
+            np.take(values, chunk[:, 1], axis=0, out=right, mode="clip")
+            np.einsum("ij,ij->i", left, right, out=dots[start : start + chunk.shape[0]])
+
+    _over_spans(n_edges, gather_span, gather)
     group = max(1, _BLOCK_ELEMENTS // dim)
     total = 0.0
     for start in range(0, n_edges, group):
@@ -117,7 +125,7 @@ def score_configuration(
     """
     if preprocess and copy:
         mat = np.array(mat, dtype=np.float64, order="C")
-    values = matrix_values(mat)
+    values = matrix_values(mat, config_index=config_index)
     if graph.edge_count == 0:
         raise EmptyGraph("graph has no edges")
     if values.shape[0] != graph.node_count:

@@ -223,6 +223,12 @@ def test_validate_ensemble_checks_graph_rows():
     with pytest.raises(ShapeMismatch, match="config 1 has 3 rows") as info:
         validate_ensemble(iter([np.ones((4, 2)), np.ones((3, 2))]), graph)
     assert info.value.config_index == 1
+    with pytest.raises(NonFiniteInput, match="^config 1: matrix contains NaN") as info:
+        validate_ensemble([np.ones((4, 2)), np.full((4, 2), np.nan)], graph)
+    assert info.value.config_index == 1
+    with pytest.raises(ShapeMismatch, match="^config 2: expected a 2-D matrix") as info:
+        validate_ensemble([np.ones((4, 2)), np.ones((4, 2)), np.ones(4)], graph)
+    assert info.value.config_index == 2
     with pytest.raises(TooFewConfigs):
         validate_ensemble(iter([np.ones((4, 2))]), graph)
 

@@ -1,6 +1,9 @@
 """Edge-restricted Gram summaries and their dispersion."""
 
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from gramstab import (
     NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
+    center_normalize_inplace,
     ggi_index,
     random_graph,
     score_configuration,
@@ -89,7 +93,7 @@ def _grouped_gather_mean(values, edges, block_elements):
     block_elements=st.integers(min_value=1, max_value=3000),
 )
 # |E| below one gather block (the module's real block sizes)
-@example(seed=1, n_edges=37, dim=5, gather_elements=32_768, block_elements=2_097_152)
+@example(seed=1, n_edges=37, dim=5, gather_elements=65_536, block_elements=2_097_152)
 # |E| not a multiple of the gather block
 @example(seed=2, n_edges=203, dim=4, gather_elements=64, block_elements=2_097_152)
 # d beyond the gather budget: one edge per gather
@@ -127,6 +131,141 @@ def test_edge_mean_matches_grouped_gather_at_scale(dim):
     edges = rng.integers(0, 2000, size=(40_003, 2))
     fast = ggi_mod._edge_mean_inner(values, edges)
     assert fast == _grouped_gather_mean(values, edges, ggi_mod._BLOCK_ELEMENTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=40),
+    dim=st.integers(min_value=1, max_value=6),
+    n_edges=st.integers(min_value=1, max_value=300),
+    span_elements=st.integers(min_value=1, max_value=64),
+    gather_elements=st.integers(min_value=1, max_value=200),
+    block_elements=st.integers(min_value=1, max_value=500),
+    scale=st.sampled_from([1.0, 1e200]),
+    degenerate=st.booleans(),
+    fortran=st.booleans(),
+)
+# |E| below one gather block (the module's real block sizes)
+@example(seed=1, rows=20, dim=5, n_edges=37, span_elements=65_536, gather_elements=65_536,
+         block_elements=2_097_152, scale=1.0, degenerate=False, fortran=False)
+# spans that split gather blocks and summation groups
+@example(seed=2, rows=40, dim=3, n_edges=299, span_elements=7, gather_elements=21,
+         block_elements=51, scale=1.0, degenerate=False, fortran=False)
+# fewer rows than workers
+@example(seed=3, rows=3, dim=2, n_edges=4, span_elements=1, gather_elements=1,
+         block_elements=3, scale=1.0, degenerate=False, fortran=False)
+# the rescale path, and degenerate rows under it
+@example(seed=4, rows=30, dim=4, n_edges=200, span_elements=5, gather_elements=12,
+         block_elements=40, scale=1e200, degenerate=True, fortran=False)
+def test_worker_count_does_not_change_bits(
+    seed, rows, dim, n_edges, span_elements, gather_elements, block_elements,
+    scale, degenerate, fortran,
+):
+    # Center-normalize and the edge mean give the serial path's bits for
+    # any number of CPUs, including more CPUs than rows or gather blocks.
+    import gramstab.core as core_mod
+    import gramstab.ggi as ggi_mod
+
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-4, 5, size=(rows, dim)).astype(np.float64)
+    if degenerate:
+        # x, -x and zero rows: unscaled, the mean is exactly 0 and the zero
+        # rows are degenerate.
+        half = values[: (rows + 1) // 3]
+        values = np.vstack([half, -half, np.zeros((rows - 2 * half.shape[0], dim))])
+    else:
+        values += rng.normal(0.0, 0.5, size=values.shape)
+    values *= scale
+    if fortran:
+        values = np.asfortranarray(values)
+    edges = rng.integers(0, rows, size=(n_edges, 2))
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
+        mp.setattr(ggi_mod, "_GATHER_ELEMENTS", gather_elements)
+        mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
+        for cpus in (1, 2, 3, 5):
+            mp.setattr(core_mod, "_cpu_count", lambda: cpus)
+            work = values.copy(order="A")
+            n_degenerate = center_normalize_inplace(work)
+            results.append((work, n_degenerate, ggi_mod._edge_mean_inner(work, edges),
+                            ggi_mod._edge_mean_inner(values / scale, edges)))
+    serial = results[0]
+    if degenerate and scale == 1.0:
+        assert serial[1] >= rows - 2 * ((rows + 1) // 3)
+    for work, *scores in results[1:]:
+        assert np.array_equal(work, serial[0])
+        assert scores == list(serial[1:])
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_span_fails_loudly(monkeypatch, failing):
+    # Whichever span raises, every other span finishes and its thread is
+    # joined before the error reaches the caller.
+    import gramstab.core as core_mod
+
+    monkeypatch.setattr(core_mod, "_cpu_count", lambda: 3)
+    finished = []
+
+    def work(lo, hi):
+        if lo // 10 == failing:
+            raise RuntimeError(f"span {lo}:{hi} failed")
+        time.sleep(0.02)
+        finished.append(lo)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"span {failing * 10}:"):
+        core_mod._over_spans(30, work, 10)
+    assert threading.active_count() == before
+    assert sorted(finished) == [lo for lo in (0, 10, 20) if lo != failing * 10]
+
+
+class _EdgesFailingPast(np.ndarray):
+    """An edge array whose slices from row ``FAIL_FROM`` on raise, as a
+    span of the gather would if it failed."""
+
+    FAIL_FROM = 20
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and (key.start or 0) >= self.FAIL_FROM:
+            raise RuntimeError("gather failed")
+        return np.asarray(self)[key]
+
+
+def test_no_score_from_a_partly_gathered_span(monkeypatch):
+    # The last of three spans fails; the other two have written their
+    # dots, but the kernel raises rather than sum the unwritten ones.
+    import gramstab.core as core_mod
+    import gramstab.ggi as ggi_mod
+
+    monkeypatch.setattr(core_mod, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 4)
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(10, 2))
+    edges = rng.integers(0, 10, size=(30, 2)).view(_EdgesFailingPast)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="gather failed"):
+        ggi_mod._edge_mean_inner(values, edges)
+    assert threading.active_count() == before
+
+
+def test_row_spans_overflow_quietly(monkeypatch):
+    # Centering that overflows in a worker's span is the named error
+    # alone: the worker threads ignore the overflow as the caller does.
+    import gramstab.core as core_mod
+
+    monkeypatch.setattr(core_mod, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(core_mod, "_SPAN_ELEMENTS", 2)
+    work = np.random.default_rng(6).normal(size=(30, 2))
+    # The column mean is finite (about -5.6e306), but row 14, in the
+    # second of three spans, overflows when it is centered.
+    work[:, 0] = -1.2e307
+    work[14, 0] = 1.79e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteScore, match="^config 4: centered values"):
+            center_normalize_inplace(work, 4)
 
 
 def test_ggi_matches_dense_oracle():

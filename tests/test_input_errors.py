@@ -112,7 +112,13 @@ _CASES = [
     _case("csv-utf8", {"a.csv": b"0,1\n1,0\xff\n"},
           "gramstab: error: a.csv:2: not UTF-8 text: byte 0xff"),
     _case("csv-nan", {"a.csv": "0,1\n1,nan\n1,1\n0,2\n"},
-          "gramstab: error: matrix contains NaN or infinite values"),
+          "gramstab: error: a.csv: matrix contains NaN or infinite values"),
+    _case("csv-nan-baseline", {"b.csv": "2,1\n1,inf\n0,1\n1,1\n"},
+          "gramstab: error: b.csv: matrix contains NaN or infinite values",
+          argv=["baseline", "--manifest", "m.json", "--index", "aligned-cosine"]),
+    _case("csv-nan-ggi", {"b.csv": "2,1\n1,inf\n0,1\n1,1\n"},
+          "gramstab: error: config 1: matrix contains NaN or infinite values",
+          argv=["ggi", "--manifest", "m.json"]),
     # Beyond one file
     _case("missing-file",
           {"m.json": '{"graph_path": "g.edges", "embedding_paths": ["a.csv", "absent.csv"]}'},
