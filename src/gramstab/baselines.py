@@ -92,8 +92,9 @@ def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[
     unequal row counts, and NonFiniteScore when centering overflows."""
     # Center-normalizing works on copies, each one conversion to float64;
     # unprocessed values are only read.
-    values = [matrix_values(np.array(c, dtype=np.float64, order="C") if preprocess else c)
-              for c in ensemble]
+    values = [matrix_values(np.array(c, dtype=np.float64, order="C") if preprocess else c,
+                            config_index=idx)
+              for idx, c in enumerate(ensemble)]
     if len(values) < 2:
         raise TooFewConfigs(f"need at least 2 configurations, got {len(values)}")
     rows = values[0].shape[0]

@@ -14,6 +14,7 @@ included when explicitly requested with ``--timings``.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import threading
@@ -391,6 +392,11 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    # Move the import-time heap out of every collection, the interpreter's
+    # last one at exit included: that sweep costs about 30 ms a process. Not
+    # in run_cli, which tests call in a process whose heap must stay
+    # collectable.
+    gc.freeze()
     sys.exit(run_cli(sys.argv[1:]))
 
 

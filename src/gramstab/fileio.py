@@ -188,15 +188,39 @@ def _read_pairs(path: Path) -> np.ndarray | None:
 
 def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     """Replace each id in ``pairs``, in place, by its rank among the
-    distinct ids, and return those, sorted. One sort, whose order carries
-    the ranks back; ranks need no stable sort, and numpy's default kind
-    sorts int64 several times faster than ``kind="stable"``."""
-    order = np.argsort(pairs, axis=None)
-    ids = pairs.ravel()[order]
+    distinct ids, and return those, sorted.
+
+    One sort, whose order carries the ranks back. When the ids' span
+    leaves room for a position beside it in an int64 (``max - min <
+    2**(63 - bits)``, with ``bits`` the width of the largest position),
+    each id is packed with its position as ``(id - min) << bits |
+    position`` and the keys are sorted by value: the high bits come out
+    as the sorted ids and the low bits as their order. That sort is 3-4
+    times faster than ``argsort``: 12 against 41-45 ms for 800k ids,
+    where the room is 2**43, enough for 40-bit crawl ids. A wider span,
+    such as ids hashed to 63 bits, is ranked by ``argsort``. Ranks need
+    no stable sort, and numpy's default kind sorts int64 several times
+    faster than ``kind="stable"``.
+    """
+    flat = pairs.ravel()
+    low = int(flat.min())
+    bits = (flat.size - 1).bit_length()
+    if int(flat.max()) - low < 1 << (63 - bits):
+        ids = flat - low
+        ids <<= bits
+        ids |= np.arange(flat.size)
+        ids.sort()
+        order = ids & ((1 << bits) - 1)
+        ids >>= bits
+    else:
+        order = np.argsort(flat)
+        ids = flat[order]
+        ids -= low
     first = np.empty(ids.size, dtype=bool)
     first[0] = True
     np.not_equal(ids[1:], ids[:-1], out=first[1:])
     distinct = ids[first]
+    distinct += low
     np.cumsum(first, out=ids)  # the sorted ids are spent: their ranks + 1
     ids -= 1
     np.put(pairs, order, ids)

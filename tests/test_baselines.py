@@ -344,8 +344,11 @@ def test_every_index_checks_its_plain_list_input(name):
         index([grid, grid[:5], grid])
     assert info.value.config_index == 1
     for bad in (np.nan, np.inf):
-        with pytest.raises(NonFiniteInput):
-            index([grid, [*grid[:5], [bad, 0.0]]])
+        for preprocess in (False, True):
+            # Named as ggi_index names it, whether or not the values are copied first.
+            with pytest.raises(NonFiniteInput, match="^config 1: matrix contains NaN") as info:
+                index([grid, [*grid[:5], [bad, 0.0]]], preprocess=preprocess)
+            assert info.value.config_index == 1
     for rank in ([row[0] for row in grid], [grid, grid]):  # 1-D, 3-D
         with pytest.raises(ShapeMismatch, match="expected a 2-D matrix"):
             index([grid, rank])

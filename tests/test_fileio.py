@@ -421,6 +421,59 @@ def test_dense_id_table_matches_binary_search(case):
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
 
 
+@st.composite
+def _rank_case(draw):
+    """Non-negative int64 ids, an even number of them, on either side of
+    the span _rank_ids packs beside a position."""
+    size = 2 * draw(st.integers(1, 40))
+    room = 1 << (63 - (size - 1).bit_length())
+    kind = draw(st.sampled_from(["below 2**40", "span", "near 2**63", "few"]))
+    if kind == "below 2**40":
+        ids = draw(st.lists(st.integers(0, 2**40 - 1), min_size=size, max_size=size))
+    elif kind == "span":
+        # The widest span that is packed, or the narrowest that is not.
+        span = room - draw(st.integers(0, 1))
+        low = draw(st.integers(0, 2**63 - 1 - span))
+        ids = [low, low + span] + draw(st.lists(st.integers(low, low + span),
+                                                min_size=size - 2, max_size=size - 2))
+    elif kind == "near 2**63":
+        ids = draw(st.lists(st.integers(2**63 - 4 * size, 2**63 - 1),
+                            min_size=size, max_size=size))
+    else:  # one, two or three distinct ids
+        distinct = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1,
+                                 max_size=min(3, size), unique=True))
+        ids = distinct + draw(st.lists(st.sampled_from(distinct), min_size=size - len(distinct),
+                                       max_size=size - len(distinct)))
+    return np.array(draw(st.permutations(ids)), dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=_rank_case())
+@example(pairs=np.array([[7, 7]]))
+@example(pairs=np.array([[0, 2**62 - 1]]))  # span 2**62 - 1: packed
+@example(pairs=np.array([[0, 2**62]]))  # span 2**62: argsort
+@example(pairs=np.array([[2**63 - 1, 2**63 - 2], [2**63 - 1, 2**63 - 3]]))
+@example(pairs=np.array([[0, 2**63 - 1], [5, 0]]))
+def test_rank_ids_matches_unique(pairs):
+    flat = pairs.ravel()
+    expected_ids, expected_ranks = np.unique(flat, return_inverse=True)
+    room = 1 << (63 - (flat.size - 1).bit_length())
+    calls, original = [], np.argsort
+
+    def argsort(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    ranked = pairs.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio_mod.np, "argsort", argsort)
+        ids = fileio_mod._rank_ids(ranked)
+    assert ids.dtype == np.int64 and np.array_equal(ids, expected_ids)
+    assert np.array_equal(ranked, expected_ranks.reshape(pairs.shape))
+    # The ids alone pick the branch: argsort only when their span leaves no room.
+    assert bool(calls) == (int(flat.max()) - int(flat.min()) >= room)
+
+
 @pytest.mark.parametrize("spread", [_SPREAD, 0])
 @pytest.mark.parametrize("ids, twice", [
     ([0, 1, 2, 1], 1),  # dense at the default spread
