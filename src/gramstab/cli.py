@@ -142,13 +142,12 @@ def _cmd_ggi(args) -> int:
     manifest = load_manifest(args.manifest)
     with _InputHashes(manifest) as hashes:
         graph = _load_graph(manifest).graph
-        options = {"preprocess": not args.no_preprocess, "std": args.std}
         # Loaded arrays are owned by this process, so the scoring pipeline
         # may preprocess them in place (copy=False); one is alive at a time.
         report = ggi_index(
             (load_embedding_values(path) for path in manifest.embedding_paths),
             graph,
-            **options,
+            std=args.std,
             copy=False,
         )
         _emit("ggi", {
@@ -164,7 +163,8 @@ def _cmd_ggi(args) -> int:
                     manifest.labels, report.scores.tolist(), report.degenerate_rows
                 )
             ],
-            "options": options,
+            # GGI always preprocesses; the key stays so that reports keep their bytes.
+            "options": {"preprocess": True, "std": args.std},
         }, args, hashes, started)
     return 0
 
@@ -301,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     ggi = sub.add_parser("ggi", help="graph Gram index of an ensemble")
     ggi.add_argument("--manifest", required=True, help="ensemble manifest JSON")
     ggi.add_argument("--out", default=None, help="write the report here instead of stdout")
-    ggi.add_argument(
-        "--no-preprocess",
-        action="store_true",
-        help="skip column centering and row normalization",
-    )
     ggi.add_argument(
         "--std",
         choices=STD_CONVENTIONS,

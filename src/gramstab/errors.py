@@ -45,9 +45,9 @@ class ShapeMismatch(GramstabError):
 class NonFiniteScore(GramstabError):
     """A score or index is NaN or infinite although every entry is finite.
 
-    The result is too large for float64: centered values, a raw edge
-    summary, a pair's distance, or their spread. ``config_index`` names
-    the configuration of the first two; the message names a pair's.
+    The result is too large for float64: centered values, a pair's
+    distance, or the mean over pairs. ``config_index`` names the
+    configuration of the first; the message names a pair's.
     """
 
 

@@ -26,7 +26,6 @@ from .core import (
 from .errors import (
     EmptyGraph,
     InternalInvariant,
-    NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
 )
@@ -108,22 +107,19 @@ def score_configuration(
     graph: GraphTopology,
     config_index: int = 0,
     *,
-    preprocess: bool = True,
     copy: bool = True,
 ) -> tuple[float, int]:
-    """Preprocess (optionally) and summarize one configuration.
+    """Center, normalize and summarize one configuration.
 
-    Returns the score, the mean inner product over graph edges, and the
-    number of degenerate rows the preprocessing found (0 without it).
+    Returns the score, the mean cosine over graph edges, and the number
+    of degenerate rows the preprocessing found.
 
     With ``copy=False`` a writable float64 input array is centered and
     normalized in place; only pass arrays the caller owns. Otherwise the
-    input is copied once, by its conversion to float64. A score that is
-    not finite (finite entries too large for float64 arithmetic) raises
-    NonFiniteScore. Preprocessed scores are checked against the cosine
-    bound |s| <= 1.
+    input is copied once, by its conversion to float64. Scores are
+    checked against the cosine bound |s| <= 1.
     """
-    if preprocess and copy:
+    if copy:
         mat = np.array(mat, dtype=np.float64, order="C")
     values = matrix_values(mat, config_index=config_index)
     if graph.edge_count == 0:
@@ -134,19 +130,12 @@ def score_configuration(
             f"has {graph.node_count} nodes",
             config_index=config_index,
         )
-    n_degenerate = 0
-    if preprocess:
-        if not values.flags.writeable:
-            values = values.copy()
-        n_degenerate = center_normalize_inplace(values, config_index)
+    if not values.flags.writeable:
+        values = values.copy()
+    n_degenerate = center_normalize_inplace(values, config_index)
     score = _edge_mean_inner(values, graph.edges)
-    if not np.isfinite(score):
-        raise NonFiniteScore(
-            f"config {config_index}: edge summary is {score!r}; the entries "
-            f"are too large for float64 arithmetic (rescale the embeddings)",
-            config_index=config_index,
-        )
-    if preprocess and abs(score) > 1.0 + 1e-9:
+    # Written so that a NaN fails it too.
+    if not abs(score) <= 1.0 + 1e-9:
         raise InternalInvariant(
             f"preprocessed edge summary {score!r} escaped the cosine bound"
         )
@@ -167,7 +156,9 @@ def dispersion(scores: np.ndarray, std: str = "population") -> float:
 
     Bit-identical inputs must yield exactly 0.0, which naive mean/std
     arithmetic does not guarantee, so that case is short-circuited. Scores
-    are divided by their :func:`~gramstab.core.magnitude_scale` first.
+    are divided by their :func:`~gramstab.core.magnitude_scale` first:
+    cosines below 2^-100 underflow when squared, and an unscaled spread
+    of them would read 0.0, "perfectly stable".
     """
     ddof = _ddof(std)
     scores = np.asarray(scores, dtype=np.float64)
@@ -181,14 +172,13 @@ def ggi_index(
     configs: Iterable,
     graph: GraphTopology,
     *,
-    preprocess: bool = True,
     std: str = "population",
     copy: bool = True,
 ) -> StabilityReport:
     """Graph Gram index of an ensemble over a fixed graph.
 
-    Each configuration is centered and normalized (unless ``preprocess``
-    is False) and reduced to its edge-restricted Gram summary; the index
+    Each configuration is centered, normalized and reduced to its
+    edge-restricted Gram summary, a mean cosine in [-1, 1]; the index
     is the :func:`dispersion` of those summaries under the ``std``
     convention. Configurations are consumed one at a time, so ``configs``
     may be a lazy iterable of matrices when the ensemble is too large to
@@ -211,9 +201,7 @@ def ggi_index(
     # which doubles peak memory when streaming large ensembles.
     idx = 0
     for mat in configs:
-        score, n_degenerate = score_configuration(
-            mat, graph, idx, preprocess=preprocess, copy=copy
-        )
+        score, n_degenerate = score_configuration(mat, graph, idx, copy=copy)
         del mat
         scores.append(score)
         degenerate_rows.append(n_degenerate)
@@ -222,8 +210,4 @@ def ggi_index(
         raise TooFewConfigs(f"need at least 2 configurations, got {idx}")
     column = np.array(scores)
     column.flags.writeable = False
-    index_value = dispersion(column, std)
-    if not np.isfinite(index_value * 100.0):
-        raise NonFiniteScore(f"the index is {index_value!r}; in percent it is too "
-                             f"large for float64 (rescale the embeddings)")
-    return StabilityReport(index_value, column, tuple(degenerate_rows))
+    return StabilityReport(dispersion(column, std), column, tuple(degenerate_rows))

@@ -314,7 +314,7 @@ def test_centering_overflow_is_one_named_error_for_every_index(n, dim, n_configs
     configs = [rng.normal(size=(n, dim)) for _ in range(n_configs)]
     configs[bad][:, column] = sign * 1.7e308
     graph = GraphTopology(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
-    indices = [lambda e, **kw: ggi_index(e, graph, **kw),
+    indices = [lambda e, preprocess: ggi_index(e, graph),  # ggi always preprocesses
                *(lambda e, f=f, **kw: f(e, 1, **kw)
                  for f in (knn_jaccard_index, second_order_cosine_index)),
                aligned_cosine_index, hausdorff_index, wasserstein_index]

@@ -144,8 +144,8 @@ def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
 # where the ensemble was written.
 @pytest.mark.parametrize("argv, digest", [
     (["ggi"], "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
-    (["ggi", "--no-preprocess"],
-     "9e6dcc8f47d99adf84db2a8dda887f09583c2436f7c1b4b31a2dd41fc65f7cf1"),
+    (["ggi", "--std", "population"],
+     "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
     (["ggi", "--std", "sample"],
      "12e37b94c6b41ec1303fc20ddc61f890ca3f6a86c12a8d0e55bf5a75346f9694"),
     (["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
@@ -298,15 +298,6 @@ def test_timings_flag_adds_wall_clock(workspace):
     assert doc["timings"]["wall_seconds"] > 0.0
 
 
-def test_no_preprocess_changes_scores(workspace):
-    raw = _run(["ggi", "--manifest", str(workspace / "manifest.json"), "--no-preprocess"])
-    cooked = _run(["ggi", "--manifest", str(workspace / "manifest.json")])
-    doc_raw = json.loads(raw.stdout)
-    doc_cooked = json.loads(cooked.stdout)
-    assert doc_raw["options"]["preprocess"] is False
-    assert doc_raw["per_config"][0]["score"] != doc_cooked["per_config"][0]["score"]
-
-
 def test_out_writes_file_and_keeps_stdout_quiet(workspace, tmp_path):
     out = tmp_path / "report.json"
     result = _run([
@@ -363,6 +354,9 @@ def test_usage_errors_exit_2():
     assert _run(["ggi"]).returncode == 2  # --manifest required
     assert _run(["frobnicate"]).returncode == 2
     assert _run(["baseline", "--manifest", "x", "--index", "nope"]).returncode == 2
+    removed = _run(["ggi", "--manifest", "x", "--no-preprocess"])  # GGI always preprocesses
+    assert removed.returncode == 2
+    assert "usage:" in removed.stderr and "Traceback" not in removed.stderr
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -399,25 +393,6 @@ def test_truncated_embedding_exits_2_with_named_error(workspace, tmp_path):
     result = _run(["ggi", "--manifest", str(bad)])
     assert result.returncode == 2
     assert "truncated" in result.stderr.lower()
-
-
-def test_overflowing_raw_scores_exit_2_with_named_error(tmp_path):
-    # Finite entries near 1e200 pass input validation, but their inner
-    # products overflow float64; without preprocessing the edge summary
-    # is not finite. That is an input problem, named, not a crash.
-    rng = np.random.default_rng(5)
-    (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n3 0\n")
-    for name in ("a", "b"):
-        save_embeddings(tmp_path / f"{name}.gge1", 1e200 * rng.normal(size=(4, 3)))
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({
-        "graph_path": "g.edges", "embedding_paths": ["a.gge1", "b.gge1"],
-    }))
-    result = _run(["ggi", "--manifest", str(manifest), "--no-preprocess"])
-    assert result.returncode == 2, result.stderr
-    assert "config 0" in result.stderr
-    assert "internal error" not in result.stderr
-    assert result.stdout == ""
 
 
 def test_baseline_score_past_float64_exits_2_with_named_error(tmp_path):

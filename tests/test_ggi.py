@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gramstab import (
     EmptyGraph,
     GraphTopology,
+    InternalInvariant,
     NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
@@ -21,7 +22,7 @@ from gramstab import (
     random_graph,
     score_configuration,
 )
-from gramstab.ggi import dispersion
+from gramstab.ggi import _edge_mean_inner, dispersion
 
 import oracles
 
@@ -37,7 +38,7 @@ def _random_instance(seed, n_nodes=30, dim=4, n_configs=3, noise=0.1):
 def test_edge_summary_matches_dense_mask():
     graph, configs = _random_instance(0)
     for values in configs:
-        fast = score_configuration(values, graph, preprocess=False)[0]
+        fast = _edge_mean_inner(values, graph.edges)
         slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
         assert abs(fast - slow) <= 1e-12
 
@@ -50,7 +51,7 @@ def test_edge_summary_matches_dense_mask_property(seed):
     dim = int(rng.integers(1, 9))
     graph = random_graph(n, min(3.0, n - 1), seed)
     values = rng.normal(size=(n, dim))
-    fast = score_configuration(values, graph, preprocess=False)[0]
+    fast = _edge_mean_inner(values, graph.edges)
     slow = oracles.dense_edge_summary(values, graph.edges, graph.node_count)
     assert abs(fast - slow) <= 1e-12
 
@@ -63,11 +64,11 @@ def test_blockwise_accumulation_is_exact(monkeypatch):
     import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
-    whole = score_configuration(configs[0], graph, preprocess=False)[0]
+    whole = _edge_mean_inner(configs[0], graph.edges)
     monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 8)
-    assert score_configuration(configs[0], graph, preprocess=False)[0] == whole
+    assert _edge_mean_inner(configs[0], graph.edges) == whole
     monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
-    chunked = score_configuration(configs[0], graph, preprocess=False)[0]
+    chunked = _edge_mean_inner(configs[0], graph.edges)
     assert abs(whole - chunked) <= 1e-12
 
 
@@ -313,23 +314,21 @@ def test_sample_convention_flows_through():
 def test_empty_graph_and_shape_mismatch():
     graph = GraphTopology(3, np.empty((0, 2), dtype=np.int64))
     with pytest.raises(EmptyGraph):
-        score_configuration(np.ones((3, 2)), graph, preprocess=False)
+        score_configuration(np.ones((3, 2)), graph)
     real = GraphTopology.from_pairs(3, np.array([[0, 1]]))[0]
     with pytest.raises(ShapeMismatch) as err:
         score_configuration(np.ones((4, 2)), real, config_index=2)
     assert "config 2" in str(err.value)
 
 
-@pytest.mark.parametrize("preprocess", [False, True])
-def test_overflowing_score_is_a_named_error(preprocess):
+def test_overflowing_score_is_a_named_error():
     # Finite entries too large for float64 arithmetic must not come back
-    # as a NaN or infinite score: without preprocessing the inner
-    # products overflow, with it the column sums behind the mean do.
+    # as a NaN or infinite score: the column sums behind the mean overflow.
     graph, _ = _random_instance(15)
     rng = np.random.default_rng(15)
     huge = 1e308 * (1.0 + 0.5 * rng.random((graph.node_count, 4)))
     with pytest.raises(NonFiniteScore) as err:
-        score_configuration(huge, graph, config_index=2, preprocess=preprocess)
+        score_configuration(huge, graph, config_index=2)
     assert err.value.config_index == 2
     assert "config 2" in str(err.value)
 
@@ -400,15 +399,6 @@ def test_shared_input_is_left_unchanged(tmp_path):
     del mapped
 
 
-def test_index_past_float64_is_a_named_error():
-    # Raw scores of +-3e307 are finite, but their spread, in percent, is not.
-    graph = GraphTopology.from_pairs(2, np.array([[0, 1]]))[0]
-    root = np.sqrt(3e307)
-    configs = [np.array([[root], [root]]), np.array([[root], [-root]])]
-    with pytest.raises(NonFiniteScore, match="the index is"):
-        ggi_index(iter(configs), graph, preprocess=False)
-
-
 def test_huge_entries_score_as_their_rescaled_copy():
     # Rows of entries near 1e160 have squared norms past the float64
     # range; they must still normalize to the rows of the unscaled
@@ -462,12 +452,14 @@ def test_preprocessed_scores_are_cosine_bounded():
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
-def test_no_preprocess_uses_raw_inner_products():
+def test_a_score_outside_the_cosine_bound_is_an_internal_error(monkeypatch):
+    # A NaN edge summary must fail the bound too, not reach the report.
+    import gramstab.ggi as ggi_mod
+
     graph, configs = _random_instance(4)
-    scaled = [10.0 * c for c in configs]
-    raw = ggi_index(scaled, graph, preprocess=False).index_value
-    expected = oracles.ggi_dense(scaled, graph.edges, graph.node_count, preprocess=False)
-    assert abs(raw - expected) <= 1e-10
+    monkeypatch.setattr(ggi_mod, "_edge_mean_inner", lambda values, edges: float("nan"))
+    with pytest.raises(InternalInvariant, match="escaped the cosine bound"):
+        score_configuration(configs[0], graph)
 
 
 def test_report_metadata_names_conventions():

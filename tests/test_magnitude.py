@@ -9,11 +9,11 @@ rule existed.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
+    GraphTopology,
     aligned_cosine_index,
     ggi_index,
     hausdorff_index,
@@ -22,6 +22,7 @@ from gramstab import (
     second_order_cosine_index,
     wasserstein_index,
 )
+from gramstab.ggi import dispersion
 
 _N, _DIM, _K = 30, 5, 4
 _RNG = np.random.default_rng(40)
@@ -86,13 +87,16 @@ def test_indices_follow_a_change_of_units(scales):
             )
 
 
-@pytest.mark.parametrize("c", [1e-150, 1e-100, 1e100, 1e150])
-def test_raw_ggi_scales_with_the_square_of_the_units(c):
-    # Without preprocessing the scores are raw inner products, c^2 times
-    # the unscaled ones; their standard deviation must follow, neither
-    # underflowing to a "perfectly stable" 0.0 nor overflowing to inf.
-    raw = ggi_index(iter(CONFIGS), GRAPH, preprocess=False).index_value
-    scaled = ggi_index(iter([c * x for x in CONFIGS]), GRAPH, preprocess=False).index_value
-    assert raw > 0.0
-    assert scaled == pytest.approx(c * c * raw, rel=1e-9)
-
+def test_tiny_cosines_keep_their_spread():
+    # Exact cosines of 1e-170, 2e-170 and 4e-170: squared, their deviations
+    # underflow, so an unscaled spread would read a "perfectly stable" 0.0.
+    graph = GraphTopology.from_pairs(3, np.array([[0, 1]]))[0]
+    ts = [1e-170, 2e-170, 4e-170]
+    report = ggi_index(
+        iter([np.array([[1.0, 0.0], [t, 1.0], [-1.0 - t, -1.0]]) for t in ts]), graph
+    )
+    assert report.scores.tolist() == ts
+    scale = 2.0**-600
+    assert report.index_value == np.std(np.array(ts) / scale) * scale
+    assert report.index_value == 1.247219128924647e-170
+    assert dispersion(np.array(ts)) > 0.0
