@@ -36,6 +36,7 @@ from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfi
 from .fileio import (
     EdgeListResult,
     Manifest,
+    _save_identity_id_map,
     load_edge_list,
     load_embedding_values,
     load_embeddings,
@@ -256,11 +257,7 @@ def _cmd_synth(args) -> int:
     )
     # Identity id map so isolated nodes still pin the node count on load.
     ids_path = out_dir / "ids.json"
-    ids_path.write_text(
-        "{\n"
-        + ",\n".join(f'  "{i}": {i}' for i in range(graph.node_count))
-        + "\n}\n"
-    )
+    _save_identity_id_map(ids_path, graph.node_count)
     width = max(2, len(str(args.configs - 1)))
     embedding_paths = [out_dir / f"config_{idx:0{width}d}.gge1" for idx in range(args.configs)]
     for path in embedding_paths:

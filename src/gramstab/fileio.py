@@ -11,6 +11,7 @@ with ``#`` comments; extra columns are ignored.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -314,22 +315,100 @@ def _text_lines(path: Path, handle) -> Iterator[str]:
 def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> None:
     """Write ``graph`` as a text edge list :func:`load_edge_list` reads back.
 
-    The file is an optional ``# comment`` line, then one ``i j`` line per
-    edge, in decimal, in the graph's canonical order. Edges are formatted
-    ``_EDGE_CHUNK_IDS`` ids (32,768 edges) at a time, by one ``%`` over the
-    chunk's ids and one write. The chunks are bounded because formatting
-    the whole list at once holds every id as a Python int, and the
-    format string and text of the whole file: 20 MB at 200k edges,
-    against about 3 MB for one chunk.
+    The file is an optional comment, one ``# `` line per line of
+    ``comment``, then one ``i j`` line per edge, in decimal, in the
+    graph's canonical order, with ``\\n`` line ends. Edges are formatted
+    ``_EDGE_CHUNK_IDS`` ids (32,768 edges) at a time by
+    :func:`_decimal_lines`, so the text of the whole file is never held
+    at once.
     """
-    path = Path(path)
-    ids = graph.edges.ravel()
-    with path.open("w", encoding="utf-8") as handle:
+    edges = graph.edges
+    rows = _EDGE_CHUNK_IDS // 2
+    with Path(path).open("wb") as handle:
         if comment:
-            handle.write(f"# {comment}\n")
-        for start in range(0, ids.size, _EDGE_CHUNK_IDS):
-            chunk = ids[start:start + _EDGE_CHUNK_IDS].tolist()
-            handle.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
+            # The line breaks that both edge-list readers honour.
+            lines = comment.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            handle.write("".join(f"# {line}\n" for line in lines).encode("utf-8"))
+        for start in range(0, len(edges), rows):
+            handle.write(_decimal_lines(edges[start:start + rows], (b"", b" ", b"\n")))
+
+
+def _save_identity_id_map(path, node_count: int) -> None:
+    """Write the JSON id map that sends each id 0..node_count-1 to the row
+    of the same number: ``{``, one ``  "i": i`` entry per line, ``}``."""
+    ids = np.arange(node_count, dtype=np.int64)
+    body = _decimal_lines(np.broadcast_to(ids[:, None], (node_count, 2)),
+                          (b'  "', b'": ', b",\n"))
+    with Path(path).open("wb") as handle:
+        handle.write(b"{\n")
+        handle.write(memoryview(body)[:-2])  # no comma after the last entry
+        handle.write(b"\n}\n")
+
+
+def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...]) -> bytes:
+    """The non-negative (R, C) int64 ``columns`` as decimal text, row after
+    row: ``parts[0]``, column 0, ``parts[1]``, ..., column C-1,
+    ``parts[C]``. ``b""`` when R is 0.
+
+    Array code only. Each row is laid out in 4-byte words: each part in
+    as few words as hold it, then each column in as many 4-digit groups
+    as its largest value needs. The groups come from repeated division by
+    10**4, and their text and a mask of the bytes to keep come from
+    :func:`_group_tables`; one boolean compress drops the rest, the
+    parts' padding and the leading zeros. Each part is padded at its
+    end, so that a column's digits and the part after them are kept as
+    one run, which the compress copies faster.
+    """
+    digit_groups, group_keep = _group_tables()
+    count, cols = columns.shape
+    groups = [-(-len(str(int(columns[:, c].max(initial=0)))) // 4) for c in range(cols)]
+    width = sum(-(-len(part) // 4) for part in parts) + sum(groups)
+    text = np.empty((count, width), dtype=np.uint32)
+    keep = np.empty_like(text)
+    word = 0
+    for c, part in enumerate(parts):
+        pad = bytes(-len(part) % 4)
+        for glyphs, kept in zip(np.frombuffer(part + pad, np.uint32),
+                                np.frombuffer(b"\1" * len(part) + pad, np.uint32)):
+            text[:, word] = glyphs
+            keep[:, word] = kept
+            word += 1
+        if c == cols:
+            break
+        rest = columns[:, c].copy()
+        above = np.empty_like(rest)
+        for g in range(groups[c] - 1, -1, -1):  # the lowest group first
+            np.floor_divide(rest, 10_000, out=above)
+            rest -= above * 10_000  # group g
+            text[:, word + g] = digit_groups[rest]
+            if g == groups[c] - 1:
+                np.maximum(rest, 1, out=rest)  # a lone 0 keeps its digit
+            rest += np.minimum(above, 1) * 10_000
+            keep[:, word + g] = group_keep[rest]
+            rest, above = above, rest
+        word += groups[c]
+    return text.view(np.uint8).ravel()[keep.view(bool).ravel()].tobytes()
+
+
+@functools.cache
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The lookup tables of :func:`_decimal_lines`, as uint32 arrays of
+    4-byte groups: the ASCII of each value below 10**4, zero-padded
+    ("0000" to "9999"), and one bool per byte of a group, true for the
+    bytes to keep. At [g] the latter marks the significant digits of g
+    as a number's leading group (none for 0); at [10**4 + g], all four,
+    for a group below a nonzero one.
+
+    Built on first use, so that a command that writes no text never
+    holds them.
+    """
+    values = np.arange(20_000, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (values[:10_000] // places % 10 + ord("0")).astype(np.uint8)
+    tables = digits.view(np.uint32).ravel(), (values >= places).view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
 
 
 def load_embeddings(path) -> np.ndarray:

@@ -8,6 +8,7 @@ these on instances small enough for the slow route.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -288,9 +289,15 @@ def edge_list_brute(path, id_map=None):
 
 def id_map_brute(doc):
     """An id-map JSON object read as plain python: ``{int(key): int(row)}``,
-    or "twice" when two keys spell one id, or "rows" when the rows are not
-    0..n-1."""
-    mapping = {int(key): int(row) for key, row in doc.items()}
+    or "entry" when a key or row is not an integer (a bool or float row
+    is not, though ``int`` takes it), "twice" when two keys spell one id,
+    or "rows" when the rows are not 0..n-1."""
+    try:
+        if any(isinstance(row, (bool, float)) for row in doc.values()):
+            return "entry"
+        mapping = {int(key): int(row) for key, row in doc.items()}
+    except (TypeError, ValueError):
+        return "entry"
     if len(mapping) < len(doc):
         return "twice"
     if sorted(mapping.values()) != list(range(len(mapping))):
@@ -298,10 +305,18 @@ def id_map_brute(doc):
     return mapping
 
 
+def id_map_text_brute(node_count):
+    """The identity id map of ``gramstab synth``, one f-string per entry:
+    ``{``, then ``  "i": i`` for each i below ``node_count``, one per
+    line, then ``}``."""
+    return "{\n" + ",\n".join(f'  "{i}": {i}' for i in range(node_count)) + "\n}\n"
+
+
 def edge_list_text_brute(edges, comment=None):
-    """The text of an edge list written one f-string per edge row: an
-    optional ``# comment`` line, then ``i j`` for each row of ``edges``."""
-    lines = [f"# {comment}\n"] if comment else []
+    """The text of an edge list written one f-string per edge row: a
+    ``# line`` for each line of ``comment``, split at ``\\r\\n``,
+    ``\\r`` and ``\\n``, then ``i j`` for each row of ``edges``."""
+    lines = [f"# {line}\n" for line in re.split(r"\r\n|\r|\n", comment)] if comment else []
     for i, j in np.asarray(edges, dtype=np.int64):
         lines.append(f"{i} {j}\n")
     return "".join(lines)

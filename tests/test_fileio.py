@@ -32,6 +32,8 @@ from gramstab.fileio import (
     _EDGE_CHUNK_IDS,
     _HASH_BUFFER,
     GGE1_MAGIC,
+    _decimal_lines,
+    _save_identity_id_map,
     report_to_json,
     sha256_file,
 )
@@ -561,6 +563,69 @@ def test_save_edge_list_round_trips(tmp_path):
     assert back.graph.node_count == 25
 
 
+@settings(max_examples=200, deadline=None)
+@given(comment=st.none() | st.text(
+    # Line breaks, and characters str.splitlines() takes for one but the readers do not.
+    st.sampled_from("\r\n\t\x0b\x0c\x1c\x85\u2028 #5")
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=12,
+))
+@example(comment="a\nb")
+@example(comment="a\rb")
+@example(comment="a\r\n\nb\r")
+@example(comment="\n")
+def test_save_edge_list_round_trips_any_comment(comment):
+    # Every line of the comment needs its own "#": a bare "b" line after
+    # "# a" is refused as one column.
+    graph = GraphTopology(4, [(0, 1), (1, 3)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        save_edge_list(path, graph, comment=comment)
+        back = load_edge_list(path, ids=np.arange(4))
+    assert np.array_equal(back.graph.edges, graph.edges)
+
+
+# Each power of ten and the value below it, from 0 and 1 to 10**18, and the int64 maximum.
+_DECIMAL_TOPS = [10**k - d for k in range(19) for d in (1, 0)] + [2**63 - 1]
+
+
+@st.composite
+def _decimal_case(draw):
+    """A non-negative (R, C) int64 array whose column maxima lie on digit
+    boundaries, and C + 1 parts, some empty."""
+    count, cols = draw(st.integers(0, 3000)), draw(st.integers(1, 3))
+    tops = [draw(st.sampled_from(_DECIMAL_TOPS)) for _ in range(cols)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    # A random right shift spreads the values over every digit count below the top.
+    columns = np.stack([rng.integers(0, top, count, endpoint=True) >> rng.integers(0, 64, count)
+                        for top in tops], axis=1)
+    if count:
+        columns[rng.integers(count, size=cols), np.arange(cols)] = tops
+    parts = draw(st.lists(st.binary(max_size=6), min_size=cols + 1, max_size=cols + 1))
+    return columns, tuple(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_decimal_case())
+@example(case=(np.empty((0, 2), dtype=np.int64), (b"a", b" ", b"\n")))
+@example(case=(np.array([[0, 9, 10], [2**63 - 1, 10**18, 0]]), (b"", b"", b"", b"")))
+def test_decimal_lines_matches_percent_d(case):
+    columns, parts = case
+    expected = b"".join(
+        parts[0] + b"".join(b"%d" % value + part for value, part in zip(row, parts[1:]))
+        for row in columns.tolist()
+    )
+    assert _decimal_lines(columns, parts) == expected
+
+
+@pytest.mark.parametrize("count", [1, 2, 9, 10, 11, 9999, 10_000, 10_001])
+def test_identity_id_map_matches_f_strings(tmp_path, count):
+    path = tmp_path / "ids.json"
+    _save_identity_id_map(path, count)
+    assert path.read_bytes() == oracles.id_map_text_brute(count).encode()
+    assert np.array_equal(load_id_map(path), np.arange(count))
+
+
 def test_id_map_must_be_bijection(tmp_path):
     path = tmp_path / "ids.json"
     path.write_text(json.dumps({"0": 0, "1": 0, "2": 1}))
@@ -577,11 +642,14 @@ def test_id_map_must_be_bijection(tmp_path):
 
 # Keys in and past int64, each in several spellings int() accepts.
 _MAP_KEYS = [0, 1, 7, 10, -3, -2**63, 2**63 - 1, 2**63, 2**64]
+# Rows that are not an int in int64.
+_ODD_ROWS = [True, False, 1.5, None, [0], 2**63, -2**63 - 1]
 
 
 @st.composite
 def _id_map_text(draw):
-    """An id-map JSON text; some spell one id twice or break the rows."""
+    """An id-map JSON text; some spell one id twice, break the rows, or
+    hold a key or row that is not an integer."""
     keys = draw(st.lists(st.sampled_from(_MAP_KEYS) | st.integers(-10**6, 10**6),
                          min_size=1, max_size=10, unique=True))
     rows = draw(st.permutations(range(len(keys))))
@@ -593,16 +661,35 @@ def _id_map_text(draw):
     doc = {}
     for key, row in zip(keys, rows):
         digits = "0" * draw(st.integers(0, 1)) + str(abs(key))
+        spelling = draw(st.integers(0, 9))
+        if spelling == 0 and len(digits) > 1:
+            digits = digits[0] + "_" + digits[1:]
+        elif spelling == 1:
+            digits = "".join(chr(ord("\u0660") + int(d)) for d in digits)  # Arabic-Indic
+        elif spelling == 2:
+            digits += draw(st.sampled_from(["x", ".0", "__1"]))  # int() refuses these
         sign = "-" if key < 0 else draw(st.sampled_from(["", "+"]))
-        doc[sign + digits] = draw(st.sampled_from([row, str(row)]))
+        row = draw(st.sampled_from([row, str(row)]))
+        if draw(st.integers(0, 9)) == 0:
+            row = draw(st.sampled_from(_ODD_ROWS))
+        doc[sign + digits] = row
     return json.dumps(doc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(text=_id_map_text())
 @example(text='{"9223372036854775807": 0, "+9223372036854775808": "1", "07": 2}')
 @example(text='{"18446744073709551616": 1, "-9223372036854775808": 0}')
 @example(text='{"7": 0, "+7": 1}')
+@example(text='{"0": 1, "1": "0"}')
+@example(text='{"0": true, "1": 0}')
+@example(text='{"0": 1.5, "1": 0}')
+@example(text='{"0": null, "1": 0}')
+@example(text='{"0": [0], "1": 1}')
+@example(text='{"0": 9223372036854775808, "1": 0}')
+@example(text='{"+1": 0, "007": 1, "1_0": 2, "\u0663": 3, "9223372036854775808": 4}')
+@example(text='{"+1": 0, "007": 1, "1_0": 2, "\u0663": 3}')
+@example(text='{"x": 0}')
 def test_id_map_matches_int_oracle(text):
     expected = oracles.id_map_brute(json.loads(text))
     with tempfile.TemporaryDirectory() as tmp:
@@ -612,6 +699,10 @@ def test_id_map_matches_int_oracle(text):
             ids = load_id_map(path)
         except NotABijection as err:
             assert expected == ("twice" if "twice" in str(err) else "rows")
+            return
+        except ParseError as err:
+            assert expected == "entry"
+            assert "id map entries must be integers" in str(err)
             return
     assert ids.dtype == (np.int64 if all(-2**63 <= i < 2**63 for i in expected) else object)
     assert dict(zip(ids.tolist(), range(ids.size))) == expected
