@@ -28,7 +28,9 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
 
     The optimum is U V^T from the SVD of the d x d cross matrix
     source^T @ target, which costs O(|V| d^2 + d^3) and never forms a
-    |V| x |V| product.
+    |V| x |V| product. The cross matrix is summed by ``np.einsum``, not
+    BLAS, whose sum over |V| differs in the last bits between one thread
+    and two, so q does not depend on the BLAS thread count.
 
     Parameters
     ----------
@@ -46,7 +48,7 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
             f"cannot align shapes {a.shape} and {b.shape}; equal rows and "
             "columns are required"
         )
-    cross = a.T @ b
+    cross = np.einsum("ij,ik->jk", a, b)
     u, s, vt = np.linalg.svd(cross)
     q = u @ vt
     if s.size == 0 or s[0] == 0.0:

@@ -8,13 +8,19 @@ inputs by default; pass ``preprocess=True`` to apply the same
 center-normalize step the Gram index uses, for controlled comparisons.
 
 Memory: kNN search, the Hausdorff screen and the Wasserstein certificate
-take rows in blocks of ``_BLOCK_ELEMENTS`` (2M) keys against all |V|
-columns, and Hausdorff's exact recompute takes tiles of 1/64 block. The peak
-is about two 16 MB blocks plus the (|V|, k) neighbor lists, about 2.3 blocks
-when whole rows tie; Hausdorff adds a copy of each configuration without
-repeated rows, and Hausdorff and Wasserstein three copies of each of the two
-they are comparing. Only a Wasserstein pair whose certificate fails forms
-the dense |V| x |V| cost matrix.
+take rows in blocks against all |V| columns (:func:`_row_blocks`): about
+``_CACHE_ELEMENTS`` (128K) keys, 1 MB, while that leaves at least
+``_GEMM_ROWS`` (64) rows per block, which holds up to |V| = 2048, and about
+``_BLOCK_ELEMENTS`` (2M) keys, 16 MB, past it. Blocks are written into
+buffers allocated once per call: kNN search holds two blocks of keys and one
+of booleans plus the (|V|, k) neighbor lists, and more only when whole rows
+tie; the Hausdorff screen and the Wasserstein certificate hold one block,
+which every pair reuses (:class:`_Scratch`). Hausdorff's exact recompute
+takes tiles of 1/64 of a 16 MB block. Hausdorff adds a copy of each
+configuration without repeated rows, and Hausdorff and Wasserstein three
+copies of each of the two they are comparing, also reused by every pair.
+Only a Wasserstein pair whose certificate fails forms the dense |V| x |V|
+cost matrix, while the block and the two copies are still held.
 
 scipy is imported only by the Euclidean kNN search and by a Wasserstein pair
 whose nearest-neighbour certificate fails, so that importing the package,
@@ -24,6 +30,7 @@ indices, and Wasserstein on ensembles of near-copies do not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -38,7 +45,9 @@ METRICS = ("cosine", "euclidean")
 
 PAIR_CONVENTION = "unordered pairs l < m, self-pairs excluded"
 
-_BLOCK_ELEMENTS = 1 << 21  # keys per row block: 16 MB of float64
+_CACHE_ELEMENTS = 1 << 17  # keys per cache-sized row block: 1 MB of float64
+_GEMM_ROWS = 64  # fewest rows for which a cache-sized block is used
+_BLOCK_ELEMENTS = 1 << 21  # keys per row block past that: 16 MB of float64
 
 # Nodes past which a Wasserstein pair that needs the dense |V| x |V| cost
 # matrix (800 MB of float64 at the cap) raises InstanceTooLarge.
@@ -56,10 +65,15 @@ class PairwiseIndexReport:
 
 
 def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
-    """Row slices of about ``_BLOCK_ELEMENTS`` elements. A one-row tail
-    joins the block before it: a one-row product goes through gemv, whose
-    last bit can differ from the full product's."""
-    step = max(2, _BLOCK_ELEMENTS // max(row_size, 1))
+    """Row slices of about ``_CACHE_ELEMENTS`` elements when that gives at
+    least ``_GEMM_ROWS`` rows of ``row_size``, else of about
+    ``_BLOCK_ELEMENTS``: a block that stays in cache is faster to write and
+    read back, but a GEMM of a few rows against |V| columns is slow. A
+    one-row tail joins the block before it: a one-row product goes through
+    gemv, whose last bit can differ from the full product's."""
+    step = _CACHE_ELEMENTS // max(row_size, 1)
+    if step < _GEMM_ROWS:
+        step = max(2, _BLOCK_ELEMENTS // max(row_size, 1))
     cuts = [*range(step, n_rows - 1, step), n_rows]
     return [slice(a, b) for a, b in zip([0, *cuts], cuts)]
 
@@ -145,10 +159,13 @@ def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
     Under the "cosine" metric "nearest" means highest cosine similarity;
     under "euclidean", smallest distance. Self is excluded. Ties are
     broken by ascending node id, which is what makes downstream
-    neighborhood indices permutation-invariant: per row block, each
-    row's keys below its k-th smallest plus the lowest-id keys equal to
-    it, k in all, are sorted on (key, node id). Raises KTooLarge unless
-    1 <= k < node_count, and ValueError for another metric.
+    neighborhood indices permutation-invariant: per row block
+    (:func:`_row_blocks`), each row's keys below its k-th smallest plus the
+    lowest-id keys equal to it, k in all, are sorted on (key, node id).
+    The keys (negated cosines, or distances), a copy of them that is
+    partitioned in place and the mask of kept keys go into three buffers
+    made once per call. Raises KTooLarge unless 1 <= k < node_count, and
+    ValueError for another metric.
     """
     values = matrix_values(mat)
     n = values.shape[0]
@@ -156,35 +173,51 @@ def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < node_count={n}")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    unit = _unit_rows(values) if metric == "cosine" else None
-    if unit is None:
+    if metric == "cosine":
+        unit = _unit_rows(values)
+    else:
         from scipy.spatial.distance import cdist
+    blocks = _row_blocks(n, n)
+    # Each block uses the leading rows, which are C-contiguous as out= needs.
+    shape = (max(r.stop - r.start for r in blocks), n)
+    key_buf, part_buf, near_buf = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     indices = np.empty((n, k), dtype=np.intp)
-    for rows in _row_blocks(n, n):
-        keys = cdist(values[rows], values) if unit is None else -(unit[rows] @ unit.T)
-        local = np.arange(keys.shape[0])
+    for rows in blocks:
+        m = rows.stop - rows.start
+        keys, part, near = key_buf[:m], part_buf[:m], near_buf[:m]
+        if metric == "cosine":
+            # Negation is exact, so -u_i . u_j is -(u_i . u_j) bit for bit.
+            np.matmul(-unit[rows], unit.T, out=keys)
+        else:
+            cdist(values[rows], values, out=keys)
+        local = np.arange(m)
         keys[local, local + rows.start] = np.inf  # self sorts last
-        kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
-        near = keys <= kth
-        if np.count_nonzero(near) > k * local.size:  # some row ties at its k-th key
-            _keep_lowest_id_ties(near, keys, kth, k)
+        np.copyto(part, keys)
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1:k]
+        np.less_equal(keys, kth, out=near)
+        if np.count_nonzero(near) > k * m:  # some row ties at its k-th key
+            _keep_lowest_id_ties(near, keys, kth, k, part)
         # k candidates per row, in id order: a stable sort on key breaks ties by id.
-        col = np.nonzero(near)[1].reshape(-1, k)
+        col = (np.flatnonzero(near) % n).reshape(-1, k)
         order = np.argsort(np.take_along_axis(keys, col, axis=1), axis=1, kind="stable")
         indices[rows] = np.take_along_axis(col, order, axis=1)
     return indices
 
 
-def _keep_lowest_id_ties(near, keys, kth, k):
+def _keep_lowest_id_ties(near, keys, kth, k, scratch):
     """Cut each row of ``near`` (``keys <= kth``) that holds more than k
     entries down to k: the keys below the row's k-th key, then its
-    lowest-id keys equal to it."""
+    lowest-id keys equal to it. The running count of ties overwrites
+    ``scratch``, a float64 array of the shape of ``keys``, once ``kth``,
+    which may be a view of it, has been read."""
     counts = np.count_nonzero(near, axis=1)
     heavy = np.flatnonzero(counts > k)
     tie = (keys == kth)[heavy]
     # Every key below the k-th stays, so ``need`` ties do.
     need = k - counts[heavy] + np.count_nonzero(tie, axis=1)
-    drop = np.cumsum(tie, axis=1, dtype=np.int32) > need[:, None]
+    running = scratch.view(np.int32)[:len(heavy), :tie.shape[1]]
+    drop = np.cumsum(tie, axis=1, dtype=np.int32, out=running) > need[:, None]
     drop &= tie
     near[heavy] &= ~drop
 
@@ -271,6 +304,27 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     return _pairwise("aligned-cosine", len(values), aligned_cosine, metadata)
 
 
+class _Scratch:
+    """Float64 storage that one index call reuses for every pair.
+
+    A pair that allocated its clouds and screen blocks afresh would free
+    them at its end, and glibc hands blocks of that size back to the
+    system, so the next pair would fault in new pages: about 800 faults
+    per pair at |V| = 1000, d = 32, which cost more than the screen's
+    arithmetic."""
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def take(self, *shape: int) -> np.ndarray:
+        """A C-contiguous array of ``shape`` over the front of the storage,
+        which grows when it is smaller; its values are undefined."""
+        size = math.prod(shape)
+        if self._flat.size < size:
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
+
+
 class _Cloud(NamedTuple):
     """One configuration as the screen and the exact recompute read it."""
 
@@ -280,11 +334,18 @@ class _Cloud(NamedTuple):
     columns: np.ndarray  # x.T, contiguous
 
     @classmethod
-    def of(cls, x: np.ndarray) -> "_Cloud":
-        norms = np.einsum("ij,ij->i", x, x)[:, None]
-        ones = np.ones_like(norms)
-        return cls(norms[:, 0], np.hstack([-2 * x, norms, ones]),
-                   np.hstack([x, ones, norms]), np.ascontiguousarray(x.T))
+    def of(cls, x: np.ndarray, scratch: _Scratch) -> "_Cloud":
+        """The cloud of ``x``, written over ``scratch``."""
+        n, d = x.shape
+        flat = scratch.take(n * (3 * d + 5))
+        left, right, columns, norms = np.split(flat, np.cumsum([n * (d + 2)] * 2 + [n * d]))
+        left, right, columns = left.reshape(n, -1), right.reshape(n, -1), columns.reshape(d, n)
+        np.einsum("ij,ij->i", x, x, out=norms)
+        np.multiply(x, -2.0, out=left[:, :d])
+        left[:, d], left[:, d + 1] = norms, 1.0
+        right[:, :d], right[:, d], right[:, d + 1] = x, 1.0, norms
+        columns[...] = x.T
+        return cls(norms, left, right, columns)
 
 
 def _distinct_rows(values: np.ndarray) -> np.ndarray:
@@ -332,6 +393,16 @@ def _exact_sq(a_columns: np.ndarray, b_columns: np.ndarray,
         diff *= diff
         total += diff  # the first column makes the array
     return total
+
+
+def _screen_blocks(a: _Cloud, b: _Cloud, scratch: _Scratch):
+    """Each row block of ``a`` (:func:`_row_blocks`) with its screened
+    squared distances to every row of ``b``, a.left[i] . b.right[j]. Every
+    block is written over ``scratch``, which the next block overwrites."""
+    blocks = _row_blocks(len(a.norms), len(b.norms))
+    buffer = scratch.take(max(r.stop - r.start for r in blocks), len(b.norms))
+    for rows in blocks:
+        yield rows, np.matmul(a.left[rows], b.right.T, out=buffer[:rows.stop - rows.start])
 
 
 def _may_be_row_minimum(approx: np.ndarray, low: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -384,12 +455,12 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     # Dropping repeats keeps a collapsed configuration from tying every
     # pair, which would send them all to the exact recompute.
     values = [_distinct_rows(v) for v in values]
+    clouds, screen = (_Scratch(), _Scratch()), _Scratch()
 
     def hausdorff(l, m):
-        a, b = _Cloud.of(values[l]), _Cloud.of(values[m])
+        a, b = (_Cloud.of(values[i], s) for i, s in zip((l, m), clouds))
         row_low, col_low = np.empty(len(a.norms)), np.full(len(b.norms), np.inf)
-        for rows in _row_blocks(len(a.norms), len(b.norms)):
-            approx = a.left[rows] @ b.right.T
+        for rows, approx in _screen_blocks(a, b, screen):
             approx.min(axis=1, out=row_low[rows])
             np.minimum(col_low, approx.min(axis=0), out=col_low)
         worst = max(_directed_sq(a, b, row_low), _directed_sq(b, a, col_low))
@@ -398,24 +469,24 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     return _pairwise("hausdorff", len(values), hausdorff, {})
 
 
-def _nearest_permutation(a: _Cloud, b: _Cloud) -> np.ndarray | None:
+def _nearest_permutation(a: _Cloud, b: _Cloud, scratch: _Scratch) -> np.ndarray | None:
     """Each row's nearest row of ``b``, when that is provably the unique
     optimal assignment; otherwise None.
 
-    Row blocks go through the Hausdorff screen. The certificate holds when
-    every row has exactly one candidate (:func:`_may_be_row_minimum`), so
-    that its squared distance to that column is strictly below every other
-    in the column-order arithmetic of :func:`_exact_sq`, and no column is
-    claimed twice. Sum_i min_j c_ij is a lower bound on the cost of every
-    assignment (the column reduction of Jonker and Volgenant, Computing
-    1987), and this permutation alone attains it. The check stops at the
-    first block that fails it.
+    Row blocks go through the Hausdorff screen (:func:`_screen_blocks`),
+    written over ``scratch``. The certificate holds when every row has
+    exactly one candidate (:func:`_may_be_row_minimum`), so that its
+    squared distance to that
+    column is strictly below every other in the column-order arithmetic of
+    :func:`_exact_sq`, and no column is claimed twice. Sum_i min_j c_ij is
+    a lower bound on the cost of every assignment (the column reduction of
+    Jonker and Volgenant, Computing 1987), and this permutation alone
+    attains it. The check stops at the first block that fails it.
     """
     tol = _screen_tolerance(a, b)
     match = np.empty(len(a.norms), dtype=np.intp)
     claimed = np.zeros(len(b.norms), dtype=bool)
-    for rows in _row_blocks(len(a.norms), len(b.norms)):
-        approx = a.left[rows] @ b.right.T
+    for rows, approx in _screen_blocks(a, b, scratch):
         match[rows] = cols = approx.argmin(axis=1)
         claimed[cols] = True
         if np.count_nonzero(claimed) != rows.stop:  # a column claimed twice
@@ -423,7 +494,6 @@ def _nearest_permutation(a: _Cloud, b: _Cloud) -> np.ndarray | None:
         low = np.take_along_axis(approx, cols[:, None], axis=1)[:, 0]
         if np.count_nonzero(_may_be_row_minimum(approx, low, tol[rows])) != len(cols):
             return None  # a row with two candidates
-        del approx  # before the next block's is made
     return match
 
 
@@ -436,7 +506,8 @@ def wasserstein_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRep
     nearest counterpart is strictly nearest and no two nodes share one,
     that permutation is the unique optimum (:func:`_nearest_permutation`):
     only its n squared distances are computed, in ``cdist``'s column order,
-    and the row-blocked check holds about one 16 MB block. Otherwise scipy
+    and the row-blocked check holds one block of :func:`_row_blocks` (1 MB
+    up to |V| = 2048, about 16 MB past it). Otherwise scipy
     builds the dense |V| x |V| cost matrix and solves the assignment; past
     ``_DENSE_MAX_NODES`` (10 000) nodes such a pair raises InstanceTooLarge
     instead, and the report's metadata names that cap as ``max_nodes``.
@@ -446,9 +517,11 @@ def wasserstein_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRep
     values, scale = _prepared_values(ensemble, preprocess, shared=True)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]
+    clouds, screen = (_Scratch(), _Scratch()), _Scratch()
 
     def wasserstein(l, m):
-        match = _nearest_permutation(_Cloud.of(values[l]), _Cloud.of(values[m]))
+        a, b = (_Cloud.of(values[i], s) for i, s in zip((l, m), clouds))
+        match = _nearest_permutation(a, b, screen)
         if match is not None:
             matched = _exact_sq(values[l].T, values[m][match].T, np.subtract)
         elif n_nodes > _DENSE_MAX_NODES:

@@ -210,8 +210,8 @@ def test_wasserstein_equals_cdist_and_lsap_bit_for_bit():
     certified = []
     original = baselines._nearest_permutation
 
-    def spy(a, b):
-        match = original(a, b)
+    def spy(*args):
+        match = original(*args)
         certified.append(match is not None)
         return match
 
@@ -466,6 +466,9 @@ def test_blocked_search_matches_oracles_under_ties(seed, metric, step, n_blocks,
     k = int(rng.integers(1, n))
     configs = [_tie_heavy(rng, n, dim, metric) for _ in range(2)]
     with pytest.MonkeyPatch.context() as mp:
+        # Both budgets give ``step`` rows: fewer than _GEMM_ROWS, so the
+        # large-block rule applies.
+        mp.setattr(baselines, "_CACHE_ELEMENTS", step * n)
         mp.setattr(baselines, "_BLOCK_ELEMENTS", step * n)
         blocks = baselines._row_blocks(n, n)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
@@ -495,18 +498,31 @@ def _check_against_oracles(configs, k, metric):
     assert report.metadata["zero_vector_scores"] == zeros
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_blocked_search_memory_stays_bounded():
-    # Dense search would hold |V| x |V| float64, 512 MB (32 blocks) at
-    # |V| = 8000. The blocked search holds about two blocks plus the
+    # Dense search would hold |V| x |V| float64, 512 MB (32 blocks of 2M
+    # keys) at |V| = 8000. The blocked search holds two such blocks plus the
     # neighbor lists; when every key of a row ties, only its k lowest-id
-    # ties are kept, about 2.3 blocks. Wasserstein on near-copies is
+    # ties are kept, in under four blocks. Wasserstein on near-copies is
     # certified by one block at a time, where scipy's dense cost matrix
     # takes the whole 512 MB.
+    # Loaded before tracing: scipy's import is not the search's memory, and
+    # run alone this test would otherwise count it.
+    import scipy.spatial.distance  # noqa: F401
+
     n, dim, k = 8000, 16, 10
     rng = np.random.default_rng(21)
     configs = [rng.normal(size=(n, dim)) for _ in range(2)]
     near = [configs[0] + 1e-3 * rng.normal(size=(n, dim)) for _ in range(2)]
-    block = baselines._BLOCK_ELEMENTS * 8
+    block = 16 * 2**20
     # Fewer rows keep the all-ties sort short; its blocks are still full.
     tied = np.zeros((3000, dim))
     for blocks, run in (
@@ -516,14 +532,41 @@ def test_blocked_search_memory_stays_bounded():
         (3, lambda: wasserstein_index(near)),
         (4, lambda: knn_neighbors(tied, k, "cosine")),
     ):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(run)
         budget = blocks * block + n * k * 8
         assert peak < budget, f"peak {peak / 1e6:.1f} MB over {budget / 1e6:.1f} MB"
+
+
+def test_small_searches_hold_cache_sized_blocks():
+    # At |V| = 1000 one block of every row is 8 MB; blocks of 131 rows
+    # (1 MB) keep kNN search, the Hausdorff screen and the Wasserstein
+    # certificate, with every copy of the configurations, under 4 MB.
+    n, dim, k = 1000, 32, 10
+    rng = np.random.default_rng(22)
+    configs = [rng.normal(size=(n, dim)) for _ in range(2)]
+    near = [configs[0] + 1e-3 * rng.normal(size=(n, dim)) for _ in range(2)]
+    for run in (
+        lambda: knn_neighbors(configs[0], k, "cosine"),
+        lambda: knn_neighbors(np.zeros((n, dim)), k, "cosine"),
+        lambda: hausdorff_index(configs),
+        lambda: wasserstein_index(near),
+    ):
+        peak = _traced_peak(run)
+        assert peak < 4 * 2**20, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("width, rows", [
+    (1000, 131),  # 2^17 keys: cache-sized
+    (2048, 64),  # the widest row that still gets _GEMM_ROWS rows of 2^17 keys
+    (2049, 1023),  # 2^21 keys
+    (20_000, 104),
+    (64 * 1000, 32),  # Hausdorff's exact-recompute tiles stay 1/64 of 2^21 keys
+])
+def test_row_blocks_are_cache_sized_while_they_keep_gemm_rows(width, rows):
+    # A one-row tail joins the last block.
+    blocks = baselines._row_blocks(5 * rows + 1, width)
+    assert [b.stop - b.start for b in blocks] == [rows] * 4 + [rows + 1]
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
 
 
 def test_preprocessed_float32_configurations_are_converted_once():

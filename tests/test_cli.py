@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -341,6 +342,25 @@ def test_baseline_reports_are_deterministic(workspace):
         "--index", "wasserstein",
     ]
     assert _run(argv).stdout == _run(argv).stdout
+
+
+def test_aligned_cosine_report_does_not_depend_on_blas_threads(tmp_path):
+    # A BLAS product summed over all |V| rows, such as the Procrustes cross
+    # matrix, can round differently on one thread and on two; at this size
+    # that moved most pair scores in their last digits.
+    assert run_cli([
+        "synth", "--nodes", "1000", "--dim", "32", "--configs", "5",
+        "--noise", "0.1", "--seed", "5", "--out-dir", str(tmp_path),
+    ]) == 0
+    argv = [sys.executable, "-m", "gramstab.cli", "baseline",
+            "--manifest", str(tmp_path / "manifest.json"), "--index", "aligned-cosine"]
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(argv, capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        reports.append(result.stdout)
+    assert reports[0] == reports[1]
 
 
 def test_missing_manifest_is_exit_2():
