@@ -17,8 +17,9 @@ of booleans plus the (|V|, k) neighbor lists, and more only when whole rows
 tie; the Hausdorff screen and the Wasserstein certificate hold one block,
 which every pair reuses (:class:`_Scratch`). Hausdorff's exact recompute
 takes tiles of 1/64 of a 16 MB block. Hausdorff adds a copy of each
-configuration without repeated rows, and Hausdorff and Wasserstein three
-copies of each of the two they are comparing, also reused by every pair.
+configuration without repeated rows, and Hausdorff and Wasserstein two
+copies, two columns wider, of each of the two they are comparing, also
+reused by every pair.
 Only a Wasserstein pair whose certificate fails forms the dense |V| x |V|
 cost matrix, while the block and the two copies are still held.
 
@@ -144,7 +145,7 @@ def _pairwise(index_name, n_configs, score_pair, metadata) -> PairwiseIndexRepor
     after ``index_name``."""
     pair_scores = {pair: score_pair(*pair) for pair in combinations(range(n_configs), 2)}
     with np.errstate(over="ignore"):  # named below, not warned about on stderr
-        aggregate = float(np.mean([pair_scores[key] for key in sorted(pair_scores)]))
+        aggregate = float(np.mean(list(pair_scores.values())))
     if not np.isfinite(aggregate):
         bad = [f"pair {p} scores {s!r}" for p, s in pair_scores.items() if not np.isfinite(s)]
         where = bad[0] if bad else f"the mean over pairs is {aggregate!r}"
@@ -222,6 +223,15 @@ def _keep_lowest_id_ties(near, keys, kth, k, scratch):
     near[heavy] &= ~drop
 
 
+def _neighbor_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of two neighbor lists joined and sorted by node id, and a
+    mask that is False on the second listing of an id both lists hold."""
+    joined = np.sort(np.hstack([a, b]), axis=1)
+    once = np.ones(joined.shape, dtype=bool)
+    once[:, 1:] = joined[:, 1:] != joined[:, :-1]
+    return joined, once
+
+
 def knn_jaccard_index(
     ensemble, k: int, *, metric: str = "cosine", preprocess: bool = False
 ) -> PairwiseIndexReport:
@@ -234,15 +244,11 @@ def knn_jaccard_index(
     """
     values, _ = _prepared_values(ensemble, preprocess)
     neighbors = [knn_neighbors(v, k, metric) for v in values]
-    n = len(neighbors[0])
 
     def jaccard(l, m):
-        inter = np.concatenate([
-            (neighbors[l][rows, :, None] == neighbors[m][rows, None, :]).sum(axis=(1, 2))
-            for rows in _row_blocks(n, k * k)
-        ])
-        # Each list holds k distinct ids, so the union has 2k - inter.
-        return _node_mean(inter / (2 * k - inter))
+        union = np.count_nonzero(_neighbor_union(neighbors[l], neighbors[m])[1], axis=1)
+        # Each list holds k distinct ids, so they share 2k - |union|.
+        return _node_mean((2 * k - union) / union)
 
     return _pairwise("knn-jaccard", len(values), jaccard, {})
 
@@ -269,11 +275,9 @@ def second_order_cosine_index(
     def profile_cosine(l, m):
         pair, scores = (units[l], units[m]), np.empty(n)
         for rows in _row_blocks(n, 2 * k * max(u.shape[1] for u in pair)):
-            joined = np.sort(np.hstack([neighbors[l][rows], neighbors[m][rows]]), axis=1)
+            joined, once = _neighbor_union(neighbors[l][rows], neighbors[m][rows])
             # A node in both lists is listed once in the union: its repeat
             # becomes zero padding, which no dot product or norm sees.
-            once = np.ones(joined.shape, dtype=bool)
-            once[:, 1:] = joined[:, 1:] != joined[:, :-1]
             profiles = [np.einsum("ijd,id->ij", u[joined], u[rows]) * once for u in pair]
             scores[rows], zeros = _row_cosines(*profiles)
             metadata["zero_vector_scores"] += zeros
@@ -328,24 +332,23 @@ class _Scratch:
 class _Cloud(NamedTuple):
     """One configuration as the screen and the exact recompute read it."""
 
+    points: np.ndarray  # x itself, not copied
     norms: np.ndarray  # squared row norms |x_i|^2
     left: np.ndarray  # [-2x, |x|^2, 1]
     right: np.ndarray  # [x, 1, |x|^2]
-    columns: np.ndarray  # x.T, contiguous
 
     @classmethod
     def of(cls, x: np.ndarray, scratch: _Scratch) -> "_Cloud":
         """The cloud of ``x``, written over ``scratch``."""
         n, d = x.shape
-        flat = scratch.take(n * (3 * d + 5))
-        left, right, columns, norms = np.split(flat, np.cumsum([n * (d + 2)] * 2 + [n * d]))
-        left, right, columns = left.reshape(n, -1), right.reshape(n, -1), columns.reshape(d, n)
+        flat = scratch.take(n * (2 * d + 5))
+        left, right, norms = np.split(flat, np.cumsum([n * (d + 2)] * 2))
+        left, right = left.reshape(n, -1), right.reshape(n, -1)
         np.einsum("ij,ij->i", x, x, out=norms)
         np.multiply(x, -2.0, out=left[:, :d])
         left[:, d], left[:, d + 1] = norms, 1.0
         right[:, :d], right[:, d], right[:, d + 1] = x, 1.0, norms
-        columns[...] = x.T
-        return cls(norms, left, right, columns)
+        return cls(x, norms, left, right)
 
 
 def _distinct_rows(values: np.ndarray) -> np.ndarray:
@@ -377,7 +380,7 @@ def _screen_tolerance(a: _Cloud, b: _Cloud) -> np.ndarray:
     max |v| <= 2^100 and nothing overflows.
     """
     eps = np.finfo(np.float64).eps
-    return 3 * (len(a.columns) + 4) * (eps * (a.norms + b.norms.max()) + 2.0**-1072)
+    return 3 * (a.points.shape[1] + 4) * (eps * (a.norms + b.norms.max()) + 2.0**-1072)
 
 
 def _exact_sq(a_columns: np.ndarray, b_columns: np.ndarray,
@@ -431,7 +434,7 @@ def _directed_sq(a: _Cloud, b: _Cloud, low: np.ndarray) -> float:
         r = rows[tile]
         near = _may_be_row_minimum(a.left[r] @ b.right.T, low[r], tol[r])
         cols = np.flatnonzero(near.any(axis=0))
-        exact = np.where(near[:, cols], _exact_sq(a.columns[:, r], b.columns[:, cols]), np.inf)
+        exact = np.where(near[:, cols], _exact_sq(a.points[r].T, b.points[cols].T), np.inf)
         worst = max(worst, float(exact.min(axis=1).max()))
     return worst
 

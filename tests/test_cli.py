@@ -344,16 +344,53 @@ def test_baseline_reports_are_deterministic(workspace):
     assert _run(argv).stdout == _run(argv).stdout
 
 
-def test_aligned_cosine_report_does_not_depend_on_blas_threads(tmp_path):
+@pytest.fixture(scope="module")
+def suite_manifest(tmp_path_factory):
+    """The manifest of an ensemble at perfbench's baseline-suite shape."""
+    out = tmp_path_factory.mktemp("suite")
+    assert run_cli([
+        "synth", "--nodes", "1000", "--dim", "32", "--configs", "5",
+        "--noise", "0.1", "--seed", "5", "--out-dir", str(out),
+    ]) == 0
+    return out / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def duplicated_rows_manifest(tmp_path_factory):
+    """The manifest of 3 configurations of 500 x 128 Gaussian rows whose rows
+    0, 7, 14, ... copy row 1, over a path through the 500 nodes."""
+    out = tmp_path_factory.mktemp("duplicated")
+    rng = np.random.default_rng(0)
+    names = [f"c{idx}.gge1" for idx in range(3)]
+    for name in names:
+        values = rng.normal(size=(500, 128))
+        values[::7] = values[1]
+        save_embeddings(out / name, values)
+    (out / "g.edges").write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+    (out / "manifest.json").write_text(
+        json.dumps({"graph_path": "g.edges", "embedding_paths": names}))
+    return out / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def spans_manifest(tmp_path_factory):
+    """The manifest of an ensemble large enough that ggi splits both its
+    edge gather (20k edges) and its center-normalize passes (5000 rows)
+    over two CPUs."""
+    out = tmp_path_factory.mktemp("spans")
+    assert run_cli([
+        "synth", "--nodes", "5000", "--dim", "32", "--configs", "3",
+        "--noise", "0.1", "--seed", "2", "--out-dir", str(out),
+    ]) == 0
+    return out / "manifest.json"
+
+
+def test_aligned_cosine_report_does_not_depend_on_blas_threads(suite_manifest):
     # A BLAS product summed over all |V| rows, such as the Procrustes cross
     # matrix, can round differently on one thread and on two; at this size
     # that moved most pair scores in their last digits.
-    assert run_cli([
-        "synth", "--nodes", "1000", "--dim", "32", "--configs", "5",
-        "--noise", "0.1", "--seed", "5", "--out-dir", str(tmp_path),
-    ]) == 0
     argv = [sys.executable, "-m", "gramstab.cli", "baseline",
-            "--manifest", str(tmp_path / "manifest.json"), "--index", "aligned-cosine"]
+            "--manifest", str(suite_manifest), "--index", "aligned-cosine"]
     reports = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
@@ -361,6 +398,49 @@ def test_aligned_cosine_report_does_not_depend_on_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         reports.append(result.stdout)
     assert reports[0] == reports[1]
+
+
+# Pins itself to one CPU before numpy loads, so that OpenBLAS starts one
+# thread and ggi scores in one span, then runs the command line.
+_ONE_CPU_CHILD = (
+    "import os, sys\n"
+    "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "from gramstab.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("manifest, argv", [
+    pytest.param("suite_manifest", ["ggi"], id="ggi"),
+    # At the suite's shape ggi scores in one span whatever the CPU count.
+    pytest.param("spans_manifest", ["ggi"], id="ggi-spans"),
+    *(pytest.param("suite_manifest", ["baseline", "--index", index], id=index) for index in (
+        "aligned-cosine", "knn-jaccard", "second-order-cosine", "hausdorff", "wasserstein")),
+    # Exactly duplicated rows get cosines that differ in the last bit by
+    # column position, block shape and BLAS thread count, so their kNN order
+    # does too (ROADMAP item 14). Kept here so that the data above hides no
+    # known failure; once duplicates tie exactly, the strict mark fails the
+    # suite until it is dropped.
+    pytest.param("duplicated_rows_manifest", ["baseline", "--index", "knn-jaccard"],
+                 id="knn-jaccard-duplicated-rows",
+                 marks=pytest.mark.xfail(strict=True, reason="kNN order of duplicated rows")),
+])
+def test_reports_do_not_depend_on_cpus_or_blas_threads(request, manifest, argv):
+    command = [*argv, "--manifest", str(request.getfixturevalue(manifest))]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    cli = [sys.executable, "-m", "gramstab.cli", *command]
+    runs = [
+        (cli, {**env, "OPENBLAS_NUM_THREADS": "1"}),
+        (cli, {**env, "OPENBLAS_NUM_THREADS": "2"}),
+        ([sys.executable, "-c", _ONE_CPU_CHILD, *command], env),
+    ]
+    reports = []
+    for child, child_env in runs:
+        result = subprocess.run(child, capture_output=True, env=child_env)
+        assert result.returncode == 0, result.stderr
+        reports.append(result.stdout)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_missing_manifest_is_exit_2():
@@ -375,8 +455,11 @@ def test_usage_errors_exit_2():
     assert _run(["frobnicate"]).returncode == 2
     assert _run(["baseline", "--manifest", "x", "--index", "nope"]).returncode == 2
     removed = _run(["ggi", "--manifest", "x", "--no-preprocess"])  # GGI always preprocesses
-    assert removed.returncode == 2
-    assert "usage:" in removed.stderr and "Traceback" not in removed.stderr
+    assert (removed.returncode, removed.stdout) == (2, "")
+    assert removed.stderr.splitlines() == [
+        "usage: gramstab [-h] [--version] {ggi,baseline,synth,validate} ...",
+        "gramstab: error: unrecognized arguments: --no-preprocess",
+    ]
 
 
 @pytest.mark.parametrize("flag, value", [
