@@ -3,23 +3,28 @@ cosine, Hausdorff, and assignment-based Wasserstein.
 
 All five compare configurations pairwise (unordered pairs l < m, self
 pairs excluded) and aggregate by the mean over pairs, averaging over
-nodes first where the index is node-wise. None of them preprocess their
-inputs by default; pass ``preprocess=True`` to apply the same
-center-normalize step the Gram index uses, for controlled comparisons.
+nodes first where the index is node-wise. Each scores exactly the arrays
+it is given. To compare them on the Gram index's centered unit rows,
+center float64 copies with :func:`~gramstab.core.center_normalize_inplace`
+first; the ``baseline`` command's centering flag does that to the arrays
+it loads.
 
-Memory: kNN search, the Hausdorff screen and the Wasserstein certificate
-take rows in blocks against all |V| columns (:func:`_row_blocks`): about
-``_CACHE_ELEMENTS`` (128K) keys, 1 MB, while that leaves at least
-``_GEMM_ROWS`` (64) rows per block, which holds up to |V| = 2048, and about
-``_BLOCK_ELEMENTS`` (2M) keys, 16 MB, past it. Blocks are written into
-buffers allocated once per call: kNN search holds two blocks of keys and one
-of booleans plus the (|V|, k) neighbor lists, and more only when whole rows
-tie; the Hausdorff screen and the Wasserstein certificate hold one block,
-which every pair reuses (:class:`_Scratch`). Hausdorff's exact recompute
-takes tiles of 1/64 of a 16 MB block. Hausdorff adds a copy of each
-configuration without repeated rows, and Hausdorff and Wasserstein two
-copies, two columns wider, of each of the two they are comparing, also
-reused by every pair.
+Memory: each index reads the float64 arrays it is given and never writes
+into them; only a configuration of another dtype, converted once, or one
+outside ``MAGNITUDE_WINDOW``, divided by its power-of-two scale, becomes a
+new array (:func:`_prepared_values`). kNN search, the Hausdorff screen and
+the Wasserstein certificate take rows in blocks against all |V| columns
+(:func:`_row_blocks`): about ``_CACHE_ELEMENTS`` (128K) keys, 1 MB, while
+that leaves at least ``_GEMM_ROWS`` (64) rows per block, which holds up to
+|V| = 2048, and about ``_BLOCK_ELEMENTS`` (2M) keys, 16 MB, past it. Blocks
+are written into buffers allocated once per call: kNN search holds two
+blocks of keys and one of booleans plus the (|V|, k) neighbor lists, and
+more only when whole rows tie; the Hausdorff screen and the Wasserstein
+certificate hold one block, which every pair reuses (:class:`_Scratch`).
+Hausdorff's exact recompute takes tiles of 1/64 of a 16 MB block. Hausdorff
+adds a copy of each configuration without repeated rows, and Hausdorff and
+Wasserstein two copies, two columns wider, of each of the two they are
+comparing, also reused by every pair.
 Only a Wasserstein pair whose certificate fails forms the dense |V| x |V|
 cost matrix, while the block and the two copies are still held.
 
@@ -39,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import center_normalize_inplace, magnitude_scale, matrix_values
+from .core import magnitude_scale, matrix_values
 from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
 METRICS = ("cosine", "euclidean")
@@ -97,19 +102,17 @@ def _node_mean(scores: np.ndarray) -> float:
     return float(np.cumsum(scores)[-1] / len(scores))
 
 
-def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[list, float]:
-    """Each configuration, checked by :func:`~gramstab.core.matrix_values`,
-    center-normalized if asked, divided by its
-    :func:`~gramstab.core.magnitude_scale`; with ``shared``, all by the largest
-    one, which is returned so that distances can be multiplied back.
+def _prepared_values(ensemble, shared: bool = False) -> tuple[list, float]:
+    """Each configuration, checked by :func:`~gramstab.core.matrix_values`
+    and divided by its :func:`~gramstab.core.magnitude_scale`; with
+    ``shared``, all by the largest one, which is returned so that distances
+    can be multiplied back.
 
-    Raises TooFewConfigs for under two configurations, ShapeMismatch for
-    unequal row counts, and NonFiniteScore when centering overflows."""
-    # Center-normalizing works on copies, each one conversion to float64;
-    # unprocessed values are only read.
-    values = [matrix_values(np.array(c, dtype=np.float64, order="C") if preprocess else c,
-                            config_index=idx)
-              for idx, c in enumerate(ensemble)]
+    Raises TooFewConfigs for under two configurations and ShapeMismatch
+    for unequal row counts."""
+    # Values are only read, never written: matrix_values does not copy a
+    # float64 array, and a rescale makes a new one.
+    values = [matrix_values(c, config_index=idx) for idx, c in enumerate(ensemble)]
     if len(values) < 2:
         raise TooFewConfigs(f"need at least 2 configurations, got {len(values)}")
     rows = values[0].shape[0]
@@ -117,9 +120,6 @@ def _prepared_values(ensemble, preprocess: bool, shared: bool = False) -> tuple[
         if arr.shape[0] != rows:
             raise ShapeMismatch(f"config {idx} has {arr.shape[0]} rows, expected {rows}",
                                 config_index=idx)
-    if preprocess:
-        for idx, arr in enumerate(values):
-            center_normalize_inplace(arr, idx)
     scales = [magnitude_scale(v) for v in values]
     if shared:
         scales = [max(scales)] * len(values)
@@ -232,9 +232,7 @@ def _neighbor_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return joined, once
 
 
-def knn_jaccard_index(
-    ensemble, k: int, *, metric: str = "cosine", preprocess: bool = False
-) -> PairwiseIndexReport:
+def knn_jaccard_index(ensemble, k: int, *, metric: str = "cosine") -> PairwiseIndexReport:
     """Mean per-node Jaccard overlap of k-neighborhoods across pairs.
 
     For each node and pair (l, m): |N_k^l n N_k^m| / |N_k^l u N_k^m|,
@@ -242,7 +240,7 @@ def knn_jaccard_index(
     of :func:`knn_neighbors` under ``metric``. 1 means identical
     neighborhoods everywhere.
     """
-    values, _ = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble)
     neighbors = [knn_neighbors(v, k, metric) for v in values]
 
     def jaccard(l, m):
@@ -253,9 +251,7 @@ def knn_jaccard_index(
     return _pairwise("knn-jaccard", len(values), jaccard, {})
 
 
-def second_order_cosine_index(
-    ensemble, k: int, *, metric: str = "cosine", preprocess: bool = False
-) -> PairwiseIndexReport:
+def second_order_cosine_index(ensemble, k: int, *, metric: str = "cosine") -> PairwiseIndexReport:
     """Cosine agreement of per-node similarity profiles across pairs.
 
     For node i and pair (l, m), the two k-neighborhoods of
@@ -266,7 +262,7 @@ def second_order_cosine_index(
     vectors. An all-zero similarity vector scores 0 and is counted in the
     report metadata.
     """
-    values, _ = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble)
     units = [_unit_rows(v) for v in values]
     neighbors = [knn_neighbors(v, k, metric) for v in values]
     n = len(neighbors[0])
@@ -286,7 +282,7 @@ def second_order_cosine_index(
     return _pairwise("second-order-cosine", len(values), profile_cosine, metadata)
 
 
-def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
+def aligned_cosine_index(ensemble) -> PairwiseIndexReport:
     """Mean per-node cosine after Procrustes-aligning each pair.
 
     For pair (l, m) the source embeddings are rotated by the orthogonal
@@ -294,7 +290,7 @@ def aligned_cosine_index(ensemble, *, preprocess: bool = False) -> PairwiseIndex
     orthogonal discrepancy between the spaces scores 1. Requires equal
     embedding dimensions across configurations.
     """
-    values, _ = _prepared_values(ensemble, preprocess)
+    values, _ = _prepared_values(ensemble)
     _require_equal_dims(values, "aligned-cosine")
     metadata = {"zero_vector_scores": 0, "degenerate_alignments": 0}
 
@@ -439,7 +435,7 @@ def _directed_sq(a: _Cloud, b: _Cloud, low: np.ndarray) -> float:
     return worst
 
 
-def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
+def hausdorff_index(ensemble) -> PairwiseIndexReport:
     """Mean symmetric Hausdorff distance between pairs of point clouds.
 
     d_H is the larger of the two directed sup-inf Euclidean point-to-set
@@ -452,7 +448,7 @@ def hausdorff_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRepor
     error bound cannot rule out are recomputed, in cdist's column order.
     The square root is monotone, so each distance equals cdist's bit for bit.
     """
-    values, scale = _prepared_values(ensemble, preprocess, shared=True)
+    values, scale = _prepared_values(ensemble, shared=True)
     _require_equal_dims(values, "hausdorff")
     # d_H compares point sets, so a repeated point changes no distance.
     # Dropping repeats keeps a collapsed configuration from tying every
@@ -500,7 +496,7 @@ def _nearest_permutation(a: _Cloud, b: _Cloud, scratch: _Scratch) -> np.ndarray 
     return match
 
 
-def wasserstein_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexReport:
+def wasserstein_index(ensemble) -> PairwiseIndexReport:
     """Minimum total squared displacement over node bijections, rooted.
 
     For pair (l, m): W = (min over bijections eta of
@@ -517,7 +513,7 @@ def wasserstein_index(ensemble, *, preprocess: bool = False) -> PairwiseIndexRep
     Either way W is scipy's float bit for bit: the same n costs, summed the
     same way.
     """
-    values, scale = _prepared_values(ensemble, preprocess, shared=True)
+    values, scale = _prepared_values(ensemble, shared=True)
     _require_equal_dims(values, "wasserstein")
     n_nodes = values[0].shape[0]
     clouds, screen = (_Scratch(), _Scratch()), _Scratch()

@@ -31,7 +31,7 @@ from .baselines import (
     second_order_cosine_index,
     wasserstein_index,
 )
-from .core import validate_ensemble
+from .core import center_normalize_inplace, validate_ensemble
 from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
 from .fileio import (
     EdgeListResult,
@@ -179,10 +179,15 @@ def _cmd_baseline(args) -> int:
         # Each configuration against the graph, as ggi and validate check
         # them: a short config 0 is named, not the next one that differs from it.
         validate_ensemble(configs, graph)
-        options: dict = {"preprocess": args.preprocess}
-        if args.index in ("knn-jaccard", "second-order-cosine"):
-            options.update(k=args.k, metric=args.metric)
-        report = _baselines()[args.index](configs, **options)
+        if args.preprocess:
+            # Loaded arrays are owned by this process, so they are centered
+            # in place, as ggi does: one matrix per configuration.
+            for idx, values in enumerate(configs):
+                center_normalize_inplace(values, idx)
+        knn = ({"k": args.k, "metric": args.metric}
+               if args.index in ("knn-jaccard", "second-order-cosine") else {})
+        report = _baselines()[args.index](configs, **knn)
+        options = {"preprocess": args.preprocess, **knn}
         _emit("baseline", {
             "index_name": args.index,
             "aggregate": report.aggregate,

@@ -56,12 +56,11 @@ def dense_edge_summary(values, edges, node_count):
     return float((adjacency * gram).sum()) / (2 * n_edges)
 
 
-def ggi_dense(config_values, edges, node_count, preprocess=True, ddof=0):
+def ggi_dense(config_values, edges, node_count, ddof=0):
     """Index via dense summaries; numpy std on the score vector."""
     scores = []
     for values in config_values:
-        work = center_normalize_dense(values) if preprocess else np.asarray(values)
-        scores.append(dense_edge_summary(work, edges, node_count))
+        scores.append(dense_edge_summary(center_normalize_dense(values), edges, node_count))
     return float(np.std(np.asarray(scores), ddof=ddof))
 
 

@@ -126,14 +126,14 @@ def _hausdorff_ensembles(draw):
 @example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0]], preprocess=False)
 @example(configs=[np.full((6, 3), 0.7), _ensemble(9, n=6)[0]], preprocess=True)
 def test_hausdorff_equals_the_columnwise_oracle_bit_for_bit(configs, preprocess):
-    # The oracle sees what the index sees: each configuration center-
-    # normalized if asked, all divided by the largest magnitude scale.
+    # The index scores copies, center-normalized if drawn; the oracle sees
+    # what the index sees: those copies divided by the largest magnitude scale.
     values = [np.array(c) for c in configs]
     if preprocess:
         for v in values:
             center_normalize_inplace(v)
     scale = max(magnitude_scale(v) for v in values)
-    report = hausdorff_index(configs, preprocess=preprocess)
+    report = hausdorff_index(values)
     for (l, m), score in report.per_pair.items():
         assert score == scale * oracles.hausdorff_columnwise(values[l] / scale, values[m] / scale)
     if all(np.array_equal(c, configs[0]) for c in configs):
@@ -272,22 +272,24 @@ def test_scores_past_float64_are_named_errors():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # the named error alone
             hausdorff_index(triangle)
-    # Finite entries whose column sums overflow cannot be centered: every
-    # index names the configuration in ggi's words.
+    # Finite entries whose column sums overflow cannot be centered: centering
+    # names the configuration in ggi's words, and `baseline --preprocess`
+    # reports that for every index (test_cli); uncentered, they are scored.
     huge = [rng.normal(size=(50, 4)) for _ in range(3)]
     for values in huge:
         values[:, 0] = 1.7e308
     for index in _INDICES.values():
-        index(huge)  # unprocessed, the entries are scored as they are
-        with pytest.raises(NonFiniteScore, match=r"^config 0: .* the entries are too large "
-                           r"for float64 arithmetic \(rescale the embeddings\)$") as info:
-            index(huge, preprocess=True)
-        assert info.value.config_index == 0
+        index(huge)  # the entries are scored as they are
+    with pytest.raises(NonFiniteScore, match=r"^config 0: .* the entries are too large "
+                       r"for float64 arithmetic \(rescale the embeddings\)$") as info:
+        for idx, values in enumerate(huge):
+            center_normalize_inplace(values.copy(), idx)
+    assert info.value.config_index == 0
 
 
 _INDICES = {
-    "knn-jaccard": lambda e, **kw: knn_jaccard_index(e, 3, **kw),
-    "second-order-cosine": lambda e, **kw: second_order_cosine_index(e, 3, **kw),
+    "knn-jaccard": lambda e: knn_jaccard_index(e, 3),
+    "second-order-cosine": lambda e: second_order_cosine_index(e, 3),
     "aligned-cosine": aligned_cosine_index,
     "hausdorff": hausdorff_index,
     "wasserstein": wasserstein_index,
@@ -307,22 +309,18 @@ _INDICES = {
 def test_centering_overflow_is_one_named_error_for_every_index(n, dim, n_configs, bad,
                                                                column, sign, seed):
     # One column of one configuration at +-1.7e308 overflows its column sum.
-    # ggi and every baseline name that configuration through the one rule
-    # in center_normalize_inplace, which never hands back a non-finite entry.
+    # ggi names that configuration through the one rule in
+    # center_normalize_inplace, which never hands back a non-finite entry;
+    # `baseline --preprocess` centers through the same rule (test_cli).
     rng = np.random.default_rng(seed)
     bad, column = bad % n_configs, column % dim
     configs = [rng.normal(size=(n, dim)) for _ in range(n_configs)]
     configs[bad][:, column] = sign * 1.7e308
     graph = GraphTopology(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
-    indices = [lambda e, preprocess: ggi_index(e, graph),  # ggi always preprocesses
-               *(lambda e, f=f, **kw: f(e, 1, **kw)
-                 for f in (knn_jaccard_index, second_order_cosine_index)),
-               aligned_cosine_index, hausdorff_index, wasserstein_index]
-    for index in indices:
-        with pytest.raises(NonFiniteScore, match=rf"^config {bad}: centered values are "
-                           r"not finite; the entries are too large") as info:
-            index(configs, preprocess=True)
-        assert info.value.config_index == bad
+    with pytest.raises(NonFiniteScore, match=rf"^config {bad}: centered values are "
+                       r"not finite; the entries are too large") as info:
+        ggi_index(configs, graph)
+    assert info.value.config_index == bad
     for idx, values in enumerate(configs):
         work = values.copy()
         try:
@@ -344,11 +342,10 @@ def test_every_index_checks_its_plain_list_input(name):
         index([grid, grid[:5], grid])
     assert info.value.config_index == 1
     for bad in (np.nan, np.inf):
-        for preprocess in (False, True):
-            # Named as ggi_index names it, whether or not the values are copied first.
-            with pytest.raises(NonFiniteInput, match="^config 1: matrix contains NaN") as info:
-                index([grid, [*grid[:5], [bad, 0.0]]], preprocess=preprocess)
-            assert info.value.config_index == 1
+        # Named as ggi_index names it.
+        with pytest.raises(NonFiniteInput, match="^config 1: matrix contains NaN") as info:
+            index([grid, [*grid[:5], [bad, 0.0]]])
+        assert info.value.config_index == 1
     for rank in ([row[0] for row in grid], [grid, grid]):  # 1-D, 3-D
         with pytest.raises(ShapeMismatch, match="expected a 2-D matrix"):
             index([grid, rank])
@@ -359,6 +356,36 @@ def test_every_index_checks_its_plain_list_input(name):
         with pytest.raises(ShapeMismatch, match="equal embedding dimensions") as info:
             index([grid, wide])
         assert info.value.config_index == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**200], ids=["plain", "2^200"])
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["noise0", "noise0.3"])
+def test_indices_never_write_into_their_input(scale, noise):
+    # No copy guards the caller's arrays, so every index and the kNN search
+    # only read them: a write into a read-only array raises ValueError. At
+    # 2^200 the values leave MAGNITUDE_WINDOW and are rescaled first. A
+    # repeated row makes kNN ties; noise 0 lets Wasserstein certify its
+    # assignment, noise 0.3 sends pairs to scipy's solver.
+    configs = [c * scale for c in _ensemble(11, n=20, dim=4, noise=noise)]
+    for values in configs:
+        values[7] = values[3]
+    writable = [c.copy() for c in configs]
+    for values in configs:
+        values.flags.writeable = False
+    runs = [
+        *(lambda e, f=f, m=m: f(e, 3, metric=m)
+          for f in (knn_jaccard_index, second_order_cosine_index) for m in baselines.METRICS),
+        aligned_cosine_index, hausdorff_index, wasserstein_index,
+    ]
+    for index in runs:
+        report, expected = index(configs), index(writable)
+        assert report.per_pair == expected.per_pair
+        assert report.metadata == expected.metadata
+    for metric in baselines.METRICS:
+        assert np.array_equal(knn_neighbors(configs[0], 3, metric),
+                              knn_neighbors(writable[0], 3, metric))
+    for values, copy in zip(configs, writable):
+        assert np.array_equal(values, copy)
 
 
 def test_aligned_cosine_is_one_under_pure_rotation():
@@ -567,23 +594,6 @@ def test_row_blocks_are_cache_sized_while_they_keep_gemm_rows(width, rows):
     blocks = baselines._row_blocks(5 * rows + 1, width)
     assert [b.stop - b.start for b in blocks] == [rows] * 4 + [rows + 1]
     assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-
-
-def test_preprocessed_float32_configurations_are_converted_once():
-    # Each float32 configuration is converted to one float64 array, which
-    # preprocessing then centers in place: a second copy would make the
-    # peak two float64 matrices per configuration.
-    n, dim, n_configs = 20_000, 64, 3
-    rng = np.random.default_rng(8)
-    configs = [rng.normal(size=(n, dim)).astype(np.float32) for _ in range(n_configs)]
-    tracemalloc.start()
-    try:
-        baselines._prepared_values(configs, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    per_config = peak / (n_configs * n * dim * 8)
-    assert per_config < 1.5, per_config
 
 
 def test_unknown_knn_metric_is_a_value_error():

@@ -866,6 +866,31 @@ def test_synth_holds_one_configuration_at_a_time(tmp_path):
     assert peak < budget, (peak, budget)
 
 
+@pytest.mark.parametrize("index", ["aligned-cosine", "knn-jaccard", "wasserstein"])
+def test_baseline_preprocess_centers_the_loaded_arrays_in_place(tmp_path, index):
+    # The loaded arrays belong to the command, so --preprocess centers them
+    # in place: the peak holds no second copy of any configuration.
+    nodes, dim, configs = 5000, 64, 3
+    assert run_cli([
+        "synth", "--nodes", str(nodes), "--dim", str(dim), "--configs", str(configs),
+        "--noise", "0.1", "--out-dir", str(tmp_path),
+    ]) == 0
+    argv = ["baseline", "--manifest", str(tmp_path / "manifest.json"), "--index", index,
+            "--out", str(tmp_path / "report.json")]
+    peaks = []
+    for flags in ([], ["--preprocess"]):
+        tracemalloc.start()
+        try:
+            code = run_cli([*argv, *flags])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    # Centering copies of the three configurations adds about three matrices.
+    extra = (peaks[1] - peaks[0]) / (nodes * dim * 8)
+    assert extra < 0.5, extra
+
+
 def _broken_manifest(workspace, tmp_path, fault):
     """A manifest path for one of the inputs the hashing thread must not
     outlive, and the stderr the command must print for it."""

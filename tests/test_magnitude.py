@@ -1,11 +1,11 @@
 """Every index under a change of units: one magnitude rule for all six.
 
 Multiplying an ensemble by c must leave the Gram index and the three
-cosine-type baselines (both metrics, with and without preprocessing)
-unchanged, counters included, and must multiply the Hausdorff and
-Wasserstein distances by c. c = 2^k spans almost the whole float64
-range; the pinned decimal scales are the ones that broke before the
-rule existed.
+cosine-type baselines (both metrics, on the configurations and on
+center-normalized copies of them) unchanged, counters included, and must
+multiply the Hausdorff and Wasserstein distances by c. c = 2^k spans
+almost the whole float64 range; the pinned decimal scales are the ones
+that broke before the rule existed.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from gramstab import (
     second_order_cosine_index,
     wasserstein_index,
 )
+from gramstab.core import center_normalize_inplace
 from gramstab.ggi import dispersion
 
 _N, _DIM, _K = 30, 5, 4
@@ -31,19 +32,27 @@ CONFIGS = [_BASE + _RNG.normal(0.0, 0.3, size=_BASE.shape) for _ in range(3)]
 GRAPH = random_graph(_N, 4.0, 40)
 
 
+def _centered(configs):
+    """Center-normalized copies, as `baseline --preprocess` scores them."""
+    work = [np.array(c, dtype=np.float64) for c in configs]
+    for idx, values in enumerate(work):
+        center_normalize_inplace(values, idx)
+    return work
+
+
 def _scale_free(configs):
     """Each scale-free index as (scores, counters)."""
     report = ggi_index(iter(configs), GRAPH)
     out = {"ggi": (report.scores, report.degenerate_rows)}
-    for pre in (False, True):
+    for pre, ensemble in ((False, configs), (True, _centered(configs))):
         for metric in ("cosine", "euclidean"):
             for fn in (knn_jaccard_index, second_order_cosine_index):
-                report = fn(configs, _K, metric=metric, preprocess=pre)
+                report = fn(ensemble, _K, metric=metric)
                 out[fn.__name__, metric, pre] = (
                     list(report.per_pair.values()),
                     report.metadata.get("zero_vector_scores"),
                 )
-        report = aligned_cosine_index(configs, preprocess=pre)
+        report = aligned_cosine_index(ensemble)
         out["aligned", pre] = (
             list(report.per_pair.values()),
             (report.metadata["zero_vector_scores"], report.metadata["degenerate_alignments"]),
@@ -52,10 +61,11 @@ def _scale_free(configs):
 
 
 def _distances(configs):
+    ensembles = {False: configs, True: _centered(configs)}
     return {
-        (fn.__name__, pre): np.array(list(fn(configs, preprocess=pre).per_pair.values()))
+        (fn.__name__, pre): np.array(list(fn(ensemble).per_pair.values()))
         for fn in (hausdorff_index, wasserstein_index)
-        for pre in (False, True)
+        for pre, ensemble in ensembles.items()
     }
 
 
