@@ -7,8 +7,8 @@ problems without computing anything.
 
 Exit codes: 0 on success, 2 for anything wrong with the inputs (bad
 files, bad shapes, bad arguments), 3 for an internal invariant failure.
-Reports are deterministic byte for byte: timing information is only
-included when explicitly requested with ``--timings``.
+Reports are deterministic byte for byte: they depend on the input files
+and the options alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import gc
 import math
 import sys
 import threading
-import time
 from pathlib import Path
 
 from . import __version__
@@ -121,16 +120,12 @@ class _InputHashes:
         return {"graph_sha256": self._digests[0], "embeddings_sha256": self._digests[1:]}
 
 
-def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None,
-          started: float = 0.0) -> None:
+def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None) -> None:
     """Write a report: the shared head, ``body``, then, given the hashes of
-    the inputs scored, the manifest and those hashes and, if requested, the
-    timings."""
+    the inputs scored, the manifest and those hashes."""
     document = {"tool": "gramstab", "version": __version__, "command": command, **body}
     if hashes is not None:
         document["inputs"] = {"manifest": str(args.manifest), **hashes.digests()}
-        if args.timings:
-            document["timings"] = {"wall_seconds": time.perf_counter() - started}
     text = report_to_json(document)
     if args.out:
         Path(args.out).write_text(text)
@@ -139,7 +134,6 @@ def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None,
 
 
 def _cmd_ggi(args) -> int:
-    started = time.perf_counter()
     manifest = load_manifest(args.manifest)
     with _InputHashes(manifest) as hashes:
         graph = _load_graph(manifest).graph
@@ -166,12 +160,11 @@ def _cmd_ggi(args) -> int:
             ],
             # GGI always preprocesses; the key stays so that reports keep their bytes.
             "options": {"preprocess": True, "std": args.std},
-        }, args, hashes, started)
+        }, args, hashes)
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    started = time.perf_counter()
     manifest = load_manifest(args.manifest)
     with _InputHashes(manifest) as hashes:
         graph = _load_graph(manifest).graph
@@ -203,7 +196,7 @@ def _cmd_baseline(args) -> int:
             ],
             "options": options,
             "metadata": dict(sorted({**options, **report.metadata}.items())),
-        }, args, hashes, started)
+        }, args, hashes)
     return 0
 
 
@@ -309,11 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="population",
         help="dispersion convention (default: population)",
     )
-    ggi.add_argument(
-        "--timings",
-        action="store_true",
-        help="include wall-clock timings (makes the report nondeterministic)",
-    )
     ggi.set_defaults(func=_cmd_ggi)
 
     baseline = sub.add_parser("baseline", help="comparison indices of an ensemble")
@@ -334,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="center and normalize configurations first (off by default)",
     )
     baseline.add_argument("--out", default=None, help="write the report here instead of stdout")
-    baseline.add_argument("--timings", action="store_true",
-                          help="include wall-clock timings (makes the report nondeterministic)")
     baseline.set_defaults(func=_cmd_baseline)
 
     synth = sub.add_parser("synth", help="write a synthetic ensemble to disk")

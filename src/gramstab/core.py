@@ -228,9 +228,10 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     norms leave ``MAGNITUDE_WINDOW``, the centered array is first divided
     by its :func:`magnitude_scale`. Rows that are degenerate (see
     ``DEGENERATE_ROW_NORM``) are set to exact zeros and tallied rather
-    than rejected; returns their count. Entries too large for float64
-    arithmetic raise NonFiniteScore labelled with ``config_index``, so no
-    NaN or inf is ever left in ``arr``.
+    than rejected; returns their count. A NaN or inf entry raises
+    NonFiniteInput, before anything is written, and entries too large for
+    float64 arithmetic raise NonFiniteScore, each labelled with
+    ``config_index``: a call that returns leaves no NaN or inf in ``arr``.
 
     Centering and the final division run over row spans, one per CPU;
     each row's arithmetic is the same in any span, so are the bits.
@@ -238,6 +239,12 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     rows = arr.shape[0]
     min_span = max(1, _SPAN_ELEMENTS // arr.shape[1])
     mean = arr.mean(axis=0)
+    # A NaN or inf entry makes its column's mean non-finite, so finite input
+    # pays only this test of d values; finite entries whose sums overflow
+    # reach the NonFiniteScore below.
+    if not np.isfinite(mean).all() and not np.isfinite(arr).all():
+        raise NonFiniteInput(f"config {config_index}: matrix contains NaN or infinite values",
+                             config_index=config_index)
     norms = np.empty(rows)
 
     def center(lo: int, hi: int) -> None:

@@ -1,5 +1,7 @@
 """Data types: validation, canonicalization, preprocessing."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from gramstab import (
     center_normalize_inplace,
     validate_ensemble,
 )
+import gramstab.core as core_mod
 from gramstab.core import _KEY_NODES, _canonical_keys, _split_keys, matrix_values
 
 import oracles
@@ -209,6 +212,49 @@ def test_center_normalize_never_leaves_non_finite_values(values, config_index):
     assert np.isfinite(work).all()
     norms = np.linalg.norm(work, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(-1e6, 1e6),
+    ),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.tuples(st.integers(0, 11), st.integers(0, 5)),
+    config_index=st.integers(min_value=0, max_value=9),
+)
+def test_center_normalize_names_non_finite_input_and_writes_nothing(
+    values, bad, where, config_index
+):
+    # A NaN or inf entry is the input's fault, not an overflow, and is
+    # refused before a single entry is written.
+    values[where[0] % values.shape[0], where[1] % values.shape[1]] = bad
+    work = values.copy()
+    with pytest.raises(NonFiniteInput) as info:
+        center_normalize_inplace(work, config_index)
+    assert info.value.config_index == config_index
+    assert str(info.value) == f"config {config_index}: matrix contains NaN or infinite values"
+    assert work.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("reported, spans", [
+    (None, [(0, 30, True)]),
+    (3, [(0, 10, True), (10, 20, False), (20, 30, False)]),
+])
+def test_cpu_count_without_affinity(monkeypatch, reported, spans):
+    # Where the OS has no affinity call, the CPU count stands in; a count
+    # it cannot tell is one CPU, and the work runs inline.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: reported)
+    assert core_mod._cpu_count() == len(spans)
+    caller = threading.current_thread()
+    ran = []
+    core_mod._over_spans(
+        30, lambda lo, hi: ran.append((lo, hi, threading.current_thread() is caller)), 10
+    )
+    assert sorted(ran) == spans
 
 
 def test_validate_ensemble_checks_graph_rows():
