@@ -46,7 +46,8 @@ report = ggi_index(configs, graph)
 print("\nper-config edge scores:",
       np.array2string(report.scores, precision=4))
 
-# Two dispersion conventions exist; N is small here, so they differ.
-sample = ggi_index(configs, graph, std="sample")
-print(f"population std {report.index_value:.6f}"
-      f" vs sample std {sample.index_value:.6f}")
+# The index is the population std of those scores (divide by N); for the
+# N - 1 convention multiply it by sqrt(N / (N - 1)).
+n = report.n_configs
+print(f"index {report.index_value:.6f} is the population std of the scores;"
+      f" times sqrt(N / (N - 1)) it is {report.index_value * np.sqrt(n / (n - 1)):.6f}")

@@ -37,7 +37,6 @@ from .fileio import (
     Manifest,
     _save_identity_id_map,
     load_edge_list,
-    load_embedding_values,
     load_embeddings,
     load_id_map,
     load_manifest,
@@ -47,7 +46,7 @@ from .fileio import (
     save_manifest,
     sha256_file,
 )
-from .ggi import STD_CONVENTIONS, ggi_index
+from .ggi import ggi_index
 from .transforms import (
     GENERATOR_NAME,
     TRANSFORM_KINDS,
@@ -140,9 +139,8 @@ def _cmd_ggi(args) -> int:
         # Loaded arrays are owned by this process, so the scoring pipeline
         # may preprocess them in place (copy=False); one is alive at a time.
         report = ggi_index(
-            (load_embedding_values(path) for path in manifest.embedding_paths),
+            map(load_embeddings, manifest.embedding_paths),
             graph,
-            std=args.std,
             copy=False,
         )
         _emit("ggi", {
@@ -158,8 +156,9 @@ def _cmd_ggi(args) -> int:
                     manifest.labels, report.scores.tolist(), report.degenerate_rows
                 )
             ],
-            # GGI always preprocesses; the key stays so that reports keep their bytes.
-            "options": {"preprocess": True, "std": args.std},
+            # GGI always preprocesses and is the population std of the
+            # scores; the keys stay so that reports keep their bytes.
+            "options": {"preprocess": True, "std": "population"},
         }, args, hashes)
     return 0
 
@@ -296,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     ggi = sub.add_parser("ggi", help="graph Gram index of an ensemble")
     ggi.add_argument("--manifest", required=True, help="ensemble manifest JSON")
     ggi.add_argument("--out", default=None, help="write the report here instead of stdout")
-    ggi.add_argument(
-        "--std",
-        choices=STD_CONVENTIONS,
-        default="population",
-        help="dispersion convention (default: population)",
-    )
     ggi.set_defaults(func=_cmd_ggi)
 
     baseline = sub.add_parser("baseline", help="comparison indices of an ensemble")

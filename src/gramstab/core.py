@@ -121,6 +121,18 @@ def _split_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
     return edges
 
 
+def _matrix_shape(arr: np.ndarray, *, config_index: int | None = None, path=None) -> None:
+    """Check that ``arr`` is 2-D and at least 1x1, naming ``path`` or
+    ``config_index`` as :func:`matrix_values` does."""
+    where = "" if config_index is None else f"config {config_index}: "
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"{where}expected a 2-D matrix, got ndim={arr.ndim}",
+                            config_index=config_index, path=path)
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {arr.shape}",
+                            config_index=config_index, path=path)
+
+
 def matrix_values(mat, *, config_index: int | None = None, path=None) -> np.ndarray:
     """Return ``mat`` as a float64 array, without a copy when it is one,
     after checking that it is 2-D, at least 1x1 and finite.
@@ -130,12 +142,7 @@ def matrix_values(mat, *, config_index: int | None = None, path=None) -> np.ndar
     """
     where = "" if config_index is None else f"config {config_index}: "
     arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{where}expected a 2-D matrix, got ndim={arr.ndim}",
-                            config_index=config_index, path=path)
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {arr.shape}",
-                            config_index=config_index, path=path)
+    _matrix_shape(arr, config_index=config_index, path=path)
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{where}matrix contains NaN or infinite values",
                              config_index=config_index, path=path)
@@ -228,14 +235,16 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     norms leave ``MAGNITUDE_WINDOW``, the centered array is first divided
     by its :func:`magnitude_scale`. Rows that are degenerate (see
     ``DEGENERATE_ROW_NORM``) are set to exact zeros and tallied rather
-    than rejected; returns their count. A NaN or inf entry raises
-    NonFiniteInput, before anything is written, and entries too large for
-    float64 arithmetic raise NonFiniteScore, each labelled with
-    ``config_index``: a call that returns leaves no NaN or inf in ``arr``.
+    than rejected; returns their count. A shape that is not 2-D and at
+    least 1x1 raises ShapeMismatch and a NaN or inf entry NonFiniteInput,
+    before anything is written, and entries too large for float64
+    arithmetic raise NonFiniteScore, each labelled with ``config_index``:
+    a call that returns leaves no NaN or inf in ``arr``.
 
     Centering and the final division run over row spans, one per CPU;
     each row's arithmetic is the same in any span, so are the bits.
     """
+    _matrix_shape(arr, config_index=config_index)
     rows = arr.shape[0]
     min_span = max(1, _SPAN_ELEMENTS // arr.shape[1])
     mean = arr.mean(axis=0)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .core import (
     GraphTopology,
+    _matrix_shape,
     _over_spans,
     center_normalize_inplace,
     magnitude_scale,
-    matrix_values,
 )
 from .errors import (
     EmptyGraph,
@@ -40,8 +40,6 @@ _BLOCK_ELEMENTS = 2_097_152
 # while their row-wise dot products are taken. Each CPU's span of edges
 # holds at least one block.
 _GATHER_ELEMENTS = 65_536
-
-STD_CONVENTIONS = ("population", "sample")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,10 @@ def score_configuration(
     """
     if copy:
         mat = np.array(mat, dtype=np.float64, order="C")
-    values = matrix_values(mat, config_index=config_index)
+    values = np.asarray(mat, dtype=np.float64)
+    # The shape, so the row count below is a matrix's; NaN and inf are
+    # refused by center_normalize_inplace, with the same message.
+    _matrix_shape(values, config_index=config_index)
     if graph.edge_count == 0:
         raise EmptyGraph("graph has no edges")
     if values.shape[0] != graph.node_count:
@@ -142,17 +143,9 @@ def score_configuration(
     return score, n_degenerate
 
 
-def _ddof(std: str) -> int:
-    """The ddof of a dispersion convention: "population" divides by N (the
-    ensemble is the whole object of study), "sample" by N - 1."""
-    if std not in STD_CONVENTIONS:
-        raise ValueError(f"std must be one of {STD_CONVENTIONS}, got {std!r}")
-    return STD_CONVENTIONS.index(std)
-
-
-def dispersion(scores: np.ndarray, std: str = "population") -> float:
-    """Standard deviation of per-configuration scores under the ``std``
-    convention, "population" or "sample".
+def dispersion(scores: np.ndarray) -> float:
+    """Population standard deviation (divide by N) of per-configuration
+    scores: the ensemble is the whole object of study.
 
     Bit-identical inputs must yield exactly 0.0, which naive mean/std
     arithmetic does not guarantee, so that case is short-circuited. Scores
@@ -160,40 +153,36 @@ def dispersion(scores: np.ndarray, std: str = "population") -> float:
     cosines below 2^-100 underflow when squared, and an unscaled spread
     of them would read 0.0, "perfectly stable".
     """
-    ddof = _ddof(std)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.max() == scores.min():
         return 0.0
     scale = magnitude_scale(scores)
-    return scale * float((scores / scale).std(ddof=ddof))
+    return scale * float((scores / scale).std())
 
 
 def ggi_index(
     configs: Iterable,
     graph: GraphTopology,
     *,
-    std: str = "population",
     copy: bool = True,
 ) -> StabilityReport:
     """Graph Gram index of an ensemble over a fixed graph.
 
     Each configuration is centered, normalized and reduced to its
     edge-restricted Gram summary, a mean cosine in [-1, 1]; the index
-    is the :func:`dispersion` of those summaries under the ``std``
-    convention. Configurations are consumed one at a time, so ``configs``
-    may be a lazy iterable of matrices when the ensemble is too large to
-    hold in memory; pass ``copy=False`` when the iterable yields arrays
-    the pipeline may scribble on. An unknown ``std`` raises ValueError
-    before the first configuration is read.
+    is the :func:`dispersion` of those summaries. Configurations are
+    consumed one at a time, so ``configs`` may be a lazy iterable of
+    matrices when the ensemble is too large to hold in memory; pass
+    ``copy=False`` when the iterable yields arrays the pipeline may
+    scribble on.
 
     Returns
     -------
     StabilityReport
         The index and the per-configuration scores and degenerate-row
-        counts. ``index_value`` is always recomputable from ``scores``
-        under the ``std`` passed.
+        counts. ``index_value`` is always recomputable from ``scores``;
+        ``index_value * sqrt(N / (N - 1))`` is the N - 1 (sample) spread.
     """
-    _ddof(std)
     scores: list[float] = []
     degenerate_rows: list[int] = []
     # Deliberately not enumerate(): its cached result tuple keeps the
@@ -210,4 +199,4 @@ def ggi_index(
         raise TooFewConfigs(f"need at least 2 configurations, got {idx}")
     column = np.array(scores)
     column.flags.writeable = False
-    return StabilityReport(dispersion(column, std), column, tuple(degenerate_rows))
+    return StabilityReport(dispersion(column), column, tuple(degenerate_rows))

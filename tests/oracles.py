@@ -56,12 +56,12 @@ def dense_edge_summary(values, edges, node_count):
     return float((adjacency * gram).sum()) / (2 * n_edges)
 
 
-def ggi_dense(config_values, edges, node_count, ddof=0):
-    """Index via dense summaries; numpy std on the score vector."""
+def ggi_dense(config_values, edges, node_count):
+    """Index via dense summaries; numpy's population std on the score vector."""
     scores = []
     for values in config_values:
         scores.append(dense_edge_summary(center_normalize_dense(values), edges, node_count))
-    return float(np.std(np.asarray(scores), ddof=ddof))
+    return float(np.std(np.asarray(scores)))
 
 
 def knn_brute(values, k, metric="cosine"):

@@ -110,16 +110,15 @@ def test_criterion_02_zero_dispersion_exact():
         graph = random_graph(n, 3.0, seed=[5, n])
         base = rng.normal(size=(n, d))
         ens = [base.copy() for _ in range(n_configs)]
-        for std in ("population", "sample"):
-            report = ggi_index(ens, graph, std=std)
-            assert report.index_value == 0.0, (n, d, n_configs, std)
-            assert report.index_percent == 0.0
+        report = ggi_index(ens, graph)
+        assert report.index_value == 0.0, (n, d, n_configs)
+        assert report.index_percent == 0.0
     # The seeded generator's zero-noise path must hit the same guarantee.
     graph = random_graph(64, 4.0, seed=6)
     configs, g = synthetic_ensemble(graph, 8, 6, noise=0.0, seed=7)
     assert ggi_index(configs, g).index_value == 0.0
     print(f"\nPASS zero dispersion: identical configs give exactly 0.0 "
-          f"across {len(shapes) + 1} shapes and both std conventions")
+          f"across {len(shapes) + 1} shapes")
 
 
 def test_criterion_03_sparse_equals_dense_oracle():

@@ -142,32 +142,32 @@ def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
 
 # Digests of the reports on the ensemble of the "none" case above, run from
 # its directory with --manifest manifest.json so the bytes do not depend on
-# where the ensemble was written.
+# where the ensemble was written. Each case keeps a fixed number in its test
+# id, so removing one case leaves the ids of the others as they were.
 @pytest.mark.parametrize("argv, digest", [
-    (["ggi"], "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
-    (["ggi", "--std", "population"],
-     "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
-    (["ggi", "--std", "sample"],
-     "12e37b94c6b41ec1303fc20ddc61f890ca3f6a86c12a8d0e55bf5a75346f9694"),
-    (["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
-    (["baseline", "--index", "aligned-cosine"],
-     "09b08b057c1ebbd7719c329c7ee0deb32e4637cd0aa53fe0281d2aa537853b0a"),
-    (["baseline", "--index", "knn-jaccard"],
-     "f85a2d618f617fcb54e79729e19a4bfd05292df2c663d9c6ccd9203bf83bb9fc"),
-    (["baseline", "--index", "knn-jaccard", "--preprocess"],
-     "0c500b3f3d9888dd5da5e95db4a58e85685dbabe572fac44bd7f7fefe0d21660"),
-    (["baseline", "--index", "knn-jaccard", "--metric", "euclidean"],
-     "0c6bb687c3a61741139095e60ac866094bb0ddbacbe9955821595b4bb03bb277"),
-    (["baseline", "--index", "second-order-cosine"],
-     "e12e6a29e1712898055bb754533998ef8c03a6441dc5909cbb10bd22b67c02a7"),
-    (["baseline", "--index", "second-order-cosine", "--preprocess"],
-     "f130b508d1c0a7406efbe8d130f81fac095904effd8b7eac6db0d9031a39dc4a"),
-    (["baseline", "--index", "second-order-cosine", "--metric", "euclidean"],
-     "f9a3dc63dc915c630158db1a9d49dda290bc6a6ac07eb959652f955db1cf6b07"),
-    (["baseline", "--index", "hausdorff"],
-     "32eaeb36b371f836e66dddbc13f53b6a14997af118356c384b0213638d7ba2a4"),
-    (["baseline", "--index", "wasserstein"],
-     "711e70a8401c5e16c05b216cf59a38b12c4650ed0a562a67a53177a6eca85352"),
+    pytest.param(argv, digest, id=f"argv{number}-{digest}")
+    for number, argv, digest in [
+        (0, ["ggi"], "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
+        (3, ["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
+        (4, ["baseline", "--index", "aligned-cosine"],
+         "09b08b057c1ebbd7719c329c7ee0deb32e4637cd0aa53fe0281d2aa537853b0a"),
+        (5, ["baseline", "--index", "knn-jaccard"],
+         "f85a2d618f617fcb54e79729e19a4bfd05292df2c663d9c6ccd9203bf83bb9fc"),
+        (6, ["baseline", "--index", "knn-jaccard", "--preprocess"],
+         "0c500b3f3d9888dd5da5e95db4a58e85685dbabe572fac44bd7f7fefe0d21660"),
+        (7, ["baseline", "--index", "knn-jaccard", "--metric", "euclidean"],
+         "0c6bb687c3a61741139095e60ac866094bb0ddbacbe9955821595b4bb03bb277"),
+        (8, ["baseline", "--index", "second-order-cosine"],
+         "e12e6a29e1712898055bb754533998ef8c03a6441dc5909cbb10bd22b67c02a7"),
+        (9, ["baseline", "--index", "second-order-cosine", "--preprocess"],
+         "f130b508d1c0a7406efbe8d130f81fac095904effd8b7eac6db0d9031a39dc4a"),
+        (10, ["baseline", "--index", "second-order-cosine", "--metric", "euclidean"],
+         "f9a3dc63dc915c630158db1a9d49dda290bc6a6ac07eb959652f955db1cf6b07"),
+        (11, ["baseline", "--index", "hausdorff"],
+         "32eaeb36b371f836e66dddbc13f53b6a14997af118356c384b0213638d7ba2a4"),
+        (12, ["baseline", "--index", "wasserstein"],
+         "711e70a8401c5e16c05b216cf59a38b12c4650ed0a562a67a53177a6eca85352"),
+    ]
 ])
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(tmp_path)
@@ -448,18 +448,19 @@ def test_usage_errors_exit_2():
     assert _run(["ggi"]).returncode == 2  # --manifest required
     assert _run(["frobnicate"]).returncode == 2
     assert _run(["baseline", "--manifest", "x", "--index", "nope"]).returncode == 2
-    # Removed options: GGI always preprocesses, and a report holds no
-    # wall-clock reading.
-    for argv in (
-        ["ggi", "--manifest", "x", "--no-preprocess"],
-        ["ggi", "--manifest", "x", "--timings"],
-        ["baseline", "--manifest", "x", "--index", "hausdorff", "--timings"],
+    # Removed options: GGI always preprocesses and is the population std,
+    # and a report holds no wall-clock reading.
+    for argv, unrecognized in (
+        (["ggi", "--manifest", "x", "--no-preprocess"], "--no-preprocess"),
+        (["ggi", "--manifest", "x", "--std", "sample"], "--std sample"),
+        (["ggi", "--manifest", "x", "--timings"], "--timings"),
+        (["baseline", "--manifest", "x", "--index", "hausdorff", "--timings"], "--timings"),
     ):
         removed = _run(argv)
         assert (removed.returncode, removed.stdout) == (2, ""), argv
         assert removed.stderr.splitlines() == [
             "usage: gramstab [-h] [--version] {ggi,baseline,synth,validate} ...",
-            f"gramstab: error: unrecognized arguments: {argv[-1]}",
+            f"gramstab: error: unrecognized arguments: {unrecognized}",
         ]
 
 

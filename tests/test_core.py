@@ -150,6 +150,15 @@ def test_center_normalize_zeroes_degenerate_rows():
     assert np.all(values == 0.0)
 
 
+@pytest.mark.parametrize("shape", [(4,), (0, 3), (3, 0), (2, 2, 2)])
+def test_center_normalize_names_a_malformed_shape(shape):
+    # Not an IndexError, ZeroDivisionError or numpy warning: the named error
+    # matrix_values raises for the same shape.
+    with pytest.raises(ShapeMismatch, match="^config 1: ") as err:
+        center_normalize_inplace(np.zeros(shape), 1)
+    assert err.value.config_index == 1
+
+
 @pytest.mark.parametrize("scale", [10.0**e for e in range(-300, 301, 50)])
 def test_degenerate_rows_are_relative_to_the_configuration(scale):
     # A constant configuration centers to rounding error at every scale;

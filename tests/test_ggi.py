@@ -286,29 +286,7 @@ def test_identical_configs_score_exact_zero():
 
 def test_dispersion_conventions():
     scores = np.array([0.1, 0.2, 0.4])
-    assert dispersion(scores, "population") == pytest.approx(np.std(scores, ddof=0))
-    assert dispersion(scores, "sample") == pytest.approx(np.std(scores, ddof=1))
-    # An unknown convention is an error, not the sample std; equal scores,
-    # which short-circuit to 0.0, do not get past it either.
-    for bogus in (scores, np.array([0.3, 0.3])):
-        with pytest.raises(ValueError, match="std must be one of"):
-            dispersion(bogus, "bogus")
-
-    def unread():
-        raise AssertionError("a configuration was read before std was checked")
-        yield
-
-    graph, _ = _random_instance(10)
-    with pytest.raises(ValueError, match="std must be one of"):
-        ggi_index(unread(), graph, std="bogus")
-
-
-def test_sample_convention_flows_through():
-    graph, configs = _random_instance(11)
-    pop = ggi_index(configs, graph, std="population").index_value
-    samp = ggi_index(configs, graph, std="sample").index_value
-    assert samp > pop  # ddof=1 inflates dispersion for small N
-    assert samp == pytest.approx(pop * np.sqrt(len(configs) / (len(configs) - 1)))
+    assert dispersion(scores) == pytest.approx(np.std(scores, ddof=0))
 
 
 def test_empty_graph_and_shape_mismatch():

@@ -117,7 +117,7 @@ _CASES = [
           "gramstab: error: b.csv: matrix contains NaN or infinite values",
           argv=["baseline", "--manifest", "m.json", "--index", "aligned-cosine"]),
     _case("csv-nan-ggi", {"b.csv": "2,1\n1,inf\n0,1\n1,1\n"},
-          "gramstab: error: config 1: matrix contains NaN or infinite values",
+          "gramstab: error: b.csv: matrix contains NaN or infinite values",
           argv=["ggi", "--manifest", "m.json"]),
     # Beyond one file
     _case("missing-file",
