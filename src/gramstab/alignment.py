@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matrix_values
+from .core import MAGNITUDE_WINDOW, magnitude_scale, matrix_values
 from .errors import ShapeMismatch
 
 
@@ -30,7 +30,11 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
     source^T @ target, which costs O(|V| d^2 + d^3) and never forms a
     |V| x |V| product. The cross matrix is summed by ``np.einsum``, not
     BLAS, whose sum over |V| differs in the last bits between one thread
-    and two, so q does not depend on the BLAS thread count.
+    and two, so q does not depend on the BLAS thread count. When the cross
+    matrix leaves the square of ``MAGNITUDE_WINDOW`` (its entries are sums
+    of products of two entries), each input is divided by its
+    :func:`~gramstab.core.magnitude_scale` and the cross matrix summed
+    again: q does not depend on the units of either input.
 
     Parameters
     ----------
@@ -48,7 +52,13 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
             f"cannot align shapes {a.shape} and {b.shape}; equal rows and "
             "columns are required"
         )
-    cross = np.einsum("ij,ik->jk", a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is rescaled below
+        cross = np.einsum("ij,ik->jk", a, b)
+    low, high = MAGNITUDE_WINDOW
+    if not low * low <= np.maximum(cross.max(), -cross.min()) <= high * high:
+        scales = magnitude_scale(a), magnitude_scale(b)
+        if scales != (1.0, 1.0):
+            cross = np.einsum("ij,ik->jk", a / scales[0], b / scales[1])
     u, s, vt = np.linalg.svd(cross)
     q = u @ vt
     if s.size == 0 or s[0] == 0.0:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import magnitude_scale, matrix_values
+from .core import MAGNITUDE_WINDOW, magnitude_scale, matrix_values
 from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
 METRICS = ("cosine", "euclidean")
@@ -84,14 +84,18 @@ def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *cuts], cuts)]
 
 
-def _unit_rows(values: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ij,ij->i", values, values))
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", values, values))
+
+
+def _unit_rows(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Rows divided by their ``norms``; a zero row stays zero."""
     return values / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Cosines of matching rows; a pair with a zero vector scores 0, counted."""
-    na, nb = (np.sqrt(np.einsum("ij,ij->i", x, x)) for x in (a, b))
+    na, nb = _row_norms(a), _row_norms(b)
     zero = (na == 0.0) | (nb == 0.0)
     scores = np.einsum("ij,ij->i", a, b) / np.where(zero, 1.0, na * nb)
     return np.where(zero, 0.0, scores), int(np.count_nonzero(zero))
@@ -165,8 +169,11 @@ def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
     lowest-id keys equal to it, k in all, are sorted on (key, node id).
     The keys (negated cosines, or distances), a copy of them that is
     partitioned in place and the mask of kept keys go into three buffers
-    made once per call. Raises KTooLarge unless 1 <= k < node_count, and
-    ValueError for another metric.
+    made once per call. When the row norms leave ``MAGNITUDE_WINDOW``, the
+    values are first divided by their
+    :func:`~gramstab.core.magnitude_scale`, so squares neither overflow nor
+    underflow and the lists do not depend on the units. Raises KTooLarge
+    unless 1 <= k < node_count, and ValueError for another metric.
     """
     values = matrix_values(mat)
     n = values.shape[0]
@@ -174,8 +181,15 @@ def knn_neighbors(mat, k: int, metric: str = "cosine") -> np.ndarray:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < node_count={n}")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        norms = _row_norms(values)
+    if not MAGNITUDE_WINDOW[0] <= norms.max() <= MAGNITUDE_WINDOW[1]:
+        scale = magnitude_scale(values)
+        if scale != 1.0:
+            values = values / scale
+            norms = _row_norms(values)
     if metric == "cosine":
-        unit = _unit_rows(values)
+        unit = _unit_rows(values, norms)
     else:
         from scipy.spatial.distance import cdist
     blocks = _row_blocks(n, n)
@@ -263,7 +277,7 @@ def second_order_cosine_index(ensemble, k: int, *, metric: str = "cosine") -> Pa
     report metadata.
     """
     values, _ = _prepared_values(ensemble)
-    units = [_unit_rows(v) for v in values]
+    units = [_unit_rows(v, _row_norms(v)) for v in values]
     neighbors = [knn_neighbors(v, k, metric) for v in values]
     n = len(neighbors[0])
     metadata = {"zero_vector_scores": 0}

@@ -47,12 +47,7 @@ from .fileio import (
     sha256_file,
 )
 from .ggi import ggi_index
-from .transforms import (
-    GENERATOR_NAME,
-    TRANSFORM_KINDS,
-    random_graph,
-    synthetic_ensemble,
-)
+from .transforms import GENERATOR_NAME, random_graph, synthetic_ensemble
 
 
 def _baselines() -> dict:
@@ -235,14 +230,7 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = random_graph(args.nodes, args.avg_degree, args.seed)
-    configs, graph = synthetic_ensemble(
-        graph,
-        args.dim,
-        args.configs,
-        noise=args.noise,
-        transform=args.transform,
-        seed=args.seed,
-    )
+    configs = synthetic_ensemble(graph, args.dim, args.configs, noise=args.noise, seed=args.seed)
     graph_path = out_dir / "graph.edges"
     save_edge_list(
         graph_path,
@@ -275,7 +263,9 @@ def _cmd_synth(args) -> int:
                 "dim": args.dim,
                 "configs": args.configs,
                 "noise": args.noise,
-                "transform": args.transform,
+                # synth draws noisy copies only; the key stays so that
+                # manifests keep their bytes.
+                "transform": "none",
                 "seed": args.seed,
             }
         },
@@ -329,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise", type=float, default=0.0,
                        help="std of the Gaussian noise added to each configuration, whose "
                             "base has std 1 (default: 0.0)")
-    synth.add_argument("--transform", choices=TRANSFORM_KINDS, default="none",
-                       help="transform applied to each configuration (default: none)")
     synth.add_argument("--seed", type=int, default=0,
                        help="seed of every random draw, at least 0 (default: 0)")
     synth.add_argument("--out-dir", required=True,

@@ -121,6 +121,16 @@ def _split_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
     return edges
 
 
+def _node_ids(ids, error: type, what: str) -> np.ndarray:
+    """``ids`` as an int64 array. A non-empty float, bool or complex array
+    raises ``error``: casting it would make 1.7 node 1 and True node 1.
+    An empty list, which numpy types as float64, holds no ids."""
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind in "fbc":
+        raise error(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def _matrix_shape(arr: np.ndarray, *, config_index: int | None = None, path=None) -> None:
     """Check that ``arr`` is 2-D and at least 1x1, naming ``path`` or
     ``config_index`` as :func:`matrix_values` does."""
@@ -165,7 +175,7 @@ class GraphTopology:
     def __post_init__(self):
         if self.node_count < 1:
             raise ShapeMismatch(f"node_count must be >= 1, got {self.node_count}")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _node_ids(self.edges, ShapeMismatch, "edge endpoints").reshape(-1, 2)
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
             return
@@ -199,7 +209,7 @@ class GraphTopology:
                 f"from_pairs sorts edges by int64 keys i * node_count + j, so "
                 f"node_count must be <= {_KEY_NODES}, got {node_count}"
             )
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = _node_ids(pairs, ShapeMismatch, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ShapeMismatch(
                 f"edge endpoint out of range for node_count={node_count}"
@@ -216,7 +226,8 @@ def magnitude_scale(values: np.ndarray) -> float:
     finite), else the largest power of two not above it. The division is
     exact, so cosines are unchanged and distances shrink by the scale.
     """
-    peak = float(np.abs(values).max())
+    # The larger of max and -min: max |values| without an |values| array.
+    peak = float(np.maximum(values.max(), -values.min()))
     low, high = MAGNITUDE_WINDOW
     if low <= peak <= high or not 0.0 < peak < np.inf:
         return 1.0

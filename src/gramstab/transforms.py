@@ -14,7 +14,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import GraphTopology, _canonical_keys, _split_keys, matrix_values
+from .core import GraphTopology, _canonical_keys, _node_ids, _split_keys, matrix_values
 from .errors import NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
@@ -27,9 +27,6 @@ SeedLike = Union[int, Sequence[int]]
 _TAG_GRAPH = 0
 _TAG_BASE = 1
 _TAG_NOISE = 2
-_TAG_TRANSFORM = 3
-
-TRANSFORM_KINDS = ("none", "orthogonal", "permutation", "translation")
 
 
 def _stream(seed: SeedLike, *tags: int) -> np.random.Generator:
@@ -80,7 +77,7 @@ def apply_permutation(
     onto 0..n-1 raises NotABijection.
     """
     values = matrix_values(mat)
-    mapping = np.asarray(mapping, dtype=np.int64)
+    mapping = _node_ids(mapping, NotABijection, "mapping entries")
     if mapping.ndim != 1 or not np.array_equal(np.sort(mapping), np.arange(mapping.size)):
         raise NotABijection("mapping is not a bijection onto 0..n-1")
     if values.shape[0] != mapping.size or graph.node_count != mapping.size:
@@ -146,54 +143,22 @@ def synthetic_ensemble(
     dim: int,
     n_configs: int,
     noise: float = 0.0,
-    transform: str = "none",
     seed: int = 0,
-) -> tuple[Iterator[np.ndarray], GraphTopology]:
-    """Noisy copies of one seeded base embedding, optionally transformed.
+) -> Iterator[np.ndarray]:
+    """Noisy copies of one seeded base embedding of the graph's nodes.
 
-    Every configuration is base + Gaussian noise (std ``noise``), then:
+    Every configuration is base + Gaussian noise (std ``noise``), each
+    drawn from its own stream, so with noise 0 the ensemble scores a zero
+    index. For a rotated, shifted or relabelled ensemble, apply
+    :func:`random_orthogonal`, :func:`random_translation` or
+    :func:`apply_permutation` to these copies.
 
-    - "none": left as is;
-    - "orthogonal": rotated by its own random orthogonal matrix;
-    - "translation": shifted by its own random translation;
-    - "permutation": one shared node permutation relabels every
-      configuration's rows and the graph's edges together.
-
-    The per-config transforms exercise invariances of individual
-    summaries; the shared permutation exercises the ensemble-level one,
-    so with noise 0 all four kinds should score a zero index. Returns
-    the configurations and the (possibly relabeled) graph.
-
-    The transform name is checked and the base drawn here; the
-    configurations come as a one-pass iterator that draws each from its
-    own stream when it is asked for, so a caller that lets each go before
-    asking for the next holds the base and one configuration. Wrap it in
-    ``list()`` to keep them all.
+    The base is drawn here; the configurations come as a one-pass
+    iterator that draws each when it is asked for, so a caller that lets
+    each go before asking for the next holds the base and one
+    configuration. Wrap it in ``list()`` to keep them all.
     """
-    if transform not in TRANSFORM_KINDS:
-        raise ValueError(f"transform must be one of {TRANSFORM_KINDS}")
     base = _stream(seed, _TAG_BASE).standard_normal((graph.node_count, dim))
-    mapping = None
-    if transform == "permutation":
-        mapping = random_permutation(graph.node_count, [seed, _TAG_TRANSFORM])
-        graph, _, _ = GraphTopology.from_pairs(graph.node_count, mapping[graph.edges])
     # A generator expression holds no name for the configuration it yielded,
     # so that one is freed as soon as the caller drops it.
-    configs = (
-        _configuration(base, idx, noise, transform, seed, mapping) for idx in range(n_configs)
-    )
-    return configs, graph
-
-
-def _configuration(base, idx, noise, transform, seed, mapping) -> np.ndarray:
-    """Configuration ``idx`` of :func:`synthetic_ensemble`."""
-    values = perturb_gaussian(base, noise, [seed, _TAG_NOISE, idx])
-    if transform == "orthogonal":
-        return values @ random_orthogonal(base.shape[1], [seed, _TAG_TRANSFORM, idx])
-    if transform == "translation":
-        values += random_translation(base.shape[1], [seed, _TAG_TRANSFORM, idx])
-    elif mapping is not None:
-        permuted = np.empty_like(values)
-        permuted[mapping] = values
-        return permuted
-    return values
+    return (perturb_gaussian(base, noise, [seed, _TAG_NOISE, idx]) for idx in range(n_configs))

@@ -115,8 +115,8 @@ def test_criterion_02_zero_dispersion_exact():
         assert report.index_percent == 0.0
     # The seeded generator's zero-noise path must hit the same guarantee.
     graph = random_graph(64, 4.0, seed=6)
-    configs, g = synthetic_ensemble(graph, 8, 6, noise=0.0, seed=7)
-    assert ggi_index(configs, g).index_value == 0.0
+    configs = synthetic_ensemble(graph, 8, 6, noise=0.0, seed=7)
+    assert ggi_index(configs, graph).index_value == 0.0
     print(f"\nPASS zero dispersion: identical configs give exactly 0.0 "
           f"across {len(shapes) + 1} shapes")
 
@@ -216,8 +216,8 @@ def test_criterion_07_noise_monotonicity():
     for seed in range(5):
         values = []
         for noise in (0.01, 0.1, 0.5):
-            configs, g = synthetic_ensemble(graph, 32, 20, noise=noise, seed=seed)
-            values.append(ggi_index(configs, g).index_value)
+            configs = synthetic_ensemble(graph, 32, 20, noise=noise, seed=seed)
+            values.append(ggi_index(configs, graph).index_value)
         rows.append(values)
         passing += values[0] < values[1] < values[2]
     assert passing >= 4, rows

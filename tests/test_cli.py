@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -88,62 +90,30 @@ def test_synth_multi_chunk_bytes_are_pinned(tmp_path):
 
 
 # Digests of every file synth writes with --nodes 60 --avg-degree 4 --dim 3
-# --configs 3 --noise 0.1 --seed 23, per --transform. Only "permutation"
-# relabels the graph; every kind writes the same identity id map.
-_SYNTH_GRAPH_60 = "b6e0225ad71a1b7929b5ace8720c6e116538450d5cfc8cf78061ec2478575134"
-_SYNTH_IDS_60 = "3cf229608fd82b0a8b378fa72dc63d98b7be4fc0eafba28e5bf8ae7cdf48c0bf"
-
-
-@pytest.mark.parametrize("transform, digests", [
-    ("none", {
-        "config_00.gge1": "cdbf8719d3788900d5d9a1896d850b391bc4cb90c50f28cb0c468cb936afe9de",
-        "config_01.gge1": "8c7f496c7358fc3b04f157ad3c0ccc6e7a55b5249348d3fb9fcdd07d6feb7d00",
-        "config_02.gge1": "820898e5c2cc9f4ed4809c31a9a89a8360f9fb6becd4747d60a07e70570b89df",
-        "graph.edges": _SYNTH_GRAPH_60,
-        "ids.json": _SYNTH_IDS_60,
-        "manifest.json": "a7f383b1e581231abf2495906d94a87ae758e7e192674e9f4dbcbce09da7b808",
-    }),
-    ("orthogonal", {
-        "config_00.gge1": "7ba3c9cbf31a22672fdad490d7af43377658f447a42279385ae6a32945a98432",
-        "config_01.gge1": "8ed7d8cdb7aa4903dadd3968f770a16fccd7a946a7f6e2aecaddf71b03ed877b",
-        "config_02.gge1": "f29721021f4d9c04c1bb991a8185b3c6f2fdbc82a92b054c25aeef89dcad08a6",
-        "graph.edges": _SYNTH_GRAPH_60,
-        "ids.json": _SYNTH_IDS_60,
-        "manifest.json": "540390dcd501e6327a4d2dc3eb4f2d6ef443895b08c7c887084a3158d5815b37",
-    }),
-    ("permutation", {
-        "config_00.gge1": "ebe22ccfc8e3d774edbae26dc256aeccf34d0fe9348b6b07a7ba017be30a9c5c",
-        "config_01.gge1": "5fdcf73356ead50132c5414cef339535a18d9a304cdaec5739d6f7fd182ec0fe",
-        "config_02.gge1": "b5f3b272776b5fe633d458f5d445ada19e8688b36ecd0fd873b38297e65c412b",
-        "graph.edges": "5ca9794a68c5c5236511145542d765dd2b810861b477ffb0fb0289ad19a8b456",
-        "ids.json": _SYNTH_IDS_60,
-        "manifest.json": "7fa76582d5b904ffa3899ad188b517825c8a9516f295eb6be853cc14d47bffdb",
-    }),
-    ("translation", {
-        "config_00.gge1": "260a1919a8b86751ca5f6a321b59c261e1e04903a052cf140f2fc5aa09d515dc",
-        "config_01.gge1": "c260558ed8538f1284e697c939760ef5ea3d2db48048ad857ace442a9ee80ec2",
-        "config_02.gge1": "248d168f4cfc9f3cc6760a6063369cefef6c440a83d0bc4f6e085f721b5413cd",
-        "graph.edges": _SYNTH_GRAPH_60,
-        "ids.json": _SYNTH_IDS_60,
-        "manifest.json": "2c8551dd79a612983ae78cc295b70c981a99792b05e2a17991a3a65e65654d70",
-    }),
-])
-def test_synth_output_bytes_are_pinned(tmp_path, transform, digests):
+# --configs 3 --noise 0.1 --seed 23.
+def test_synth_output_bytes_are_pinned(tmp_path):
     code = run_cli([
         "synth", "--nodes", "60", "--avg-degree", "4", "--dim", "3", "--configs", "3",
-        "--noise", "0.1", "--transform", transform, "--seed", "23", "--out-dir", str(tmp_path),
+        "--noise", "0.1", "--seed", "23", "--out-dir", str(tmp_path),
     ])
     assert code == 0
     assert {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.iterdir())
-    } == digests
+    } == {
+        "config_00.gge1": "cdbf8719d3788900d5d9a1896d850b391bc4cb90c50f28cb0c468cb936afe9de",
+        "config_01.gge1": "8c7f496c7358fc3b04f157ad3c0ccc6e7a55b5249348d3fb9fcdd07d6feb7d00",
+        "config_02.gge1": "820898e5c2cc9f4ed4809c31a9a89a8360f9fb6becd4747d60a07e70570b89df",
+        "graph.edges": "b6e0225ad71a1b7929b5ace8720c6e116538450d5cfc8cf78061ec2478575134",
+        "ids.json": "3cf229608fd82b0a8b378fa72dc63d98b7be4fc0eafba28e5bf8ae7cdf48c0bf",
+        "manifest.json": "a7f383b1e581231abf2495906d94a87ae758e7e192674e9f4dbcbce09da7b808",
+    }
 
 
-# Digests of the reports on the ensemble of the "none" case above, run from
-# its directory with --manifest manifest.json so the bytes do not depend on
-# where the ensemble was written. Each case keeps a fixed number in its test
-# id, so removing one case leaves the ids of the others as they were.
+# Digests of the reports on the ensemble above, run from its directory with
+# --manifest manifest.json so the bytes do not depend on where the ensemble
+# was written. Each case keeps a fixed number in its test id, so removing
+# one case leaves the ids of the others as they were.
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(argv, digest, id=f"argv{number}-{digest}")
     for number, argv, digest in [
@@ -448,13 +418,15 @@ def test_usage_errors_exit_2():
     assert _run(["ggi"]).returncode == 2  # --manifest required
     assert _run(["frobnicate"]).returncode == 2
     assert _run(["baseline", "--manifest", "x", "--index", "nope"]).returncode == 2
-    # Removed options: GGI always preprocesses and is the population std,
-    # and a report holds no wall-clock reading.
+    # Removed options: GGI always preprocesses and is the population std, a
+    # report holds no wall-clock reading, and synth draws noisy copies only.
     for argv, unrecognized in (
         (["ggi", "--manifest", "x", "--no-preprocess"], "--no-preprocess"),
         (["ggi", "--manifest", "x", "--std", "sample"], "--std sample"),
         (["ggi", "--manifest", "x", "--timings"], "--timings"),
         (["baseline", "--manifest", "x", "--index", "hausdorff", "--timings"], "--timings"),
+        (["synth", "--nodes", "30", "--dim", "3", "--configs", "3", "--out-dir", "x",
+          "--transform", "orthogonal"], "--transform orthogonal"),
     ):
         removed = _run(argv)
         assert (removed.returncode, removed.stdout) == (2, ""), argv
@@ -462,6 +434,28 @@ def test_usage_errors_exit_2():
             "usage: gramstab [-h] [--version] {ggi,baseline,synth,validate} ...",
             f"gramstab: error: unrecognized arguments: {unrecognized}",
         ]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``gramstab`` line in README's fenced code
+    blocks, with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gramstab ")]
+
+
+def test_readme_cli_lines_parse(capsys):
+    # A README that still shows a removed flag fails here, not in a user's shell.
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"synth", "validate", "ggi", "baseline"}
+    parser = cli_mod.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: gramstab {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("flag, value", [

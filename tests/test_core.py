@@ -72,6 +72,25 @@ def test_graph_constructor_requires_canonical_edges():
         GraphTopology(3, np.array([[0, 1], [0, 1]]))  # duplicate
 
 
+@pytest.mark.parametrize("build", [
+    lambda ids: GraphTopology(3, ids),
+    lambda ids: GraphTopology.from_pairs(3, ids),
+], ids=["constructor", "from-pairs"])
+@pytest.mark.parametrize("ids", [
+    [[0.5, 1.7]], [[0.0, 1.0]], [[False, True]], [[0, 1 + 0j]],
+], ids=["float", "integral-float", "bool", "complex"])
+def test_graph_refuses_non_integer_endpoints(build, ids):
+    # A cast used to truncate each of these to the edge (0, 1).
+    with pytest.raises(ShapeMismatch, match="^edge endpoints must be integers, got "):
+        build(ids)
+
+
+def test_empty_pair_list_builds_an_edgeless_graph():
+    # numpy types [] as float64, but it holds no endpoint to refuse.
+    assert GraphTopology(3, []).edge_count == 0
+    assert GraphTopology.from_pairs(3, [])[0].edge_count == 0
+
+
 @st.composite
 def _raw_pairs(draw):
     """A node count up to 2^62 and pairs over a few of its ids, the

@@ -1,9 +1,10 @@
 """Every index under a change of units: one magnitude rule for all six.
 
-Multiplying an ensemble by c must leave the Gram index and the three
+Multiplying an ensemble by c must leave the Gram index, the three
 cosine-type baselines (both metrics, on the configurations and on
-center-normalized copies of them) unchanged, counters included, and must
-multiply the Hausdorff and Wasserstein distances by c. c = 2^k spans
+center-normalized copies of them) and the public kNN and Procrustes
+helpers they call unchanged, counters included, and must multiply the
+Hausdorff and Wasserstein distances by c. c = 2^k spans
 almost the whole float64 range; the pinned decimal scales are the ones
 that broke before the rule existed.
 """
@@ -18,6 +19,8 @@ from gramstab import (
     ggi_index,
     hausdorff_index,
     knn_jaccard_index,
+    knn_neighbors,
+    procrustes_align,
     random_graph,
     second_order_cosine_index,
     wasserstein_index,
@@ -41,9 +44,17 @@ def _centered(configs):
 
 
 def _scale_free(configs):
-    """Each scale-free index as (scores, counters)."""
+    """Each scale-free index as (scores, counters, absolute tolerance), and
+    so each kNN helper's lists (exact) and Procrustes map (to 1e-12) with
+    its degenerate flag."""
     report = ggi_index(iter(configs), GRAPH)
-    out = {"ggi": (report.scores, report.degenerate_rows)}
+    out = {"ggi": (report.scores, report.degenerate_rows, 1e-9)}
+    for metric in ("cosine", "euclidean"):
+        lists = [knn_neighbors(c, _K, metric) for c in configs]
+        out["knn_neighbors", metric] = (lists, None, 0.0)
+    for l, m in ((0, 1), (0, 2), (1, 2)):
+        alignment = procrustes_align(configs[l], configs[m])
+        out["procrustes_align", l, m] = (alignment.q, alignment.degenerate, 1e-12)
     for pre, ensemble in ((False, configs), (True, _centered(configs))):
         for metric in ("cosine", "euclidean"):
             for fn in (knn_jaccard_index, second_order_cosine_index):
@@ -51,11 +62,13 @@ def _scale_free(configs):
                 out[fn.__name__, metric, pre] = (
                     list(report.per_pair.values()),
                     report.metadata.get("zero_vector_scores"),
+                    1e-9,
                 )
         report = aligned_cosine_index(ensemble)
         out["aligned", pre] = (
             list(report.per_pair.values()),
             (report.metadata["zero_vector_scores"], report.metadata["degenerate_alignments"]),
+            1e-9,
         )
     return out
 
@@ -85,8 +98,8 @@ UNSCALED_DISTANCES = _distances(CONFIGS)
 def test_indices_follow_a_change_of_units(scales):
     scaled = [c * s for c, s in zip(CONFIGS, scales)]
     got = _scale_free(scaled)
-    for key, (scores, counters) in UNSCALED.items():
-        np.testing.assert_allclose(got[key][0], scores, rtol=0, atol=1e-9, err_msg=str(key))
+    for key, (scores, counters, atol) in UNSCALED.items():
+        np.testing.assert_allclose(got[key][0], scores, rtol=0, atol=atol, err_msg=str(key))
         assert got[key][1] == counters, key
     if len(set(scales)) == 1:
         # Preprocessed clouds are unit rows, so their distances do not move.

@@ -18,7 +18,6 @@ from gramstab import (
     random_translation,
     synthetic_ensemble,
 )
-from gramstab.transforms import TRANSFORM_KINDS
 
 import oracles
 
@@ -64,6 +63,14 @@ def test_permutation_requires_bijection():
         apply_permutation(values, graph, np.array([0, 0, 2]))
     with pytest.raises(NotABijection):
         apply_permutation(values, graph, np.array([0, 1, 3]))
+
+
+@pytest.mark.parametrize("mapping", [[0.9, 1.5, 2.2], [0.0, 1.0, 2.0], [True, False, True]],
+                         ids=["float", "integral-float", "bool"])
+def test_permutation_refuses_non_integer_mapping(mapping):
+    # A cast used to accept [0.9, 1.5, 2.2] as the identity.
+    with pytest.raises(NotABijection, match="^mapping entries must be integers, got "):
+        apply_permutation(np.zeros((3, 2)), random_graph(3, 2.0, 0), mapping)
 
 
 @pytest.mark.parametrize("build", [
@@ -157,51 +164,49 @@ def test_random_graph_caps_at_complete_graph():
 
 def test_synthetic_zero_noise_yields_identical_configs():
     graph = random_graph(30, 4.0, 2)
-    configs, _ = synthetic_ensemble(graph, 5, 4, noise=0.0, seed=3)
-    configs = list(configs)
+    configs = list(synthetic_ensemble(graph, 5, 4, noise=0.0, seed=3))
     for cfg in configs[1:]:
         np.testing.assert_array_equal(cfg, configs[0])
 
 
 def test_synthetic_zero_noise_configs_share_no_memory():
     graph = random_graph(30, 4.0, 2)
-    for kind in TRANSFORM_KINDS:
-        configs, _ = synthetic_ensemble(graph, 5, 3, noise=0.0, transform=kind, seed=3)
-        configs = list(configs)
-        for idx, cfg in enumerate(configs):
-            # A view would be a view of the base embedding.
-            assert type(cfg) is np.ndarray and cfg.dtype == np.float64, kind
-            assert cfg.base is None and cfg.flags.writeable, kind
-            for other in configs[idx + 1:]:
-                assert not np.shares_memory(cfg, other), kind
+    configs = list(synthetic_ensemble(graph, 5, 3, noise=0.0, seed=3))
+    for idx, cfg in enumerate(configs):
+        # A view would be a view of the base embedding.
+        assert type(cfg) is np.ndarray and cfg.dtype == np.float64
+        assert cfg.base is None and cfg.flags.writeable
+        for other in configs[idx + 1:]:
+            assert not np.shares_memory(cfg, other)
 
 
 def test_synthetic_transforms_keep_index_at_zero():
+    # A transformed ensemble is the noise-free copies passed through the
+    # public transforms: one per configuration for a rotation or a shift,
+    # one shared relabelling of rows and edges for a permutation.
     graph = random_graph(40, 5.0, 4)
-    for kind in ("none", "orthogonal", "permutation", "translation"):
-        configs, out_graph = synthetic_ensemble(
-            graph, 6, 3, noise=0.0, transform=kind, seed=5
-        )
-        report = ggi_index(configs, out_graph)
-        assert abs(report.index_value) <= 1e-12, kind
+    configs = list(synthetic_ensemble(graph, 6, 3, noise=0.0, seed=5))
+    mapping = random_permutation(graph.node_count, 6)
+    permuted = [apply_permutation(c, graph, mapping) for c in configs]
+    ensembles = {
+        "none": (configs, graph),
+        "orthogonal": ([c @ random_orthogonal(6, [5, i]) for i, c in enumerate(configs)], graph),
+        "translation": ([c + random_translation(6, [5, i]) for i, c in enumerate(configs)], graph),
+        "permutation": ([values for values, _ in permuted], permuted[0][1]),
+    }
+    for kind, (ensemble, g) in ensembles.items():
+        assert abs(ggi_index(ensemble, g).index_value) <= 1e-12, kind
 
 
 def test_synthetic_noise_separates_configs():
     graph = random_graph(30, 4.0, 6)
-    configs, _ = synthetic_ensemble(graph, 5, 3, noise=0.2, seed=7)
-    configs = list(configs)
+    configs = list(synthetic_ensemble(graph, 5, 3, noise=0.2, seed=7))
     assert not np.array_equal(configs[0], configs[1])
 
 
 def test_synthetic_is_deterministic():
     graph = random_graph(20, 3.0, 8)
-    a, _ = synthetic_ensemble(graph, 4, 3, noise=0.1, transform="orthogonal", seed=9)
-    b, _ = synthetic_ensemble(graph, 4, 3, noise=0.1, transform="orthogonal", seed=9)
+    a = synthetic_ensemble(graph, 4, 3, noise=0.1, seed=9)
+    b = synthetic_ensemble(graph, 4, 3, noise=0.1, seed=9)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-
-
-def test_synthetic_rejects_unknown_transform():
-    graph = random_graph(10, 2.0, 0)
-    with pytest.raises(ValueError):
-        synthetic_ensemble(graph, 3, 2, transform="reflection", seed=0)
