@@ -31,7 +31,9 @@ MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 _KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 # A row pass is split across CPUs only when each span holds at least this
-# many values (512 KB of float64), enough to pay for starting a thread.
+# many values (512 KB of float64), enough to pay for starting a thread. The
+# edge-key passes of from_pairs and random_graph go a span of this many keys
+# at a time, so that their temporaries stay cache-sized.
 _SPAN_ELEMENTS = 65_536
 
 
@@ -79,46 +81,80 @@ def _over_spans(count: int, work, min_span: int) -> None:
             raise exc
 
 
-def _canonical_keys(node_count: int, pairs: np.ndarray, prior=None) -> tuple[np.ndarray, int]:
-    """Sorted distinct keys ``min(a, b) * node_count + max(a, b)`` of the
-    rows (a, b) of an (E, 2) int64 ``pairs`` that are not self-loops,
-    merged with the sorted distinct keys ``prior``; and the number of
-    self-loop rows. Needs node_count <= ``_KEY_NODES``.
+def _run_starts(values: np.ndarray, last) -> np.ndarray:
+    """The boolean mask of the sorted ``values`` that differ from the one
+    before them, with ``last`` before the first: where each run starts."""
+    first = np.empty(values.size, dtype=bool)
+    first[0] = values[0] != last
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
-    The keys are built in one array this routine owns and sorted in place,
-    then a first-difference mask keeps the distinct ones: recent numpy
-    releases take a hash path in ``np.unique`` on integer input that is
-    many times slower. A caller that passes its only reference to ``pairs``
-    (a fresh draw) lets it go before the distinct keys are copied out.
-    """
-    start = 0 if prior is None else prior.size
-    keys = np.empty(start + pairs.shape[0], dtype=np.int64)
-    if start:
-        keys[:start] = prior
-    new = keys[start:]
+
+def _pair_keys(node_count: int, pairs: np.ndarray, out: np.ndarray) -> int:
+    """Write the key ``min(a, b) * node_count + max(a, b)`` of each row
+    (a, b) of ``pairs`` into ``out``, -1 for a self-loop, and return the
+    number of self-loops."""
     a, b = pairs[:, 0], pairs[:, 1]
-    np.minimum(a, b, out=new)
-    new *= node_count - 1
-    new += a
-    new += b  # min * (n - 1) + a + b == min * n + max, without a max array
+    np.minimum(a, b, out=out)
+    out *= node_count - 1
+    out += a
+    out += b  # min * (n - 1) + a + b == min * n + max, without a max array
     loops = a == b
-    n_self = int(np.count_nonzero(loops))
-    new[loops] = -1  # sorts ahead of every edge key, which is at least 1
-    del pairs, a, b, new, loops
+    out[loops] = -1  # sorts ahead of every edge key, which is at least 1
+    return int(np.count_nonzero(loops))
+
+
+def _canonical_keys(node_count: int, pairs: np.ndarray, keys: np.ndarray) -> tuple[int, int]:
+    """Sort the keys ``min(a, b) * node_count + max(a, b)`` of the rows
+    (a, b) of an (E, 2) int64 ``pairs`` that are not self-loops into the
+    int64 array ``keys``, each kept once at its front; return their count
+    and the number of self-loop rows. Needs node_count <= ``_KEY_NODES``.
+
+    The keys are written into the last E slots of ``keys``; slots before
+    them may hold sorted distinct keys of an earlier call, which are
+    merged in. The keys are built a span of ``_SPAN_ELEMENTS`` rows at a
+    time, ``keys`` is sorted in place, and then a first-difference mask
+    per span moves the distinct ones forward: recent numpy releases take
+    a hash path in ``np.unique`` on integer input that is many times
+    slower. Beside ``pairs`` and ``keys`` this holds one span's
+    temporaries, no second key array and no mask over all the rows. A
+    caller that passes its only reference to ``pairs`` (a fresh draw)
+    lets it go before the sort.
+    """
+    new = keys[keys.size - pairs.shape[0]:]
+    spans = range(0, new.size, _SPAN_ELEMENTS)
+    n_self = sum(_pair_keys(node_count, pairs[lo:lo + _SPAN_ELEMENTS],
+                            new[lo:lo + _SPAN_ELEMENTS]) for lo in spans)
+    del pairs, new
     keys.sort()
-    keys = keys[n_self:]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first], n_self
+    count, last = 0, -1  # the self-loops repeat the -1 before the first key
+    for lo in range(0, keys.size, _SPAN_ELEMENTS):
+        span = keys[lo:lo + _SPAN_ELEMENTS]
+        first = _run_starts(span, last)
+        last = span[-1]
+        kept = int(np.count_nonzero(first))
+        keys[count:count + kept] = span[first]
+        count += kept
+    return count, n_self
 
 
-def _split_keys(keys: np.ndarray, node_count: int) -> np.ndarray:
-    """The (E, 2) edge array (key // node_count, key % node_count) of keys
-    from :func:`_canonical_keys`, written straight into its columns."""
-    edges = np.empty((keys.size, 2), dtype=np.int64)
-    np.floor_divide(keys, node_count, out=edges[:, 0])
-    np.remainder(keys, node_count, out=edges[:, 1])
-    return edges
+def _split_keys(keys: np.ndarray, count: int, node_count: int) -> np.ndarray:
+    """Resize ``keys`` to the (count, 2) edge array (key // node_count,
+    key % node_count) of its first ``count`` keys, as
+    :func:`_canonical_keys` leaves them, and return it.
+
+    ``keys`` is an int64 array that owns its data and has at least
+    ``2 * count`` slots. It is split in place, last span of
+    ``_SPAN_ELEMENTS`` keys first, so that a span's edges overwrite only
+    keys already split and the span's own, which are copied out first
+    (left to numpy, the overlap would copy both edge columns instead).
+    """
+    for hi in range(count, 0, -_SPAN_ELEMENTS):
+        lo = max(hi - _SPAN_ELEMENTS, 0)
+        edges = keys[2 * lo:2 * hi].reshape(-1, 2)
+        np.divmod(keys[lo:hi].copy(), node_count, out=(edges[:, 0], edges[:, 1]))
+    keys.resize((count, 2), refcheck=False)  # in place: the loop's views are not used again
+    return keys
 
 
 def _node_ids(ids, error: type, what: str) -> np.ndarray:
@@ -214,10 +250,12 @@ class GraphTopology:
             raise ShapeMismatch(
                 f"edge endpoint out of range for node_count={node_count}"
             )
-        keys, n_self = _canonical_keys(node_count, arr)
-        n_dup = arr.shape[0] - n_self - keys.size
-        edges = _split_keys(keys, node_count)
-        return cls(node_count, edges), n_self, n_dup
+        # The keys, then in place the edges: with the caller's pairs, two
+        # arrays of their size.
+        keys = np.empty(arr.size, dtype=np.int64)
+        count, n_self = _canonical_keys(node_count, arr, keys[:arr.shape[0]])
+        n_dup = arr.shape[0] - n_self - count
+        return cls(node_count, _split_keys(keys, count, node_count)), n_self, n_dup
 
 
 def magnitude_scale(values: np.ndarray) -> float:

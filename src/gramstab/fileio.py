@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import GraphTopology, matrix_values
+from .core import GraphTopology, _run_starts, matrix_values
 from .errors import (
     EmptyGraph,
     ManifestError,
@@ -147,6 +147,13 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     accepts the few integer spellings Python's ``int`` takes and numpy
     does not (``1_000``, non-ASCII digits), so the result never depends
     on which path ran.
+
+    Memory, without ``ids``: past the parse, the (E, 2) int64 pairs plus
+    one int64 array of their size, the ranking keys and then the edges
+    of :meth:`GraphTopology.from_pairs`, plus the distinct ids, a bool
+    per pair and temporaries of ``_EDGE_CHUNK_IDS`` ids. The pairs are
+    ranked in place. Traced, the peak is 2.2-2.4 times the pairs' bytes
+    at 200k-400k lines.
     """
     path = Path(path)
     if ids is not None:
@@ -188,8 +195,8 @@ def _read_pairs(path: Path) -> np.ndarray | None:
 
 
 def _rank_ids(pairs: np.ndarray) -> np.ndarray:
-    """Replace each id in ``pairs``, in place, by its rank among the
-    distinct ids, and return those, sorted.
+    """Replace each non-negative id in ``pairs``, in place, by its rank
+    among the distinct ids, and return those, sorted.
 
     One sort, whose order carries the ranks back. When the ids' span
     leaves room for a position beside it in an int64 (``max - min <
@@ -202,30 +209,57 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     such as ids hashed to 63 bits, is ranked by ``argsort``. Ranks need
     no stable sort, and numpy's default kind sorts int64 several times
     faster than ``kind="stable"``.
+
+    Memory: ``pairs`` plus one int64 array of its size, the sorted keys
+    or the ``argsort`` order, and two chunks of scratch. The positions
+    are packed, the runs of equal ids found, the ranks counted and put,
+    ``_EDGE_CHUNK_IDS`` ids at a time, and the distinct ids are moved to
+    the front of that array, which is then shrunk to them.
     """
     flat = pairs.ravel()
     low = int(flat.min())
     bits = (flat.size - 1).bit_length()
-    if int(flat.max()) - low < 1 << (63 - bits):
-        ids = flat - low
-        ids <<= bits
-        ids |= np.arange(flat.size)
-        ids.sort()
-        order = ids & ((1 << bits) - 1)
-        ids >>= bits
+    packed = int(flat.max()) - low < 1 << (63 - bits)
+    step = min(_EDGE_CHUNK_IDS, flat.size)
+    # Two chunks of scratch that every chunk reuses, the first holding the
+    # positions of one chunk while they are packed: temporaries allocated
+    # anew for each chunk would each be given fresh pages.
+    scratch = np.arange(step)
+    if packed:
+        keys = flat - low
+        keys <<= bits
+        for lo in range(0, keys.size, step):
+            span = keys[lo:lo + step]
+            span |= scratch[:span.size]
+            scratch += step
+        keys.sort()
     else:
-        order = np.argsort(flat)
-        ids = flat[order]
-        ids -= low
-    first = np.empty(ids.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    distinct = ids[first]
-    distinct += low
-    np.cumsum(first, out=ids)  # the sorted ids are spent: their ranks + 1
-    ids -= 1
-    np.put(pairs, order, ids)
-    return distinct
+        keys = np.argsort(flat)
+    rank_scratch = np.empty_like(scratch)
+    count, last = 0, -1  # distinct ids so far, and the one before the chunk
+    for lo in range(0, keys.size, step):
+        span = keys[lo:lo + step]
+        ranks = rank_scratch[:span.size]
+        if packed:
+            order = np.bitwise_and(span, (1 << bits) - 1, out=scratch[:span.size])
+            ids = span
+            ids >>= bits
+        else:
+            # mode="clip" writes straight into ``out``; "raise" copies it.
+            order, ids = span, np.take(flat, span, out=scratch[:span.size], mode="clip")
+        first = _run_starts(ids, last)
+        last = ids[-1]
+        np.copyto(ranks, first)
+        np.cumsum(ranks, out=ranks)
+        ranks += count - 1
+        np.put(pairs, order, ranks)  # the ids there have been read
+        kept = int(np.count_nonzero(first))
+        keys[count:count + kept] = ids[first]
+        count += kept
+    keys.resize(count, refcheck=False)  # in place: the loop's views of it are not used again
+    if packed:
+        keys += low
+    return keys
 
 
 def _lookup_ids(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray | None:

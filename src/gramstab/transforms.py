@@ -97,14 +97,19 @@ def perturb_gaussian(mat, sigma_noise: float, seed: SeedLike) -> np.ndarray:
     The noise is drawn first and the input added to it in place, so the
     result is the one matrix drawn.
     """
-    if not (np.isfinite(sigma_noise) and sigma_noise >= 0):
-        raise ValueError(f"sigma_noise must be finite and >= 0, got {sigma_noise}")
+    _check_noise(sigma_noise)
     values = matrix_values(mat)
     if sigma_noise == 0.0:
         return values.copy()
     noisy = np.random.default_rng(seed).normal(0.0, sigma_noise, size=values.shape)
     noisy += values
     return noisy
+
+
+def _check_noise(sigma_noise: float) -> None:
+    """Raise ValueError unless ``sigma_noise`` is finite and >= 0."""
+    if not (np.isfinite(sigma_noise) and sigma_noise >= 0):
+        raise ValueError(f"sigma_noise must be finite and >= 0, got {sigma_noise}")
 
 
 def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTopology:
@@ -127,15 +132,20 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     keys = np.empty(0, dtype=np.int64)
     draw = max(4 * target, 1024)
     while keys.size < target:
+        merged = np.empty(keys.size + draw, dtype=np.int64)
+        merged[:keys.size] = keys
         # The draw is passed without a name, so it is freed inside
-        # _canonical_keys before the distinct keys are copied out.
-        keys, _ = _canonical_keys(
-            node_count, rng.integers(0, node_count, size=(draw, 2), dtype=np.int64), keys
+        # _canonical_keys before the keys are sorted.
+        count, _ = _canonical_keys(
+            node_count, rng.integers(0, node_count, size=(draw, 2), dtype=np.int64), merged
         )
+        keys = merged
+        keys.resize(count, refcheck=False)  # in place: ``merged`` names the same array
         draw *= 2
-    chosen = rng.permutation(keys)[:target]
-    chosen.sort()
-    return GraphTopology(node_count, _split_keys(chosen, node_count))
+    rng.shuffle(keys)  # what rng.permutation(keys) draws, without its copy
+    keys.resize(2 * target, refcheck=False)  # the first target keys, then room for their edges
+    keys[:target].sort()
+    return GraphTopology(node_count, _split_keys(keys, target, node_count))
 
 
 def synthetic_ensemble(
@@ -156,8 +166,13 @@ def synthetic_ensemble(
     The base is drawn here; the configurations come as a one-pass
     iterator that draws each when it is asked for, so a caller that lets
     each go before asking for the next holds the base and one
-    configuration. Wrap it in ``list()`` to keep them all.
+    configuration. Wrap it in ``list()`` to keep them all. The arguments
+    are checked first: ``dim < 1`` raises ShapeMismatch, and a negative or
+    non-finite ``noise`` the ValueError of :func:`perturb_gaussian`.
     """
+    if dim < 1:
+        raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
+    _check_noise(noise)
     base = _stream(seed, _TAG_BASE).standard_normal((graph.node_count, dim))
     # A generator expression holds no name for the configuration it yielded,
     # so that one is freed as soon as the caller drops it.

@@ -108,18 +108,25 @@ def _raw_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_raw_pairs())
-@example(case=(2**31, [(2**30, 2**30 + 1), (1, 2), (2**31 - 1, 0), (3, 3)]))
-@example(case=(2**40, [(2**39, 2**39 + 1), (1, 2)]))
-def test_from_pairs_matches_the_brute_canonicalizer(case):
+@given(case=_raw_pairs(), span=st.sampled_from([1, 2, 3, core_mod._SPAN_ELEMENTS]))
+@example(case=(2**31, [(2**30, 2**30 + 1), (1, 2), (2**31 - 1, 0), (3, 3)]), span=1)
+@example(case=(2**40, [(2**39, 2**39 + 1), (1, 2)]), span=2)
+@example(case=(3, [(1, 1), (1, 1), (0, 1), (1, 0), (1, 0), (0, 2)]), span=1)
+def test_from_pairs_matches_the_brute_canonicalizer(case, span):
     # Keys i * node_count + j overflow int64 past _KEY_NODES (about 3e9
     # nodes): from_pairs refuses those counts by name, and the
     # constructor's order check compares rows, so it holds for any count.
+    # Keys are deduplicated and split into edges a span at a time; runs of
+    # equal keys cross span boundaries at spans of a few keys.
     node_count, pairs = case
     edges, self_loops, duplicates = oracles.canonical_edges_brute(pairs)
     if node_count <= _KEY_NODES:
-        graph, n_self, n_dup = GraphTopology.from_pairs(node_count, np.array(pairs, dtype=np.int64))
+        given = np.array(pairs, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_mod, "_SPAN_ELEMENTS", span)
+            graph, n_self, n_dup = GraphTopology.from_pairs(node_count, given)
         assert (graph.edges.tolist(), n_self, n_dup) == (edges, self_loops, duplicates)
+        assert given.tolist() == [list(pair) for pair in pairs]  # only read
     else:
         with pytest.raises(ShapeMismatch, match="node_count must be <="):
             GraphTopology.from_pairs(node_count, np.array(pairs, dtype=np.int64))
@@ -133,8 +140,9 @@ def test_from_pairs_matches_the_brute_canonicalizer(case):
 
 def test_from_pairs_peaks_under_twice_its_input():
     # 400k pairs with self-loops, duplicates and reversed pairs: the keys are
-    # built and deduplicated in arrays from_pairs owns, then split into the
-    # edge columns, so the temporaries stay under two copies of the input.
+    # built, deduplicated and split into the edge columns in one buffer
+    # from_pairs owns, of the input's size, so the peak stays well under two
+    # copies of the input: the buffer and a span's temporaries.
     rng = np.random.default_rng(12)
     pairs = rng.integers(0, 30_000, size=(400_000, 2))
     pairs[::50, 1] = pairs[::50, 0]
@@ -148,7 +156,7 @@ def test_from_pairs_peaks_under_twice_its_input():
         tracemalloc.stop()
     assert n_self >= 8_000 and n_dup >= 50_000
     assert n_self + n_dup + graph.edge_count == pairs.shape[0]
-    assert peak < 2 * pairs.nbytes, (peak, pairs.nbytes)
+    assert peak < 1.25 * pairs.nbytes, (peak, pairs.nbytes)
     head = GraphTopology.from_pairs(30_000, pairs[:20_000])
     assert (head[0].edges.tolist(), head[1], head[2]) == (edges, self_loops, duplicates)
 
@@ -335,10 +343,12 @@ def test_canonical_keys_equal_np_unique(case):
     loops = arr[:, 0] == arr[:, 1]
     lo, hi = arr[~loops].min(axis=1), arr[~loops].max(axis=1)
     expected = np.unique(np.concatenate([prior, lo * node_count + hi]))
-    for given_prior in ((prior,) if prior.size else (prior, None)):
-        keys, n_self = _canonical_keys(node_count, arr.copy(), given_prior)
-        assert keys.dtype == np.int64 and np.array_equal(keys, expected)
-        assert n_self == int(loops.sum())
-    assert _split_keys(expected, node_count).tolist() == [
+    keys = np.concatenate([prior, np.empty(arr.shape[0], dtype=np.int64)])
+    count, n_self = _canonical_keys(node_count, arr.copy(), keys)
+    assert np.array_equal(keys[:count], expected)
+    assert n_self == int(loops.sum())
+    # Split in place over a buffer with room for the edges.
+    buffer = np.concatenate([expected, np.empty_like(expected)])
+    assert _split_keys(buffer, expected.size, node_count).tolist() == [
         [key // node_count, key % node_count] for key in expected.tolist()
     ]

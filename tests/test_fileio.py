@@ -176,6 +176,48 @@ def test_sparse_ids_load_as_one_array(tmp_path):
     np.testing.assert_array_equal(result.ids[result.graph.edges], canonical)
 
 
+@pytest.mark.parametrize("top", [2**40, 2**63 - 1], ids=["40-bit", "63-bit"])
+def test_sparse_id_ingest_holds_the_pairs_and_one_array(tmp_path, top):
+    # 200k lines over 20k sparse ids, without an id map, with 1% self-loops
+    # and 4% repeated or reversed lines. Past the parse, ranking the ids and
+    # canonicalizing the pairs each hold the parsed pairs plus one int64
+    # array of their size and chunk-sized temporaries: 40-bit ids are
+    # ranked through packed keys, ids spread over 63 bits through argsort.
+    rng = np.random.default_rng(31)
+    lines, nodes = 200_000, 20_000
+    ids = np.unique(rng.integers(top // 2, top, size=2 * nodes))[:nodes]
+    pairs = rng.integers(0, nodes, size=(lines, 2))
+    pairs[: lines // 100, 1] = pairs[: lines // 100, 0]
+    repeats = slice(lines // 100, lines // 20)
+    pairs[repeats] = pairs[-(lines // 20 - lines // 100):, ::-1]
+    path = tmp_path / "crawl.edges"
+    path.write_text("".join(f"{a} {b} 1.0\n" for a, b in ids[pairs].tolist()))
+    calls, original = [], np.argsort
+
+    def argsort(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio_mod.np, "argsort", argsort)
+        tracemalloc.start()
+        try:
+            result = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert bool(calls) == (top > 2**40)
+    assert peak <= 2.75 * pairs.nbytes, peak / pairs.nbytes
+    present = np.unique(pairs)  # the rows, in the order of their ids
+    rows = np.searchsorted(present, pairs)
+    loops = rows[:, 0] == rows[:, 1]
+    expected = np.unique(np.sort(rows[~loops], axis=1), axis=0)
+    np.testing.assert_array_equal(result.ids, ids[present])
+    np.testing.assert_array_equal(result.graph.edges, expected)
+    assert result.self_loops_dropped == loops.sum()
+    assert result.duplicates_dropped == (~loops).sum() - expected.shape[0]
+
+
 def test_edge_list_counts_drops(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 0\n1 1\n0 1\n0 2\n")
@@ -466,14 +508,19 @@ def test_rank_ids_matches_unique(pairs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    ranked = pairs.copy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio_mod.np, "argsort", argsort)
-        ids = fileio_mod._rank_ids(ranked)
-    assert ids.dtype == np.int64 and np.array_equal(ids, expected_ids)
-    assert np.array_equal(ranked, expected_ranks.reshape(pairs.shape))
-    # The ids alone pick the branch: argsort only when their span leaves no room.
-    assert bool(calls) == (int(flat.max()) - int(flat.min()) >= room)
+    # Runs of equal ids cross the boundaries of chunks of 1, 3 and the
+    # default count of ids; the ranks and ids do not depend on them.
+    for chunk in (1, 3, _EDGE_CHUNK_IDS):
+        calls.clear()
+        ranked = pairs.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio_mod.np, "argsort", argsort)
+            mp.setattr(fileio_mod, "_EDGE_CHUNK_IDS", chunk)
+            ids = fileio_mod._rank_ids(ranked)
+        assert ids.dtype == np.int64 and np.array_equal(ids, expected_ids)
+        assert np.array_equal(ranked, expected_ranks.reshape(pairs.shape))
+        # The ids alone pick the branch: argsort only when their span leaves no room.
+        assert bool(calls) == (int(flat.max()) - int(flat.min()) >= room)
 
 
 @pytest.mark.parametrize("spread", [_SPREAD, 0])

@@ -18,6 +18,7 @@ from gramstab import (
     random_translation,
     synthetic_ensemble,
 )
+import gramstab.transforms as transforms_mod
 
 import oracles
 
@@ -210,3 +211,23 @@ def test_synthetic_is_deterministic():
     b = synthetic_ensemble(graph, 4, 3, noise=0.1, seed=9)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("dim, noise, error, message", [
+    (0, 0.0, ShapeMismatch, "dimension must be >= 1, got 0"),
+    (-1, 0.0, ShapeMismatch, "dimension must be >= 1, got -1"),
+    (3, -1.0, ValueError, "sigma_noise must be finite and >= 0, got -1.0"),
+    (3, float("nan"), ValueError, "sigma_noise must be finite and >= 0, got nan"),
+    (3, float("inf"), ValueError, "sigma_noise must be finite and >= 0, got inf"),
+])
+def test_synthetic_checks_its_arguments_when_called(monkeypatch, dim, noise, error, message):
+    # Refused by the call itself, before the base is drawn: not at the
+    # first configuration, and not by numpy.
+    graph = random_graph(10, 3.0, 1)
+
+    def stream(*args):
+        raise AssertionError("a stream was opened before the arguments were checked")
+
+    monkeypatch.setattr(transforms_mod, "_stream", stream)
+    with pytest.raises(error, match=f"^{message}$"):
+        synthetic_ensemble(graph, dim, 2, noise=noise)
