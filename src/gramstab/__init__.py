@@ -11,7 +11,7 @@ generators for invariance testing ride along, plus file formats and a
 CLI.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .alignment import ProcrustesAlignment, procrustes_align
 from .baselines import (

@@ -523,7 +523,7 @@ def wasserstein_index(ensemble) -> PairwiseIndexReport:
     up to |V| = 2048, about 16 MB past it). Otherwise scipy
     builds the dense |V| x |V| cost matrix and solves the assignment; past
     ``_DENSE_MAX_NODES`` (10 000) nodes such a pair raises InstanceTooLarge
-    instead, and the report's metadata names that cap as ``max_nodes``.
+    instead, naming that cap.
     Either way W is scipy's float bit for bit: the same n costs, summed the
     same way.
     """
@@ -550,4 +550,4 @@ def wasserstein_index(ensemble) -> PairwiseIndexReport:
             matched = cost[linear_sum_assignment(cost)]
         return scale * float(np.sqrt(matched.sum()))
 
-    return _pairwise("wasserstein", len(values), wasserstein, {"max_nodes": _DENSE_MAX_NODES})
+    return _pairwise("wasserstein", len(values), wasserstein, {})

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import __version__
 from .baselines import (
     METRICS,
-    PAIR_CONVENTION,
     aligned_cosine_index,
     hausdorff_index,
     knn_jaccard_index,
@@ -151,9 +150,6 @@ def _cmd_ggi(args) -> int:
                     manifest.labels, report.scores.tolist(), report.degenerate_rows
                 )
             ],
-            # GGI always preprocesses and is the population std of the
-            # scores; the keys stay so that reports keep their bytes.
-            "options": {"preprocess": True, "std": "population"},
         }, args, hashes)
     return 0
 
@@ -174,12 +170,10 @@ def _cmd_baseline(args) -> int:
         knn = ({"k": args.k, "metric": args.metric}
                if args.index in ("knn-jaccard", "second-order-cosine") else {})
         report = _baselines()[args.index](configs, **knn)
-        options = {"preprocess": args.preprocess, **knn}
         _emit("baseline", {
             "index_name": args.index,
             "aggregate": report.aggregate,
             "n_configs": len(configs),
-            "pair_convention": PAIR_CONVENTION,
             "per_pair": [
                 {
                     "pair": [l, m],
@@ -188,8 +182,8 @@ def _cmd_baseline(args) -> int:
                 }
                 for l, m in sorted(report.per_pair)
             ],
-            "options": options,
-            "metadata": dict(sorted({**options, **report.metadata}.items())),
+            "options": {"preprocess": args.preprocess, **knn},
+            "metadata": report.metadata,
         }, args, hashes)
     return 0
 
@@ -200,7 +194,6 @@ def _cmd_validate(args) -> int:
     graph = parsed.graph
     dims = validate_ensemble(map(load_embeddings, manifest.embedding_paths), graph)
     _emit("validate", {
-        "ok": True,
         "n_configs": len(dims),
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
@@ -263,9 +256,6 @@ def _cmd_synth(args) -> int:
                 "dim": args.dim,
                 "configs": args.configs,
                 "noise": args.noise,
-                # synth draws noisy copies only; the key stays so that
-                # manifests keep their bytes.
-                "transform": "none",
                 "seed": args.seed,
             }
         },

@@ -31,6 +31,7 @@ from .errors import (
     ManifestError,
     NotABijection,
     ParseError,
+    ShapeMismatch,
     TrailingBytes,
     TruncatedFile,
 )
@@ -80,6 +81,14 @@ class Manifest:
     node_id_map: Path | None = None
 
 
+def _read_json(path, error: type, what: str = "invalid JSON"):
+    """The JSON in ``path``; bytes not UTF-8, bad or too deeply nested JSON raise ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {exc}", path=path) from exc
+
+
 def load_id_map(path) -> np.ndarray:
     """Read a JSON object mapping original node ids to row indices, and
     return ``ids``, where ``ids[row]`` is that row's original id.
@@ -89,11 +98,7 @@ def load_id_map(path) -> np.ndarray:
     ParseError) forming a bijection onto 0..n-1, and no two keys may name
     the same integer id; anything else raises NotABijection.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"invalid JSON id map: {exc}", path=path) from exc
+    raw = _read_json(path, ParseError, "invalid JSON id map")
     if not isinstance(raw, dict) or not raw:
         raise ParseError("id map must be a non-empty JSON object", path=path)
     keys, rows = [], []
@@ -473,6 +478,10 @@ def _read_gge1(path: Path, handle) -> np.ndarray:
     expected = len(GGE1_MAGIC) + _HEADER.size
     if actual >= expected:  # else the header itself is cut short
         rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
+        # A zero side passes the size check however large the other side is.
+        if rows < 1 or cols < 1:
+            raise ShapeMismatch(f"matrix must be at least 1x1, got shape {(rows, cols)}",
+                                path=path)
         expected += rows * cols * 8
     if actual < expected:
         raise TruncatedFile(f"truncated file, expected {expected} bytes but found {actual}",
@@ -529,10 +538,7 @@ def load_manifest(path) -> Manifest:
     file stems) and ``node_id_map``. Unknown keys are ignored.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"invalid JSON: {exc}", path=path) from exc
+    raw = _read_json(path, ManifestError)
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object", path=path)
     try:

@@ -151,9 +151,10 @@ def dispersion(scores: np.ndarray) -> float:
     arithmetic does not guarantee, so that case is short-circuited. Scores
     are divided by their :func:`~gramstab.core.magnitude_scale` first:
     cosines below 2^-100 underflow when squared, and an unscaled spread
-    of them would read 0.0, "perfectly stable".
+    of them would read 0.0, "perfectly stable". They are summed in sorted
+    order, so the order of the configurations moves no bit of the result.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.sort(np.asarray(scores, dtype=np.float64))
     if scores.max() == scores.min():
         return 0.0
     scale = magnitude_scale(scores)

@@ -244,13 +244,12 @@ def test_wasserstein_equals_cdist_and_lsap_bit_for_bit():
 def test_wasserstein_instance_cap(monkeypatch):
     # The cap bounds the dense cost matrix, so it binds only a pair that
     # the nearest-neighbour certificate does not solve.
-    assert wasserstein_index([[[0.0], [1.0]]] * 2).metadata == {"max_nodes": 10_000}
+    assert wasserstein_index([[[0.0], [1.0]]] * 2).metadata == {}
     rng = np.random.default_rng(7)
     big = rng.normal(size=(11, 2))
     monkeypatch.setattr(baselines, "_DENSE_MAX_NODES", 10)
     report = wasserstein_index([big, big.copy()])
     assert report.per_pair == {(0, 1): 0.0}
-    assert report.metadata["max_nodes"] == 10
     noisy = [big, big + rng.normal(size=big.shape)]
     monkeypatch.setattr(baselines, "_DENSE_MAX_NODES", 11)
     assert wasserstein_index(noisy).per_pair[(0, 1)] == _lsap_score(*noisy)

@@ -106,7 +106,7 @@ def test_synth_output_bytes_are_pinned(tmp_path):
         "config_02.gge1": "820898e5c2cc9f4ed4809c31a9a89a8360f9fb6becd4747d60a07e70570b89df",
         "graph.edges": "b6e0225ad71a1b7929b5ace8720c6e116538450d5cfc8cf78061ec2478575134",
         "ids.json": "3cf229608fd82b0a8b378fa72dc63d98b7be4fc0eafba28e5bf8ae7cdf48c0bf",
-        "manifest.json": "a7f383b1e581231abf2495906d94a87ae758e7e192674e9f4dbcbce09da7b808",
+        "manifest.json": "62aea1298fc12e4597472a492e8b38bc53cbd01776f765f4e7750093de55d355",
     }
 
 
@@ -117,26 +117,26 @@ def test_synth_output_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(argv, digest, id=f"argv{number}-{digest}")
     for number, argv, digest in [
-        (0, ["ggi"], "2998382c97949347976412bfc6b2407a308a38203082d755ae5f1fdcd263de8e"),
-        (3, ["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
+        (0, ["ggi"], "3b38c97c5c9e26c39a9fe777399baee77c0b95f173453ec6529c51392d0d3bb5"),
+        (3, ["validate"], "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
         (4, ["baseline", "--index", "aligned-cosine"],
-         "09b08b057c1ebbd7719c329c7ee0deb32e4637cd0aa53fe0281d2aa537853b0a"),
+         "014ed4ccf9aa41fb295adc5c8fd0f012a59ee6221ac402069b7d8f5d9b24ac40"),
         (5, ["baseline", "--index", "knn-jaccard"],
-         "f85a2d618f617fcb54e79729e19a4bfd05292df2c663d9c6ccd9203bf83bb9fc"),
+         "be7625c5b509039b0858a8b3b772ec52697a629a71ac218e7a7042f2878f7166"),
         (6, ["baseline", "--index", "knn-jaccard", "--preprocess"],
-         "0c500b3f3d9888dd5da5e95db4a58e85685dbabe572fac44bd7f7fefe0d21660"),
+         "2f094cc17f5c0ceca3e84447b3782972b0d2a0ba49e4b12aea20779d2874b1fa"),
         (7, ["baseline", "--index", "knn-jaccard", "--metric", "euclidean"],
-         "0c6bb687c3a61741139095e60ac866094bb0ddbacbe9955821595b4bb03bb277"),
+         "28c5bff00613c189df7d3291888326a11c921a8ce6dcd2cfeeb4c352a8bf328f"),
         (8, ["baseline", "--index", "second-order-cosine"],
-         "e12e6a29e1712898055bb754533998ef8c03a6441dc5909cbb10bd22b67c02a7"),
+         "2e61b2022f8f677aa191bb5147f2ed6829aa732717ab4649e0822ff0a66b10ec"),
         (9, ["baseline", "--index", "second-order-cosine", "--preprocess"],
-         "f130b508d1c0a7406efbe8d130f81fac095904effd8b7eac6db0d9031a39dc4a"),
+         "bd56cd9be9b215bdd68c15351551fce674daebbdcc9670b4129c3fac4f8753f3"),
         (10, ["baseline", "--index", "second-order-cosine", "--metric", "euclidean"],
-         "f9a3dc63dc915c630158db1a9d49dda290bc6a6ac07eb959652f955db1cf6b07"),
+         "37239b31bcb217878c108b841e0a44a6f53a8e65c9a35ba0c417eef702fd1dd5"),
         (11, ["baseline", "--index", "hausdorff"],
-         "32eaeb36b371f836e66dddbc13f53b6a14997af118356c384b0213638d7ba2a4"),
+         "f3846faffc345ae6dc3f8a129ad83aff40d7056f4eb4a66b96d7dbcc4d2e0888"),
         (12, ["baseline", "--index", "wasserstein"],
-         "711e70a8401c5e16c05b216cf59a38b12c4650ed0a562a67a53177a6eca85352"),
+         "72829fba1e67ca90b60c7c0efab6d6dc85343bc688a839bde986725c519717ca"),
     ]
 ])
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
@@ -167,11 +167,11 @@ _RENAMED_IDS = {
 
 
 @pytest.mark.parametrize("ids, argv, digest", [
-    ("sparse", ["validate"], "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
-    ("sparse", ["ggi"], "9f3323b9503fd7682c66d6e805babe643e710fe04502fbe159f49aa5ee846b4d"),
+    ("sparse", ["validate"], "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
+    ("sparse", ["ggi"], "9518d90ce0953d6d87f81589024ab9b2098cad03b870cf219cd0501fa1e500d4"),
     ("past int64", ["validate"],
-     "13c404586cc6a688b95d13dd74a6746210fc9d1c52520a94111e4f8156f55296"),
-    ("past int64", ["ggi"], "dc208e2e9d8bfcb4ebc25d225e86028800a213d44fc9ff986e4e7c083df44fe6"),
+     "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
+    ("past int64", ["ggi"], "aa17aa9ba5ad81ccc09efeb0f4d48efc16ec30ea8204b4d4a88af4c0cdd4695e"),
 ])
 def test_report_bytes_through_an_id_map_are_pinned(tmp_path, monkeypatch, capsys, ids, argv,
                                                    digest):
@@ -237,7 +237,6 @@ def test_validate_reports_shapes(workspace):
     result = _run(["validate", "--manifest", str(workspace / "manifest.json")])
     assert (result.returncode, result.stderr) == (0, "")
     doc = json.loads(result.stdout)
-    assert doc["ok"] is True
     assert doc["n_configs"] == 3
     assert doc["node_count"] == 40
     assert doc["dims"] == [5, 5, 5]
@@ -250,7 +249,6 @@ def test_ggi_runs_and_reports(workspace):
     assert doc["index_name"] == "ggi"
     assert doc["index_percent"] == pytest.approx(doc["index_value"] * 100.0)
     assert len(doc["per_config"]) == 3
-    assert doc["options"] == {"preprocess": True, "std": "population"}
     assert "timings" not in doc
 
 
@@ -458,6 +456,39 @@ def test_readme_cli_lines_parse(capsys):
                         f"{capsys.readouterr().err}")
 
 
+def _readme_report_fields() -> dict[str, list[str]]:
+    """The field names README's Reports section lists, in order: under
+    ``""`` the head every report shares, then one list per ``### `name```
+    heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Reports\n", 1)[1].split("\n## ", 1)[0]
+    fields = {"": []}
+    heading = ""
+    for line in section.splitlines():
+        if match := re.match(r"### `(\w+)`", line):
+            heading = match[1]
+            fields[heading] = []
+        elif match := re.match(r"- `(\w+)`:", line):
+            fields[heading].append(match[1])
+    return fields
+
+
+def test_readme_report_fields_are_the_written_keys(tmp_path, monkeypatch, capsys):
+    # A field added to or dropped from a report fails here until README says so.
+    monkeypatch.chdir(tmp_path)
+    _synth_report_ensemble()
+    fields = _readme_report_fields()
+    head = fields.pop("")
+    generator = json.loads(Path("manifest.json").read_text())["generator"]
+    assert list(generator) == fields.pop("synth")
+    assert set(fields) == {"ggi", "baseline", "validate"}
+    for command, argv in (("ggi", []), ("validate", []),
+                          ("baseline", ["--index", "knn-jaccard"])):
+        capsys.readouterr()
+        assert run_cli([command, *argv, "--manifest", "manifest.json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == head + fields[command]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--configs", "1"), ("--configs", "-2"), ("--dim", "0"), ("--dim", "-1"),
     ("--avg-degree", "nan"), ("--avg-degree", "inf"), ("--avg-degree", "-5"),
@@ -646,7 +677,7 @@ def test_run_cli_in_process_matches_subprocess(workspace, capsys):
     code = run_cli(["validate", "--manifest", str(workspace / "manifest.json")])
     captured = capsys.readouterr()
     assert code == 0
-    assert json.loads(captured.out)["ok"] is True
+    assert json.loads(captured.out)["n_configs"] == 3
 
 
 def test_every_synth_flag_has_help():

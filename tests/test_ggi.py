@@ -284,6 +284,17 @@ def test_identical_configs_score_exact_zero():
     assert report.index_value == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), order=st.permutations(range(6)))
+def test_configuration_order_moves_no_bit(seed, order):
+    graph, configs = _random_instance(seed, n_nodes=60, dim=8, n_configs=6)
+    report = ggi_index(configs, graph)
+    shuffled = ggi_index([configs[i] for i in order], graph)
+    assert shuffled.index_value == report.index_value
+    # The report keeps the order it was given.
+    assert shuffled.scores.tolist() == report.scores[list(order)].tolist()
+
+
 def test_dispersion_conventions():
     scores = np.array([0.1, 0.2, 0.4])
     assert dispersion(scores) == pytest.approx(np.std(scores, ddof=0))

@@ -56,6 +56,9 @@ _CASES = [
           "gramstab: error: m.json: labels must be a list, got 'ab'"),
     _case("manifest-labels-length", {"m.json": _MANIFEST[:-1] + ', "labels": ["a"]}'},
           "gramstab: error: m.json: labels must match embedding_paths in length"),
+    _case("manifest-nested", {"m.json": "[" * 200_000 + "]" * 200_000},
+          "gramstab: error: m.json: invalid JSON: maximum recursion depth exceeded while "
+          "decoding a JSON array from a unicode string"),
     # load_id_map
     _case("ids-json", {"m.json": _WITH_IDS, "ids.json": "{"},
           "gramstab: error: ids.json: invalid JSON id map: Expecting property name enclosed in "
@@ -63,6 +66,9 @@ _CASES = [
     _case("ids-utf8", {"m.json": _WITH_IDS, "ids.json": b'{"0": 0, "\xff": 1}'},
           "gramstab: error: ids.json: invalid JSON id map: 'utf-8' codec can't decode byte 0xff "
           "in position 10: invalid start byte"),
+    _case("ids-nested", {"m.json": _WITH_IDS, "ids.json": "[" * 200_000 + "]" * 200_000},
+          "gramstab: error: ids.json: invalid JSON id map: maximum recursion depth exceeded "
+          "while decoding a JSON array from a unicode string"),
     _case("ids-object", {"m.json": _WITH_IDS, "ids.json": "{}"},
           "gramstab: error: ids.json: id map must be a non-empty JSON object"),
     _case("ids-float-row", {"m.json": _WITH_IDS, "ids.json": '{"0": 0, "1": 1.5}'},
@@ -101,6 +107,12 @@ _CASES = [
           "gramstab: error: a.gge1: truncated file, expected 84 bytes but found 80"),
     _case("gge1-trailing", {"m.json": _GGE1, "a.gge1": _HEADER + bytes(72)},
           "gramstab: error: a.gge1: 8 trailing bytes, expected 84 bytes but found 92"),
+    # A zero side passes the size check (rows * cols * 8 = 0) however large
+    # the other side is.
+    *(_case(f"gge1-shape-{rows}x{cols}",
+            {"m.json": _GGE1, "a.gge1": b"GGE1" + struct.pack("<QQ", rows, cols)},
+            f"gramstab: error: a.gge1: matrix must be at least 1x1, got shape ({rows}, {cols})")
+      for rows, cols in ((2**63, 0), (2**64 - 1, 0), (0, 2**62), (0, 5), (5, 0))),
     # CSV
     _case("csv-value", {"a.csv": "0,1\n1,zero\n"},
           "gramstab: error: a.csv:2: could not parse value: could not convert string to float: "
