@@ -29,7 +29,7 @@ from .baselines import (
     second_order_cosine_index,
     wasserstein_index,
 )
-from .core import center_normalize_inplace, validate_ensemble
+from .core import GraphTopology, center_normalize_inplace, validate_ensemble
 from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
 from .fileio import (
     EdgeListResult,
@@ -220,10 +220,11 @@ def _cmd_synth(args) -> int:
         raise GramstabError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.seed < 0:
         raise GramstabError(f"--seed must be >= 0, got {args.seed}")
+    # Drawn first: a node count past core._KEY_NODES is refused here, before
+    # --out-dir is made.
+    graph = random_graph(args.nodes, args.avg_degree, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph = random_graph(args.nodes, args.avg_degree, args.seed)
-    configs = synthetic_ensemble(graph, args.dim, args.configs, noise=args.noise, seed=args.seed)
     graph_path = out_dir / "graph.edges"
     save_edge_list(
         graph_path,
@@ -235,7 +236,12 @@ def _cmd_synth(args) -> int:
     )
     # Identity id map so isolated nodes still pin the node count on load.
     ids_path = out_dir / "ids.json"
-    _save_identity_id_map(ids_path, graph.node_count)
+    _save_identity_id_map(ids_path, args.nodes)
+    # The edges go before the base is drawn: the ensemble reads only the
+    # node count, and each draw comes from its own stream.
+    del graph
+    configs = synthetic_ensemble(GraphTopology(args.nodes, []), args.dim, args.configs,
+                                 noise=args.noise, seed=args.seed)
     width = max(2, len(str(args.configs - 1)))
     embedding_paths = [out_dir / f"config_{idx:0{width}d}.gge1" for idx in range(args.configs)]
     for path in embedding_paths:

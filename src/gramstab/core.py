@@ -104,28 +104,40 @@ def _pair_keys(node_count: int, pairs: np.ndarray, out: np.ndarray) -> int:
     return int(np.count_nonzero(loops))
 
 
-def _canonical_keys(node_count: int, pairs: np.ndarray, keys: np.ndarray) -> tuple[int, int]:
-    """Sort the keys ``min(a, b) * node_count + max(a, b)`` of the rows
-    (a, b) of an (E, 2) int64 ``pairs`` that are not self-loops into the
-    int64 array ``keys``, each kept once at its front; return their count
-    and the number of self-loop rows. Needs node_count <= ``_KEY_NODES``.
+def _check_key_nodes(node_count: int) -> None:
+    """Raise ShapeMismatch when keys i * node_count + j of a graph of
+    ``node_count`` nodes overflow int64, that is past ``_KEY_NODES``."""
+    if node_count > _KEY_NODES:
+        raise ShapeMismatch(
+            f"edges are sorted by int64 keys i * node_count + j, so "
+            f"node_count must be <= {_KEY_NODES}, got {node_count}"
+        )
 
-    The keys are written into the last E slots of ``keys``; slots before
-    them may hold sorted distinct keys of an earlier call, which are
-    merged in. The keys are built a span of ``_SPAN_ELEMENTS`` rows at a
-    time, ``keys`` is sorted in place, and then a first-difference mask
-    per span moves the distinct ones forward: recent numpy releases take
-    a hash path in ``np.unique`` on integer input that is many times
-    slower. Beside ``pairs`` and ``keys`` this holds one span's
-    temporaries, no second key array and no mask over all the rows. A
-    caller that passes its only reference to ``pairs`` (a fresh draw)
-    lets it go before the sort.
+
+def _canonical_keys(node_count: int, rows: int, pairs, keys: np.ndarray) -> tuple[int, int]:
+    """Sort the keys ``min(a, b) * node_count + max(a, b)`` of the ``rows``
+    rows (a, b) that ``pairs`` yields and that are not self-loops into the
+    int64 array ``keys``, each kept once at its front; return their count
+    and the number of self-loop rows. Needs node_count <= ``_KEY_NODES``
+    (see :func:`_check_key_nodes`).
+
+    ``pairs(lo, hi)`` returns rows lo to hi as an (hi - lo, 2) int64
+    array; it is called in order, a span of ``_SPAN_ELEMENTS`` rows at a
+    time, so a caller may slice its pairs or draw each span. The keys are
+    written into the last ``rows`` slots of ``keys``; slots before them
+    may hold sorted distinct keys of an earlier call, which are merged
+    in. ``keys`` is sorted in place, and then a first-difference mask per
+    span moves the distinct ones forward: recent numpy releases take a
+    hash path in ``np.unique`` on integer input that is many times
+    slower. Beside ``keys`` this holds one span's pairs and temporaries,
+    no second key array and no mask over all the rows.
     """
-    new = keys[keys.size - pairs.shape[0]:]
-    spans = range(0, new.size, _SPAN_ELEMENTS)
-    n_self = sum(_pair_keys(node_count, pairs[lo:lo + _SPAN_ELEMENTS],
-                            new[lo:lo + _SPAN_ELEMENTS]) for lo in spans)
-    del pairs, new
+    new = keys[keys.size - rows:]
+    n_self = 0
+    for lo in range(0, rows, _SPAN_ELEMENTS):
+        hi = min(lo + _SPAN_ELEMENTS, rows)
+        n_self += _pair_keys(node_count, pairs(lo, hi), new[lo:hi])
+    del new
     keys.sort()
     count, last = 0, -1  # the self-loops repeat the -1 before the first key
     for lo in range(0, keys.size, _SPAN_ELEMENTS):
@@ -240,11 +252,7 @@ class GraphTopology:
         duplicates_dropped)``. ``node_count`` is at most ``_KEY_NODES``
         (about 3.04e9); build larger topologies from canonical edges.
         """
-        if node_count > _KEY_NODES:
-            raise ShapeMismatch(
-                f"from_pairs sorts edges by int64 keys i * node_count + j, so "
-                f"node_count must be <= {_KEY_NODES}, got {node_count}"
-            )
+        _check_key_nodes(node_count)
         arr = _node_ids(pairs, ShapeMismatch, "edge endpoints").reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ShapeMismatch(
@@ -253,7 +261,9 @@ class GraphTopology:
         # The keys, then in place the edges: with the caller's pairs, two
         # arrays of their size.
         keys = np.empty(arr.size, dtype=np.int64)
-        count, n_self = _canonical_keys(node_count, arr, keys[:arr.shape[0]])
+        count, n_self = _canonical_keys(
+            node_count, arr.shape[0], lambda lo, hi: arr[lo:hi], keys[:arr.shape[0]]
+        )
         n_dup = arr.shape[0] - n_self - count
         return cls(node_count, _split_keys(keys, count, node_count)), n_self, n_dup
 

@@ -14,7 +14,14 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import GraphTopology, _canonical_keys, _node_ids, _split_keys, matrix_values
+from .core import (
+    GraphTopology,
+    _canonical_keys,
+    _check_key_nodes,
+    _node_ids,
+    _split_keys,
+    matrix_values,
+)
 from .errors import NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
@@ -118,27 +125,32 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     Samples round(node_count * avg_degree / 2) distinct unordered pairs
     by rejection, which is near-uniform for sparse graphs. At 10^5 nodes
     and 10^6 edges it takes about 0.45 s (2-core VM, numpy 2.4), mostly
-    to draw, sort and shuffle some 4 million candidate keys. Its peak
-    memory is about the draw (16 bytes per candidate pair) plus one
-    int64 key array over it: 20.0 MB traced at 2 * 10^4 nodes and
-    2 * 10^5 edges.
+    to draw, sort and shuffle some 4 million candidate keys. The
+    candidates are drawn a span at a time straight into the key buffer,
+    so its peak is that one int64 key per candidate plus a span's pairs
+    and temporaries: about 2.35 times the bytes of the edges it returns
+    at 2 * 10^4 nodes and 2 * 10^5 edges. ``node_count`` is at most
+    ``core._KEY_NODES`` (about 3.04e9), refused before anything is drawn.
     """
     if node_count < 2:
         raise ShapeMismatch(f"need at least 2 nodes to draw edges, got {node_count}")
+    _check_key_nodes(node_count)
     max_edges = node_count * (node_count - 1) // 2
     # Clamped before int(): a huge finite degree makes an infinite product.
     target = max(1, int(round(min(node_count * avg_degree / 2.0, max_edges))))
     rng = _stream(seed, _TAG_GRAPH)
+
+    def candidates(lo: int, hi: int) -> np.ndarray:
+        # PCG64 keeps the spare half of a 64-bit output in its state, so
+        # drawing span by span gives the values of one (draw, 2) draw.
+        return rng.integers(0, node_count, size=(hi - lo, 2), dtype=np.int64)
+
     keys = np.empty(0, dtype=np.int64)
     draw = max(4 * target, 1024)
     while keys.size < target:
         merged = np.empty(keys.size + draw, dtype=np.int64)
         merged[:keys.size] = keys
-        # The draw is passed without a name, so it is freed inside
-        # _canonical_keys before the keys are sorted.
-        count, _ = _canonical_keys(
-            node_count, rng.integers(0, node_count, size=(draw, 2), dtype=np.int64), merged
-        )
+        count, _ = _canonical_keys(node_count, draw, candidates, merged)
         keys = merged
         keys.resize(count, refcheck=False)  # in place: ``merged`` names the same array
         draw *= 2

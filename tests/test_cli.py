@@ -22,6 +22,8 @@ from gramstab import (
     save_embeddings,
 )
 import gramstab.cli as cli_mod
+import gramstab.core as core_mod
+import gramstab.transforms as transforms_mod
 from gramstab.cli import run_cli
 
 
@@ -871,12 +873,15 @@ def test_validate_holds_one_configuration_at_a_time(tmp_path):
     assert peak < budget, (peak, budget)
 
 
-def test_synth_holds_one_configuration_at_a_time(tmp_path):
-    nodes, dim, configs, avg_degree = 5000, 64, 6, 7
-    # random_graph peaks at its draw of 4 * |E| candidate pairs (16 bytes
-    # each) plus one int64 key per candidate; it is done before the base is drawn.
-    draw = 4 * round(nodes * avg_degree / 2) * (16 + 8)
-    budget = 2 * nodes * dim * 8 + draw
+def _synth_peak_and_budget(tmp_path, nodes, dim, configs, avg_degree):
+    """The traced peak of a synth run and what its design holds: while the
+    graph is drawn, one int64 key per candidate pair (four per edge) and
+    one span of drawn pairs (16 bytes a row) with its temporaries; once
+    the edges are written and dropped, the base and one configuration.
+    The rest (the parser, the writers' digit tables) is under 512 KB."""
+    draw = 4 * round(nodes * avg_degree / 2) * 8 + core_mod._SPAN_ELEMENTS * 24
+    budget = max(draw, 2 * nodes * dim * 8) + 2**19
+    np.random.default_rng(0)  # numpy imports numpy.random on first use, outside the trace
     tracemalloc.start()
     try:
         code = run_cli([
@@ -888,9 +893,46 @@ def test_synth_holds_one_configuration_at_a_time(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len(list(tmp_path.glob("config_*.gge1"))) == configs
+    return peak, budget
+
+
+def test_synth_holds_one_configuration_at_a_time(tmp_path):
+    peak, budget = _synth_peak_and_budget(tmp_path, nodes=5000, dim=64, configs=6, avg_degree=7)
     # Drawing every configuration before writing the first holds the base
     # and all six: about three times this.
     assert peak < budget, (peak, budget)
+
+
+def test_synth_draws_its_candidates_a_span_at_a_time(tmp_path):
+    # 400k edges and small configurations: drawing all 1.6M candidate
+    # pairs at once, 16 bytes each beside their key, peaks at about 2.6
+    # times this.
+    peak, budget = _synth_peak_and_budget(tmp_path, nodes=20000, dim=4, configs=2, avg_degree=40)
+    assert peak < budget, (peak, budget)
+
+
+def test_synth_drops_the_edges_before_the_base(tmp_path):
+    # The base and one configuration (10.2 MB) outweigh the draw: keeping
+    # the 3.2 MB of edges while they are drawn goes past this.
+    peak, budget = _synth_peak_and_budget(tmp_path, nodes=20000, dim=32, configs=4, avg_degree=20)
+    assert peak < budget, (peak, budget)
+
+
+def test_synth_refuses_a_node_count_past_the_key_limit(tmp_path, capsys, monkeypatch):
+    # Edge keys i * n + j overflow int64 past _KEY_NODES (about 3.04e9
+    # nodes): synth refuses such a count before it draws or writes anything.
+    def no_draw(*args):
+        raise AssertionError("synth drew from a stream")
+
+    monkeypatch.setattr(transforms_mod, "_stream", no_draw)
+    out_dir = tmp_path / "D"
+    code = run_cli(["synth", "--nodes", "4000000000", "--avg-degree", "0.000001", "--dim", "1",
+                    "--configs", "2", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"gramstab: error: edges are sorted by int64 keys i * node_count + j, so "
+                   f"node_count must be <= {core_mod._KEY_NODES}, got 4000000000\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("index", ["aligned-cosine", "knn-jaccard", "wasserstein"])

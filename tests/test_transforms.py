@@ -1,5 +1,7 @@
 """Seeded generators and exact transform application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -80,8 +82,11 @@ def test_permutation_refuses_non_integer_mapping(mapping):
     lambda: random_orthogonal(0, 1),
     lambda: random_graph(1, 2.0, 0),
     lambda: apply_permutation(np.zeros((2, 2)), random_graph(3, 2.0, 0), [2, 0, 1]),
+    # Past _KEY_NODES, refused before the candidates' buffer is allocated.
+    lambda: random_graph(4_000_000_000, 1e-6, 0),
+    lambda: random_graph(4_000_000_000, 1e9, 0),
 ], ids=["no-nodes", "endpoint-out-of-range", "orthogonal-dim-0", "graph-one-node",
-        "permutation-rows"])
+        "permutation-rows", "graph-past-key-limit", "graph-past-key-limit-dense"])
 def test_sizes_out_of_range_raise_shape_mismatch(build):
     with pytest.raises(ShapeMismatch):
         build()
@@ -149,11 +154,29 @@ def test_random_graph_is_simple_and_sized():
 )
 @example(node_count=2, degree_share=1.0, seed=0)
 @example(node_count=500, degree_share=1.0, seed=[7, 8])
+# About 40k edges over 2^31 + 1 nodes: three spans of candidates, with
+# about half of the 32-bit draws rejected, so spans end between rejections.
+@example(node_count=2**31 + 1, degree_share=80_000 / 2**62, seed=3)
 def test_random_graph_matches_row_masking_oracle(node_count, degree_share, seed):
     # degree_share 1 asks for the complete graph; past it, for more.
     avg_degree = degree_share * (node_count - 1)
     graph = random_graph(node_count, avg_degree, seed)
     assert graph.edges.tolist() == oracles.random_graph_brute(node_count, avg_degree, seed)
+
+
+def test_random_graph_peaks_at_its_candidate_keys():
+    # The candidates are drawn a span at a time into one int64 key per
+    # candidate pair (four per edge): twice the edges' bytes, plus a span.
+    # Drawing them as one (4|E|, 2) array beside their keys peaked at 6x.
+    np.random.default_rng(0)  # numpy imports numpy.random on first use, outside the trace
+    tracemalloc.start()
+    try:
+        graph = random_graph(20_000, 20.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == 200_000
+    assert peak < 2.5 * graph.edges.nbytes, peak / graph.edges.nbytes
 
 
 def test_random_graph_caps_at_complete_graph():
