@@ -37,7 +37,7 @@ print("-" * len(header))
 
 for noise in (0.02, 0.1, 0.3, 1.0):
     # A list, as every index below reads them again.
-    configs = list(synthetic_ensemble(graph, dim=16, n_configs=5,
+    configs = list(synthetic_ensemble(graph.node_count, dim=16, n_configs=5,
                                       noise=noise, seed=6))
     row = [
         ggi_index(configs, graph).index_value,
@@ -52,7 +52,8 @@ for noise in (0.02, 0.1, 0.3, 1.0):
 
 # Each pairwise index also exposes its per-pair scores, useful for
 # spotting the one run that disagrees with the rest of the ensemble.
-configs = synthetic_ensemble(graph, dim=16, n_configs=4, noise=0.3, seed=8)
+configs = synthetic_ensemble(graph.node_count, dim=16, n_configs=4, noise=0.3,
+                             seed=8)
 report = knn_jaccard_index(configs, K)
 print(f"\nper-pair kNN Jaccard ({PAIR_CONVENTION}):")
 for (l, m), score in sorted(report.per_pair.items()):

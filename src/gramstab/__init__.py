@@ -65,8 +65,6 @@ from .transforms import (
     perturb_gaussian,
     random_graph,
     random_orthogonal,
-    random_permutation,
-    random_translation,
     synthetic_ensemble,
 )
 
@@ -107,8 +105,6 @@ __all__ = [
     "procrustes_align",
     "random_graph",
     "random_orthogonal",
-    "random_permutation",
-    "random_translation",
     "save_edge_list",
     "save_embeddings",
     "save_manifest",

@@ -29,7 +29,7 @@ from .baselines import (
     second_order_cosine_index,
     wasserstein_index,
 )
-from .core import GraphTopology, center_normalize_inplace, validate_ensemble
+from .core import center_normalize_inplace, validate_ensemble
 from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
 from .fileio import (
     EdgeListResult,
@@ -237,10 +237,9 @@ def _cmd_synth(args) -> int:
     # Identity id map so isolated nodes still pin the node count on load.
     ids_path = out_dir / "ids.json"
     _save_identity_id_map(ids_path, args.nodes)
-    # The edges go before the base is drawn: the ensemble reads only the
-    # node count, and each draw comes from its own stream.
+    # The edges go before the base is drawn: each draw comes from its own stream.
     del graph
-    configs = synthetic_ensemble(GraphTopology(args.nodes, []), args.dim, args.configs,
+    configs = synthetic_ensemble(args.nodes, args.dim, args.configs,
                                  noise=args.noise, seed=args.seed)
     width = max(2, len(str(args.configs - 1)))
     embedding_paths = [out_dir / f"config_{idx:0{width}d}.gge1" for idx in range(args.configs)]

@@ -30,10 +30,12 @@ MAGNITUDE_WINDOW = (2.0**-100, 2.0**100)
 # up to this many nodes.
 _KEY_NODES = math.isqrt(np.iinfo(np.int64).max)
 
-# A row pass is split across CPUs only when each span holds at least this
-# many values (512 KB of float64), enough to pay for starting a thread. The
-# edge-key passes of from_pairs and random_graph go a span of this many keys
-# at a time, so that their temporaries stay cache-sized.
+# The span of every blocked pass, read through this module at call time. It
+# keeps each pass's temporaries cache-sized (512 KB of 8-byte values) and moves
+# no bit of a result: a row pass of center_normalize_inplace goes to several
+# CPUs only when each span holds this many values; the GGI gather takes blocks
+# of this many values a side; from_pairs, random_graph, the id ranking of
+# load_edge_list and save_edge_list go this many keys or ids at a time.
 _SPAN_ELEMENTS = 65_536
 
 
@@ -179,6 +181,19 @@ def _node_ids(ids, error: type, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _edge_endpoints(pairs, node_count: int) -> np.ndarray:
+    """``pairs`` as an (E, 2) int64 array of ids in ``range(node_count)``,
+    or a ShapeMismatch. Any empty array is (0, 2); no other is reshaped."""
+    arr = _node_ids(pairs, ShapeMismatch, "edge endpoints")
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ShapeMismatch(f"edges must have shape (E, 2), got {arr.shape}")
+    if arr.min() < 0 or arr.max() >= node_count:
+        raise ShapeMismatch(f"edge endpoint out of range for node_count={node_count}")
+    return arr
+
+
 def _matrix_shape(arr: np.ndarray, *, config_index: int | None = None, path=None) -> None:
     """Check that ``arr`` is 2-D and at least 1x1, naming ``path`` or
     ``config_index`` as :func:`matrix_values` does."""
@@ -223,14 +238,10 @@ class GraphTopology:
     def __post_init__(self):
         if self.node_count < 1:
             raise ShapeMismatch(f"node_count must be >= 1, got {self.node_count}")
-        edges = _node_ids(self.edges, ShapeMismatch, "edge endpoints").reshape(-1, 2)
+        edges = _edge_endpoints(self.edges, self.node_count)
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
             return
-        if edges.min() < 0 or edges.max() >= self.node_count:
-            raise ShapeMismatch(
-                f"edge endpoint out of range for node_count={self.node_count}"
-            )
         if (edges[:, 0] >= edges[:, 1]).any():
             raise ShapeMismatch(
                 "edges must be canonical unordered pairs (i < j, no self-loops)"
@@ -253,11 +264,7 @@ class GraphTopology:
         (about 3.04e9); build larger topologies from canonical edges.
         """
         _check_key_nodes(node_count)
-        arr = _node_ids(pairs, ShapeMismatch, "edge endpoints").reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= node_count):
-            raise ShapeMismatch(
-                f"edge endpoint out of range for node_count={node_count}"
-            )
+        arr = _edge_endpoints(pairs, node_count)
         # The keys, then in place the edges: with the caller's pairs, two
         # arrays of their size.
         keys = np.empty(arr.size, dtype=np.int64)

@@ -64,7 +64,8 @@ class KTooLarge(GramstabError):
 
 
 class InstanceTooLarge(GramstabError):
-    """Input exceeds the configured size cap for a dense computation."""
+    """Input exceeds the size cap of a dense computation, or asks for more
+    memory than can be allocated."""
 
 
 class NotABijection(GramstabError):

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import core
 from .core import GraphTopology, _run_starts, matrix_values
 from .errors import (
     EmptyGraph,
@@ -42,9 +43,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 # %.17g round-trips any float64 exactly.
 _CSV_FORMAT = "%.17g"
-
-# Node ids per formatted chunk of an edge list written by save_edge_list.
-_EDGE_CHUNK_IDS = 1 << 16
 
 # Ids that are non-negative and below this many times their count are
 # looked up through a dense table. The table beat binary search at every
@@ -156,7 +154,7 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     Memory, without ``ids``: past the parse, the (E, 2) int64 pairs plus
     one int64 array of their size, the ranking keys and then the edges
     of :meth:`GraphTopology.from_pairs`, plus the distinct ids, a bool
-    per pair and temporaries of ``_EDGE_CHUNK_IDS`` ids. The pairs are
+    per pair and temporaries of ``core._SPAN_ELEMENTS`` ids. The pairs are
     ranked in place. Traced, the peak is 2.2-2.4 times the pairs' bytes
     at 200k-400k lines.
     """
@@ -218,14 +216,14 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     Memory: ``pairs`` plus one int64 array of its size, the sorted keys
     or the ``argsort`` order, and two chunks of scratch. The positions
     are packed, the runs of equal ids found, the ranks counted and put,
-    ``_EDGE_CHUNK_IDS`` ids at a time, and the distinct ids are moved to
+    ``core._SPAN_ELEMENTS`` ids at a time, and the distinct ids are moved to
     the front of that array, which is then shrunk to them.
     """
     flat = pairs.ravel()
     low = int(flat.min())
     bits = (flat.size - 1).bit_length()
     packed = int(flat.max()) - low < 1 << (63 - bits)
-    step = min(_EDGE_CHUNK_IDS, flat.size)
+    step = min(core._SPAN_ELEMENTS, flat.size)
     # Two chunks of scratch that every chunk reuses, the first holding the
     # positions of one chunk while they are packed: temporaries allocated
     # anew for each chunk would each be given fresh pages.
@@ -357,12 +355,12 @@ def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> No
     The file is an optional comment, one ``# `` line per line of
     ``comment``, then one ``i j`` line per edge, in decimal, in the
     graph's canonical order, with ``\\n`` line ends. Edges are formatted
-    ``_EDGE_CHUNK_IDS`` ids (32,768 edges) at a time by
+    ``core._SPAN_ELEMENTS`` ids (32,768 edges) at a time by
     :func:`_decimal_lines`, so the text of the whole file is never held
     at once.
     """
     edges = graph.edges
-    rows = _EDGE_CHUNK_IDS // 2
+    rows = max(1, core._SPAN_ELEMENTS // 2)
     with Path(path).open("wb") as handle:
         if comment:
             # The line breaks that both edge-list readers honour.

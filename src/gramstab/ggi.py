@@ -6,7 +6,8 @@ summaries across configurations. The adjacency-masked Gram matrix is
 never materialized: only edge-indexed inner products are computed, so
 the cost is O(|E| d) time per configuration and its extra memory is one
 float64 per edge plus, for each CPU the process may use, two gather
-blocks of ``_GATHER_ELEMENTS`` values (1 MB per CPU).
+blocks of ``core._SPAN_ELEMENTS`` values (1 MB per CPU), which stay in
+L2 cache while their row-wise dot products are taken.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import core
 from .core import (
     GraphTopology,
     _matrix_shape,
@@ -34,12 +36,6 @@ from .errors import (
 # elements. The grouping fixes the floating-point summation order, so
 # changing it changes scores in the last bits.
 _BLOCK_ELEMENTS = 2_097_152
-
-# Endpoint rows are gathered in blocks of about this many elements per
-# side (512 KB of float64), so both gathered blocks stay in L2 cache
-# while their row-wise dot products are taken. Each CPU's span of edges
-# holds at least one block.
-_GATHER_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
     n_edges = edges.shape[0]
     dim = values.shape[1]
     dots = np.empty(n_edges)
-    gather = max(1, _GATHER_ELEMENTS // dim)
+    gather = max(1, core._SPAN_ELEMENTS // dim)
 
     def gather_span(lo: int, hi: int) -> None:
         sources = np.empty((min(gather, hi - lo), dim))

@@ -1,5 +1,5 @@
-"""Seeded generators of orthogonal matrices, translations, permutations,
-noise, and synthetic ensembles.
+"""Seeded generators of orthogonal matrices, noise, random graphs and
+synthetic ensembles, and the relabelling of nodes.
 
 Everything here is deterministic per seed: randomness comes from
 numpy's default_rng (PCG64), with derived streams keyed by
@@ -22,7 +22,7 @@ from .core import (
     _split_keys,
     matrix_values,
 )
-from .errors import NotABijection, ShapeMismatch
+from .errors import InstanceTooLarge, NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
 
@@ -59,18 +59,6 @@ def random_orthogonal(dim: int, seed: SeedLike) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def random_translation(dim: int, seed: SeedLike, scale: float = 1.0) -> np.ndarray:
-    """Seeded Gaussian translation vector of shape (dim,)."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, scale, size=dim)
-
-
-def random_permutation(node_count: int, seed: SeedLike) -> np.ndarray:
-    """Seeded int64 node mapping: row i goes to row mapping[i]."""
-    rng = np.random.default_rng(seed)
-    return rng.permutation(node_count)
 
 
 def apply_permutation(
@@ -129,12 +117,17 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     candidates are drawn a span at a time straight into the key buffer,
     so its peak is that one int64 key per candidate plus a span's pairs
     and temporaries: about 2.35 times the bytes of the edges it returns
-    at 2 * 10^4 nodes and 2 * 10^5 edges. ``node_count`` is at most
-    ``core._KEY_NODES`` (about 3.04e9), refused before anything is drawn.
+    at 2 * 10^4 nodes and 2 * 10^5 edges. Refused before anything is
+    drawn: a node count below 2 or past ``core._KEY_NODES`` (about
+    3.04e9), and a degree that is not finite and > 0; a finite degree
+    past the complete graph draws it. A key buffer too large to allocate
+    raises InstanceTooLarge.
     """
     if node_count < 2:
         raise ShapeMismatch(f"need at least 2 nodes to draw edges, got {node_count}")
     _check_key_nodes(node_count)
+    if not (np.isfinite(avg_degree) and avg_degree > 0):
+        raise ValueError(f"avg_degree must be finite and > 0, got {avg_degree}")
     max_edges = node_count * (node_count - 1) // 2
     # Clamped before int(): a huge finite degree makes an infinite product.
     target = max(1, int(round(min(node_count * avg_degree / 2.0, max_edges))))
@@ -148,7 +141,12 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     keys = np.empty(0, dtype=np.int64)
     draw = max(4 * target, 1024)
     while keys.size < target:
-        merged = np.empty(keys.size + draw, dtype=np.int64)
+        try:
+            merged = np.empty(keys.size + draw, dtype=np.int64)
+        except (ValueError, MemoryError):  # past numpy's size limit, or the host's memory
+            nbytes = 8 * (keys.size + draw)
+            raise InstanceTooLarge(f"{target} edges need {nbytes} bytes of int64 candidate "
+                                   f"keys, more than can be allocated") from None
         merged[:keys.size] = keys
         count, _ = _canonical_keys(node_count, draw, candidates, merged)
         keys = merged
@@ -161,31 +159,33 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
 
 
 def synthetic_ensemble(
-    graph: GraphTopology,
+    node_count: int,
     dim: int,
     n_configs: int,
     noise: float = 0.0,
     seed: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Noisy copies of one seeded base embedding of the graph's nodes.
+    """Noisy copies of one seeded (node_count, dim) base embedding.
 
     Every configuration is base + Gaussian noise (std ``noise``), each
     drawn from its own stream, so with noise 0 the ensemble scores a zero
-    index. For a rotated, shifted or relabelled ensemble, apply
-    :func:`random_orthogonal`, :func:`random_translation` or
-    :func:`apply_permutation` to these copies.
+    index. For a transformed ensemble, rotate or shift these copies or
+    relabel them with :func:`apply_permutation`.
 
     The base is drawn here; the configurations come as a one-pass
     iterator that draws each when it is asked for, so a caller that lets
     each go before asking for the next holds the base and one
     configuration. Wrap it in ``list()`` to keep them all. The arguments
-    are checked first: ``dim < 1`` raises ShapeMismatch, and a negative or
-    non-finite ``noise`` the ValueError of :func:`perturb_gaussian`.
+    are checked first: ``node_count < 1`` or ``dim < 1`` raises
+    ShapeMismatch, and a negative or non-finite ``noise`` the ValueError
+    of :func:`perturb_gaussian`.
     """
+    if node_count < 1:
+        raise ShapeMismatch(f"node_count must be >= 1, got {node_count}")
     if dim < 1:
         raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
     _check_noise(noise)
-    base = _stream(seed, _TAG_BASE).standard_normal((graph.node_count, dim))
+    base = _stream(seed, _TAG_BASE).standard_normal((node_count, dim))
     # A generator expression holds no name for the configuration it yielded,
     # so that one is freed as soon as the caller drops it.
     return (perturb_gaussian(base, noise, [seed, _TAG_NOISE, idx]) for idx in range(n_configs))

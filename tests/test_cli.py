@@ -699,6 +699,20 @@ def test_internal_invariant_exits_3_with_one_line(workspace, monkeypatch, capsys
     assert captured.err == "gramstab: internal error: scores escaped their bound\n"
 
 
+def test_unexpected_error_exits_3_with_one_line(workspace, monkeypatch, capsys):
+    # Any exception that is neither an input problem nor an InternalInvariant
+    # is a bug: exit 3 and its repr on one line, nothing on stdout.
+    def broken(*args, **kwargs):
+        raise RuntimeError("manifest reader broke")
+
+    monkeypatch.setattr(cli_mod, "load_manifest", broken)
+    code = run_cli(["ggi", "--manifest", str(workspace / "manifest.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "gramstab: internal error: RuntimeError('manifest reader broke')\n"
+
+
 def test_version_flag():
     result = _run(["--version"])
     assert result.returncode == 0
@@ -932,6 +946,23 @@ def test_synth_refuses_a_node_count_past_the_key_limit(tmp_path, capsys, monkeyp
     assert code == 2
     assert err == (f"gramstab: error: edges are sorted by int64 keys i * node_count + j, so "
                    f"node_count must be <= {core_mod._KEY_NODES}, got 4000000000\n")
+    assert not out_dir.exists()
+
+
+def test_synth_refuses_a_graph_too_large_to_draw(tmp_path, capsys):
+    # 1.5e18 edges need 4.8e19 bytes of candidate keys, past what numpy can
+    # index: an input problem, refused before --out-dir is made. It used to
+    # exit 3 with numpy's "array is too big".
+    out_dir = tmp_path / "D"
+    code = run_cli(["synth", "--nodes", "3000000000", "--avg-degree", "1e9", "--dim", "1",
+                    "--configs", "2", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "gramstab: error: 1500000000000000000 edges need 48000000000000000000 bytes of "
+        "int64 candidate keys, more than can be allocated\n"
+    )
     assert not out_dir.exists()
 
 

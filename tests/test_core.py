@@ -1,6 +1,7 @@
 """Data types: validation, canonicalization, preprocessing."""
 
 import os
+import re
 import threading
 import tracemalloc
 
@@ -83,6 +84,24 @@ def test_graph_refuses_non_integer_endpoints(build, ids):
     # A cast used to truncate each of these to the edge (0, 1).
     with pytest.raises(ShapeMismatch, match="^edge endpoints must be integers, got "):
         build(ids)
+
+
+@pytest.mark.parametrize("build", [
+    lambda pairs: GraphTopology(20, pairs),
+    lambda pairs: GraphTopology.from_pairs(20, pairs),
+], ids=["constructor", "from-pairs"])
+@pytest.mark.parametrize("pairs, shape", [
+    ([[0, 1, 5], [2, 3, 7]], (2, 3)),
+    ([[0, 1, 2, 3]], (1, 4)),
+    ([0, 1], (2,)),
+    ([[[0, 1]]], (1, 1, 2)),
+], ids=["weighted", "flat-row", "one-dimensional", "three-dimensional"])
+def test_graph_refuses_edges_not_of_two_columns(build, pairs, shape):
+    # A reshape used to read [[0, 1, 5], [2, 3, 7]], a weighted edge list,
+    # as the edges (0, 1), (2, 5), (3, 7), and [[0, 1, 2, 3]] as two edges.
+    message = re.escape(f"edges must have shape (E, 2), got {shape}")
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        build(pairs)
 
 
 def test_empty_pair_list_builds_an_edgeless_graph():

@@ -27,9 +27,9 @@ from gramstab import (
     save_embeddings,
     save_manifest,
 )
+import gramstab.core as core_mod
 import gramstab.fileio as fileio_mod
 from gramstab.fileio import (
-    _EDGE_CHUNK_IDS,
     _HASH_BUFFER,
     GGE1_MAGIC,
     _decimal_lines,
@@ -510,12 +510,12 @@ def test_rank_ids_matches_unique(pairs):
 
     # Runs of equal ids cross the boundaries of chunks of 1, 3 and the
     # default count of ids; the ranks and ids do not depend on them.
-    for chunk in (1, 3, _EDGE_CHUNK_IDS):
+    for chunk in (1, 3, core_mod._SPAN_ELEMENTS):
         calls.clear()
         ranked = pairs.copy()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fileio_mod.np, "argsort", argsort)
-            mp.setattr(fileio_mod, "_EDGE_CHUNK_IDS", chunk)
+            mp.setattr(core_mod, "_SPAN_ELEMENTS", chunk)
             ids = fileio_mod._rank_ids(ranked)
         assert ids.dtype == np.int64 and np.array_equal(ids, expected_ids)
         assert np.array_equal(ranked, expected_ranks.reshape(pairs.shape))
@@ -570,7 +570,7 @@ def test_sha256_file_stops_at_the_next_read(tmp_path):
     assert stop.checks == 2
 
 
-_CHUNK_EDGES = _EDGE_CHUNK_IDS // 2
+_CHUNK_EDGES = core_mod._SPAN_ELEMENTS // 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,11 +61,12 @@ def test_blockwise_accumulation_is_exact(monkeypatch):
     # with the single-pass value bit for bit is too strict, 1e-12 is not.
     # The gather block alone never changes the sum's order, so shrinking
     # only it must leave the score bit for bit unchanged.
+    import gramstab.core as core_mod
     import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
     whole = _edge_mean_inner(configs[0], graph.edges)
-    monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 8)
+    monkeypatch.setattr(core_mod, "_SPAN_ELEMENTS", 8)
     assert _edge_mean_inner(configs[0], graph.edges) == whole
     monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
     chunked = _edge_mean_inner(configs[0], graph.edges)
@@ -90,20 +91,21 @@ def _grouped_gather_mean(values, edges, block_elements):
     seed=st.integers(min_value=0, max_value=2**31),
     n_edges=st.integers(min_value=1, max_value=600),
     dim=st.integers(min_value=1, max_value=24),
-    gather_elements=st.integers(min_value=1, max_value=400),
+    span_elements=st.integers(min_value=1, max_value=400),
     block_elements=st.integers(min_value=1, max_value=3000),
 )
-# |E| below one gather block (the module's real block sizes)
-@example(seed=1, n_edges=37, dim=5, gather_elements=65_536, block_elements=2_097_152)
+# |E| below one gather block (the modules' real block sizes)
+@example(seed=1, n_edges=37, dim=5, span_elements=65_536, block_elements=2_097_152)
 # |E| not a multiple of the gather block
-@example(seed=2, n_edges=203, dim=4, gather_elements=64, block_elements=2_097_152)
+@example(seed=2, n_edges=203, dim=4, span_elements=64, block_elements=2_097_152)
 # d beyond the gather budget: one edge per gather
-@example(seed=3, n_edges=50, dim=13, gather_elements=8, block_elements=2_097_152)
+@example(seed=3, n_edges=50, dim=13, span_elements=8, block_elements=2_097_152)
 # several summation groups, not aligned to gather blocks
-@example(seed=4, n_edges=500, dim=3, gather_elements=40, block_elements=100)
+@example(seed=4, n_edges=500, dim=3, span_elements=40, block_elements=100)
 def test_edge_mean_matches_grouped_gather_exactly(
-    seed, n_edges, dim, gather_elements, block_elements
+    seed, n_edges, dim, span_elements, block_elements
 ):
+    import gramstab.core as core_mod
     import gramstab.ggi as ggi_mod
 
     rng = np.random.default_rng(seed)
@@ -115,7 +117,7 @@ def test_edge_mean_matches_grouped_gather_exactly(
     wide[:, ::2] = values
     layouts = [values, np.asfortranarray(values), wide[:, ::2]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ggi_mod, "_GATHER_ELEMENTS", gather_elements)
+        mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
         mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
         fast = [ggi_mod._edge_mean_inner(layout, edges) for layout in layouts]
     assert fast == [_grouped_gather_mean(values, edges, block_elements)] * 3
@@ -141,27 +143,25 @@ def test_edge_mean_matches_grouped_gather_at_scale(dim):
     dim=st.integers(min_value=1, max_value=6),
     n_edges=st.integers(min_value=1, max_value=300),
     span_elements=st.integers(min_value=1, max_value=64),
-    gather_elements=st.integers(min_value=1, max_value=200),
     block_elements=st.integers(min_value=1, max_value=500),
     scale=st.sampled_from([1.0, 1e200]),
     degenerate=st.booleans(),
     fortran=st.booleans(),
 )
 # |E| below one gather block (the module's real block sizes)
-@example(seed=1, rows=20, dim=5, n_edges=37, span_elements=65_536, gather_elements=65_536,
+@example(seed=1, rows=20, dim=5, n_edges=37, span_elements=65_536,
          block_elements=2_097_152, scale=1.0, degenerate=False, fortran=False)
-# spans that split gather blocks and summation groups
-@example(seed=2, rows=40, dim=3, n_edges=299, span_elements=7, gather_elements=21,
+# spans that split gather blocks (7 edges) and summation groups (17 edges)
+@example(seed=2, rows=40, dim=3, n_edges=299, span_elements=21,
          block_elements=51, scale=1.0, degenerate=False, fortran=False)
 # fewer rows than workers
-@example(seed=3, rows=3, dim=2, n_edges=4, span_elements=1, gather_elements=1,
+@example(seed=3, rows=3, dim=2, n_edges=4, span_elements=1,
          block_elements=3, scale=1.0, degenerate=False, fortran=False)
 # the rescale path, and degenerate rows under it
-@example(seed=4, rows=30, dim=4, n_edges=200, span_elements=5, gather_elements=12,
+@example(seed=4, rows=30, dim=4, n_edges=200, span_elements=12,
          block_elements=40, scale=1e200, degenerate=True, fortran=False)
 def test_worker_count_does_not_change_bits(
-    seed, rows, dim, n_edges, span_elements, gather_elements, block_elements,
-    scale, degenerate, fortran,
+    seed, rows, dim, n_edges, span_elements, block_elements, scale, degenerate, fortran,
 ):
     # Center-normalize and the edge mean give the serial path's bits for
     # any number of CPUs, including more CPUs than rows or gather blocks.
@@ -184,7 +184,6 @@ def test_worker_count_does_not_change_bits(
     results = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
-        mp.setattr(ggi_mod, "_GATHER_ELEMENTS", gather_elements)
         mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
         for cpus in (1, 2, 3, 5):
             mp.setattr(core_mod, "_cpu_count", lambda: cpus)
@@ -241,7 +240,7 @@ def test_no_score_from_a_partly_gathered_span(monkeypatch):
     import gramstab.ggi as ggi_mod
 
     monkeypatch.setattr(core_mod, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(ggi_mod, "_GATHER_ELEMENTS", 4)
+    monkeypatch.setattr(core_mod, "_SPAN_ELEMENTS", 4)
     rng = np.random.default_rng(0)
     values = rng.normal(size=(10, 2))
     edges = rng.integers(0, 10, size=(30, 2)).view(_EdgesFailingPast)

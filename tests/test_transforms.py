@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gramstab import (
     GraphTopology,
+    InstanceTooLarge,
     NotABijection,
     ShapeMismatch,
     apply_permutation,
@@ -16,8 +17,6 @@ from gramstab import (
     perturb_gaussian,
     random_graph,
     random_orthogonal,
-    random_permutation,
-    random_translation,
     synthetic_ensemble,
 )
 import gramstab.transforms as transforms_mod
@@ -42,18 +41,12 @@ def test_generators_are_deterministic_per_seed():
     assert not np.array_equal(
         random_orthogonal(5, 42), random_orthogonal(5, 43)
     )
-    assert np.array_equal(
-        random_permutation(20, 7), random_permutation(20, 7)
-    )
-    assert np.array_equal(
-        random_translation(4, 3), random_translation(4, 3)
-    )
 
 
 def test_isometry_preserves_distances():
     rng = np.random.default_rng(5)
     values = rng.normal(size=(12, 4))
-    mapped = values @ random_orthogonal(4, 6) + random_translation(4, 7)
+    mapped = values @ random_orthogonal(4, 6) + np.random.default_rng(7).normal(size=4)
     from scipy.spatial.distance import pdist
 
     np.testing.assert_allclose(pdist(values), pdist(mapped), atol=1e-10)
@@ -93,7 +86,7 @@ def test_sizes_out_of_range_raise_shape_mismatch(build):
 
 
 def test_permutation_inverse_round_trips():
-    sigma = random_permutation(15, 9)
+    sigma = np.random.default_rng(9).permutation(15)
     graph = random_graph(15, 3.0, 1)
     rng = np.random.default_rng(2)
     values = rng.normal(size=(15, 3))
@@ -148,7 +141,7 @@ def test_random_graph_is_simple_and_sized():
 @settings(max_examples=60, deadline=None)
 @given(
     node_count=st.integers(min_value=2, max_value=500),
-    degree_share=st.floats(min_value=0.0, max_value=1.2),
+    degree_share=st.floats(min_value=0.0, max_value=1.2, exclude_min=True),
     seed=st.integers(min_value=0, max_value=2**32)
     | st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=3),
 )
@@ -187,15 +180,13 @@ def test_random_graph_caps_at_complete_graph():
 
 
 def test_synthetic_zero_noise_yields_identical_configs():
-    graph = random_graph(30, 4.0, 2)
-    configs = list(synthetic_ensemble(graph, 5, 4, noise=0.0, seed=3))
+    configs = list(synthetic_ensemble(30, 5, 4, noise=0.0, seed=3))
     for cfg in configs[1:]:
         np.testing.assert_array_equal(cfg, configs[0])
 
 
 def test_synthetic_zero_noise_configs_share_no_memory():
-    graph = random_graph(30, 4.0, 2)
-    configs = list(synthetic_ensemble(graph, 5, 3, noise=0.0, seed=3))
+    configs = list(synthetic_ensemble(30, 5, 3, noise=0.0, seed=3))
     for idx, cfg in enumerate(configs):
         # A view would be a view of the base embedding.
         assert type(cfg) is np.ndarray and cfg.dtype == np.float64
@@ -209,13 +200,14 @@ def test_synthetic_transforms_keep_index_at_zero():
     # public transforms: one per configuration for a rotation or a shift,
     # one shared relabelling of rows and edges for a permutation.
     graph = random_graph(40, 5.0, 4)
-    configs = list(synthetic_ensemble(graph, 6, 3, noise=0.0, seed=5))
-    mapping = random_permutation(graph.node_count, 6)
+    configs = list(synthetic_ensemble(graph.node_count, 6, 3, noise=0.0, seed=5))
+    mapping = np.random.default_rng(6).permutation(graph.node_count)
     permuted = [apply_permutation(c, graph, mapping) for c in configs]
     ensembles = {
         "none": (configs, graph),
         "orthogonal": ([c @ random_orthogonal(6, [5, i]) for i, c in enumerate(configs)], graph),
-        "translation": ([c + random_translation(6, [5, i]) for i, c in enumerate(configs)], graph),
+        "translation": ([c + np.random.default_rng([5, i]).normal(size=6)
+                         for i, c in enumerate(configs)], graph),
         "permutation": ([values for values, _ in permuted], permuted[0][1]),
     }
     for kind, (ensemble, g) in ensembles.items():
@@ -223,15 +215,13 @@ def test_synthetic_transforms_keep_index_at_zero():
 
 
 def test_synthetic_noise_separates_configs():
-    graph = random_graph(30, 4.0, 6)
-    configs = list(synthetic_ensemble(graph, 5, 3, noise=0.2, seed=7))
+    configs = list(synthetic_ensemble(30, 5, 3, noise=0.2, seed=7))
     assert not np.array_equal(configs[0], configs[1])
 
 
 def test_synthetic_is_deterministic():
-    graph = random_graph(20, 3.0, 8)
-    a = synthetic_ensemble(graph, 4, 3, noise=0.1, seed=9)
-    b = synthetic_ensemble(graph, 4, 3, noise=0.1, seed=9)
+    a = synthetic_ensemble(20, 4, 3, noise=0.1, seed=9)
+    b = synthetic_ensemble(20, 4, 3, noise=0.1, seed=9)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
@@ -246,11 +236,49 @@ def test_synthetic_is_deterministic():
 def test_synthetic_checks_its_arguments_when_called(monkeypatch, dim, noise, error, message):
     # Refused by the call itself, before the base is drawn: not at the
     # first configuration, and not by numpy.
-    graph = random_graph(10, 3.0, 1)
-
-    def stream(*args):
-        raise AssertionError("a stream was opened before the arguments were checked")
-
-    monkeypatch.setattr(transforms_mod, "_stream", stream)
+    monkeypatch.setattr(transforms_mod, "_stream", _no_stream)
     with pytest.raises(error, match=f"^{message}$"):
-        synthetic_ensemble(graph, dim, 2, noise=noise)
+        synthetic_ensemble(10, dim, 2, noise=noise)
+
+
+def _no_stream(*args):
+    raise AssertionError("a stream was opened before the arguments were checked")
+
+
+@pytest.mark.parametrize("node_count", [0, -1])
+def test_synthetic_refuses_a_node_count_below_one(monkeypatch, node_count):
+    monkeypatch.setattr(transforms_mod, "_stream", _no_stream)
+    with pytest.raises(ShapeMismatch, match=f"^node_count must be >= 1, got {node_count}$"):
+        synthetic_ensemble(node_count, 3, 2)
+
+
+@pytest.mark.parametrize("avg_degree", [0.0, -5.0, float("nan"), float("inf"), float("-inf")])
+def test_random_graph_refuses_a_degree_not_finite_and_positive(monkeypatch, avg_degree):
+    # -5.0 used to draw one edge, inf the complete graph, and nan to fail
+    # in int(); synth refuses each of them as --avg-degree.
+    monkeypatch.setattr(transforms_mod, "_stream", _no_stream)
+    with pytest.raises(ValueError, match=f"^avg_degree must be finite and > 0, got {avg_degree}$"):
+        random_graph(10, avg_degree, 0)
+
+
+@pytest.mark.parametrize("host_refuses", [False, True], ids=["numpy-size-limit", "host-memory"])
+def test_random_graph_names_a_key_buffer_it_cannot_allocate(monkeypatch, host_refuses):
+    # 1.5e18 edges need 6e18 candidate keys, 4.8e19 bytes: past what numpy
+    # can index, so it refuses without allocating. A MemoryError, faked
+    # here rather than provoked, is the same input problem.
+    node_count, avg_degree, target = 3_000_000_000, 1e9, 1_500_000_000_000_000_000
+    if host_refuses:
+        node_count, avg_degree, target = 1000, 4.0, 2000
+        empty = np.empty
+
+        def refusing_empty(shape, *args, **kwargs):
+            if shape == 4 * target:
+                raise MemoryError((shape,), np.dtype(np.int64))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(transforms_mod.np, "empty", refusing_empty)
+    with pytest.raises(InstanceTooLarge, match=(
+        f"^{target} edges need {8 * 4 * target} bytes of int64 candidate keys, "
+        f"more than can be allocated$"
+    )):
+        random_graph(node_count, avg_degree, 0)
