@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import procrustes_align
-from .core import MAGNITUDE_WINDOW, magnitude_scale, matrix_values
-from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch, TooFewConfigs
+from .core import MAGNITUDE_WINDOW, _require_configs, magnitude_scale, matrix_values
+from .errors import InstanceTooLarge, KTooLarge, NonFiniteScore, ShapeMismatch
 
 METRICS = ("cosine", "euclidean")
 
@@ -117,8 +117,7 @@ def _prepared_values(ensemble, shared: bool = False) -> tuple[list, float]:
     # Values are only read, never written: matrix_values does not copy a
     # float64 array, and a rescale makes a new one.
     values = [matrix_values(c, config_index=idx) for idx, c in enumerate(ensemble)]
-    if len(values) < 2:
-        raise TooFewConfigs(f"need at least 2 configurations, got {len(values)}")
+    _require_configs(len(values))
     rows = values[0].shape[0]
     for idx, arr in enumerate(values):
         if arr.shape[0] != rows:

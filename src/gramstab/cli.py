@@ -14,11 +14,14 @@ and the options alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import sys
 import threading
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baselines import (
@@ -29,8 +32,9 @@ from .baselines import (
     second_order_cosine_index,
     wasserstein_index,
 )
-from .core import center_normalize_inplace, validate_ensemble
-from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
+from .core import _start, center_normalize_inplace, validate_ensemble
+from .errors import (GramstabError, InstanceTooLarge, InternalInvariant, ShapeMismatch,
+                     TooFewConfigs)
 from .fileio import (
     EdgeListResult,
     Manifest,
@@ -67,58 +71,46 @@ def _load_graph(manifest: Manifest) -> EdgeListResult:
     return load_edge_list(manifest.graph_path, ids=ids)
 
 
-class _InputHashes:
-    """The SHA-256 of a manifest's graph and embedding files, computed on a
-    second thread while the caller loads and scores them. hashlib releases
-    the GIL, so the hashing runs on another core.
-
-    Leaving the ``with`` block stops the thread at its next read and joins
-    it, so an error exit leaves no thread behind and does not wait for the
-    files not yet hashed. A hashing error is raised only by
-    :meth:`digests`, so the loaders' own errors are the ones reported.
+@contextlib.contextmanager
+def _input_hashes(manifest: Manifest):
+    """Yield a function that returns the report's SHA-256 of a manifest's
+    graph and embedding files, which a :func:`~gramstab.core._start`
+    thread reads while the caller loads and scores them: hashlib releases
+    the GIL. Leaving the ``with`` block stops the thread at its next read
+    and joins it. A hashing error is raised only by the yielded function,
+    so the loaders' own errors are the ones reported.
     """
+    digests: list[str] = []
+    stop = threading.Event()
 
-    def __init__(self, manifest: Manifest):
-        self._paths = (manifest.graph_path, *manifest.embedding_paths)
-        self._digests: list[str] = []
-        self._error: Exception | None = None
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._hash, name="gramstab-sha256")
+    def hash_files() -> None:
+        for path in (manifest.graph_path, *manifest.embedding_paths):
+            # The module global, looked up per call like _baselines(), so
+            # that a wrapper set on it after import runs.
+            if (digest := sha256_file(path, stop=stop)) is None:
+                return
+            digests.append(digest)
 
-    def __enter__(self) -> "_InputHashes":
-        self._thread.start()
-        return self
+    join = _start(hash_files, name="gramstab-sha256")
 
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
+    def hashes() -> dict:
+        if (error := join()) is not None:
+            raise error
+        return {"graph_sha256": digests[0], "embeddings_sha256": digests[1:]}
 
-    def _hash(self) -> None:
-        try:
-            for path in self._paths:
-                # The module global, looked up per call like _baselines(),
-                # so that a wrapper set on it after import runs.
-                digest = sha256_file(path, stop=self._stop)
-                if digest is None:
-                    return
-                self._digests.append(digest)
-        except Exception as exc:  # noqa: BLE001  digests() raises it on the caller's thread
-            self._error = exc
-
-    def digests(self) -> dict:
-        """The report's hashes of the graph and of each embedding file."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return {"graph_sha256": self._digests[0], "embeddings_sha256": self._digests[1:]}
+    try:
+        yield hashes
+    finally:
+        stop.set()
+        join()
 
 
-def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None) -> None:
-    """Write a report: the shared head, ``body``, then, given the hashes of
-    the inputs scored, the manifest and those hashes."""
+def _emit(command: str, body: dict, args, hashes=None) -> None:
+    """Write a report: the shared head, ``body``, then, given the function
+    :func:`_input_hashes` yields, the manifest and the inputs' hashes."""
     document = {"tool": "gramstab", "version": __version__, "command": command, **body}
     if hashes is not None:
-        document["inputs"] = {"manifest": str(args.manifest), **hashes.digests()}
+        document["inputs"] = {"manifest": str(args.manifest), **hashes()}
     text = report_to_json(document)
     if args.out:
         Path(args.out).write_text(text)
@@ -128,7 +120,7 @@ def _emit(command: str, body: dict, args, hashes: _InputHashes | None = None) ->
 
 def _cmd_ggi(args) -> int:
     manifest = load_manifest(args.manifest)
-    with _InputHashes(manifest) as hashes:
+    with _input_hashes(manifest) as hashes:
         graph = _load_graph(manifest).graph
         # Loaded arrays are owned by this process, so the scoring pipeline
         # may preprocess them in place (copy=False); one is alive at a time.
@@ -156,7 +148,7 @@ def _cmd_ggi(args) -> int:
 
 def _cmd_baseline(args) -> int:
     manifest = load_manifest(args.manifest)
-    with _InputHashes(manifest) as hashes:
+    with _input_hashes(manifest) as hashes:
         graph = _load_graph(manifest).graph
         configs = [load_embeddings(path) for path in manifest.embedding_paths]
         # Each configuration against the graph, as ggi and validate check
@@ -220,9 +212,15 @@ def _cmd_synth(args) -> int:
         raise GramstabError(f"--noise must be finite and >= 0, got {args.noise}")
     if args.seed < 0:
         raise GramstabError(f"--seed must be >= 0, got {args.seed}")
-    # Drawn first: a node count past core._KEY_NODES is refused here, before
-    # --out-dir is made.
+    # Drawn first, so that its refusals (a node count past core._KEY_NODES,
+    # a candidate-key buffer too large) come before the base's.
     graph = random_graph(args.nodes, args.avg_degree, args.seed)
+    try:
+        np.empty((args.nodes, args.dim))  # the base's size, never touched: no page is written
+    except (ValueError, MemoryError):  # past numpy's size limit, or the host's memory
+        raise InstanceTooLarge(f"a {args.nodes} x {args.dim} base embedding needs "
+                               f"{8 * args.nodes * args.dim} bytes of float64 values, "
+                               f"more than can be allocated") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph_path = out_dir / "graph.edges"

@@ -46,15 +46,31 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _start(work, *args, name: str | None = None):
+    """Start ``work(*args)`` on a thread named ``name``; return its join, which
+    waits for it and returns what ``work`` raised, or None, on every call."""
+    raised = [None]
+
+    def run() -> None:
+        try:
+            work(*args)
+        except BaseException as exc:  # handed to the caller by the join
+            raised[0] = exc
+
+    thread = threading.Thread(target=run, name=name)
+    thread.start()
+    return lambda: thread.join() or raised[0]  # join() returns None
+
+
 def _over_spans(count: int, work, min_span: int) -> None:
     """Run ``work(lo, hi)`` over contiguous spans of ``range(count)``, one
     span per CPU and at least ``min_span`` long, and return once all have.
 
-    The caller's thread runs the first span and plain threads the rest;
-    with one CPU, or ``count < 2 * min_span``, it runs ``work(0, count)``
-    inline. numpy releases the GIL in the copies and arithmetic a span
-    does, so the spans run at the same time. An exception in any span is
-    raised here after every thread has been joined, so a caller never
+    The caller's thread runs the first span and :func:`_start` threads
+    the rest; with one CPU, or ``count < 2 * min_span``, it runs ``work(0,
+    count)`` inline. numpy releases the GIL in the copies and arithmetic a
+    span does, so the spans run at the same time. An exception in any span
+    is raised here after every thread has been joined, so a caller never
     reads the output of a span that did not finish.
     """
     spans = min(_cpu_count(), count // min_span)
@@ -62,25 +78,13 @@ def _over_spans(count: int, work, min_span: int) -> None:
         work(0, count)
         return
     bounds = [count * k // spans for k in range(spans + 1)]
-    errors: list = [None] * spans
-
-    def run(k: int) -> None:
-        try:
-            work(bounds[k], bounds[k + 1])
-        except BaseException as exc:  # raised again by the caller below
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, spans)]
-    for thread in threads:
-        thread.start()
+    joins = [_start(work, bounds[k], bounds[k + 1]) for k in range(1, spans)]
     try:
         work(bounds[0], bounds[1])
     finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        errors = [exc for join in joins if (exc := join()) is not None]
+    if errors:
+        raise errors[0]
 
 
 def _run_starts(values: np.ndarray, last) -> np.ndarray:
@@ -181,6 +185,11 @@ def _node_ids(ids, error: type, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _is_permutation(ids: np.ndarray) -> bool:
+    """Whether the integer array ``ids`` holds each of 0..ids.size-1 once."""
+    return np.array_equal(np.sort(ids), np.arange(ids.size))
+
+
 def _edge_endpoints(pairs, node_count: int) -> np.ndarray:
     """``pairs`` as an (E, 2) int64 array of ids in ``range(node_count)``,
     or a ShapeMismatch. Any empty array is (0, 2); no other is reshaped."""
@@ -194,9 +203,10 @@ def _edge_endpoints(pairs, node_count: int) -> np.ndarray:
     return arr
 
 
-def _matrix_shape(arr: np.ndarray, *, config_index: int | None = None, path=None) -> None:
-    """Check that ``arr`` is 2-D and at least 1x1, naming ``path`` or
-    ``config_index`` as :func:`matrix_values` does."""
+def _check_matrix(arr: np.ndarray, *, finite: bool = False, config_index: int | None = None,
+                  path=None) -> None:
+    """Check that ``arr`` is 2-D, at least 1x1 and, if ``finite``, free of NaN
+    and inf, naming ``path`` or ``config_index`` as :func:`matrix_values` does."""
     where = "" if config_index is None else f"config {config_index}: "
     if arr.ndim != 2:
         raise ShapeMismatch(f"{where}expected a 2-D matrix, got ndim={arr.ndim}",
@@ -204,6 +214,22 @@ def _matrix_shape(arr: np.ndarray, *, config_index: int | None = None, path=None
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {arr.shape}",
                             config_index=config_index, path=path)
+    if finite and not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{where}matrix contains NaN or infinite values",
+                             config_index=config_index, path=path)
+
+
+def _require_rows(rows: int, graph: GraphTopology, config_index: int) -> None:
+    """Raise ShapeMismatch unless config ``config_index`` has one row per node."""
+    if rows != graph.node_count:
+        raise ShapeMismatch(f"config {config_index} has {rows} rows but the graph has "
+                            f"{graph.node_count} nodes", config_index=config_index)
+
+
+def _require_configs(count: int) -> None:
+    """Raise TooFewConfigs for an ensemble of under two configurations."""
+    if count < 2:
+        raise TooFewConfigs(f"need at least 2 configurations, got {count}")
 
 
 def matrix_values(mat, *, config_index: int | None = None, path=None) -> np.ndarray:
@@ -213,12 +239,8 @@ def matrix_values(mat, *, config_index: int | None = None, path=None) -> np.ndar
     An error names the file ``path`` or, as ``config {i}:``, the
     configuration ``config_index`` the matrix came from, when given.
     """
-    where = "" if config_index is None else f"config {config_index}: "
     arr = np.asarray(mat, dtype=np.float64)
-    _matrix_shape(arr, config_index=config_index, path=path)
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{where}matrix contains NaN or infinite values",
-                             config_index=config_index, path=path)
+    _check_matrix(arr, finite=True, config_index=config_index, path=path)
     return arr
 
 
@@ -310,16 +332,15 @@ def center_normalize_inplace(arr: np.ndarray, config_index: int = 0) -> int:
     Centering and the final division run over row spans, one per CPU;
     each row's arithmetic is the same in any span, so are the bits.
     """
-    _matrix_shape(arr, config_index=config_index)
+    _check_matrix(arr, config_index=config_index)
     rows = arr.shape[0]
     min_span = max(1, _SPAN_ELEMENTS // arr.shape[1])
     mean = arr.mean(axis=0)
     # A NaN or inf entry makes its column's mean non-finite, so finite input
     # pays only this test of d values; finite entries whose sums overflow
     # reach the NonFiniteScore below.
-    if not np.isfinite(mean).all() and not np.isfinite(arr).all():
-        raise NonFiniteInput(f"config {config_index}: matrix contains NaN or infinite values",
-                             config_index=config_index)
+    if not np.isfinite(mean).all():
+        _check_matrix(arr, finite=True, config_index=config_index)
     norms = np.empty(rows)
 
     def center(lo: int, hi: int) -> None:
@@ -367,14 +388,8 @@ def validate_ensemble(configs: Iterable, graph: GraphTopology) -> tuple[int, ...
     dims: list[int] = []
     for mat in configs:
         rows, cols = matrix_values(mat, config_index=len(dims)).shape
-        if rows != graph.node_count:
-            raise ShapeMismatch(
-                f"config {len(dims)} has {rows} rows but the graph has "
-                f"{graph.node_count} nodes",
-                config_index=len(dims),
-            )
+        _require_rows(rows, graph, len(dims))
         dims.append(cols)
         del mat  # before the iterable reads the next one
-    if len(dims) < 2:
-        raise TooFewConfigs(f"need at least 2 configurations, got {len(dims)}")
+    _require_configs(len(dims))
     return tuple(dims)

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .core import GraphTopology, _run_starts, matrix_values
+from .core import GraphTopology, _is_permutation, _run_starts, matrix_values
 from .errors import (
     EmptyGraph,
     ManifestError,
@@ -115,7 +115,7 @@ def load_id_map(path) -> np.ndarray:
         keys = np.array(keys, dtype=object)
     _require_distinct(keys, "id map", path=path)  # "1" and "01" spell one id
     rows = np.array(rows)
-    if not np.array_equal(np.sort(rows), np.arange(rows.size)):
+    if not _is_permutation(rows):
         raise NotABijection(f"id map values must be a bijection onto 0..{rows.size - 1}",
                             path=path)
     ids = np.empty_like(keys)
@@ -354,32 +354,37 @@ def save_edge_list(path, graph: GraphTopology, comment: str | None = None) -> No
 
     The file is an optional comment, one ``# `` line per line of
     ``comment``, then one ``i j`` line per edge, in decimal, in the
-    graph's canonical order, with ``\\n`` line ends. Edges are formatted
-    ``core._SPAN_ELEMENTS`` ids (32,768 edges) at a time by
-    :func:`_decimal_lines`, so the text of the whole file is never held
-    at once.
+    graph's canonical order, with ``\\n`` line ends, written a span at a
+    time by :func:`_save_decimal_lines`.
     """
-    edges = graph.edges
-    rows = max(1, core._SPAN_ELEMENTS // 2)
-    with Path(path).open("wb") as handle:
-        if comment:
-            # The line breaks that both edge-list readers honour.
-            lines = comment.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            handle.write("".join(f"# {line}\n" for line in lines).encode("utf-8"))
-        for start in range(0, len(edges), rows):
-            handle.write(_decimal_lines(edges[start:start + rows], (b"", b" ", b"\n")))
+    # The line breaks that both edge-list readers honour.
+    lines = comment.replace("\r\n", "\n").replace("\r", "\n").split("\n") if comment else []
+    head = "".join(f"# {line}\n" for line in lines).encode("utf-8")
+    _save_decimal_lines(path, head, range(graph.edge_count), lambda lo, hi: graph.edges[lo:hi],
+                        (b"", b" ", b"\n"))
 
 
 def _save_identity_id_map(path, node_count: int) -> None:
     """Write the JSON id map that sends each id 0..node_count-1 to the row
-    of the same number: ``{``, one ``  "i": i`` entry per line, ``}``."""
-    ids = np.arange(node_count, dtype=np.int64)
-    body = _decimal_lines(np.broadcast_to(ids[:, None], (node_count, 2)),
-                          (b'  "', b'": ', b",\n"))
+    of the same number: ``{``, one ``  "i": i`` entry per line, ``}``. The
+    entries after the first, each led by its ``,\\n``, go out a span at a
+    time by :func:`_save_decimal_lines`."""
+    _save_decimal_lines(path, b'{\n  "0": 0', range(1, node_count),
+                        lambda lo, hi: np.arange(lo, hi).repeat(2).reshape(-1, 2),
+                        (b',\n  "', b'": ', b""), b"\n}\n")
+
+
+def _save_decimal_lines(path, head: bytes, rows: range, columns, parts, tail=b"") -> None:
+    """Write ``head``, the :func:`_decimal_lines` text of ``rows``, then
+    ``tail`` to ``path``. The rows go a span lo:hi of ``core._SPAN_ELEMENTS``
+    ids at a time, each given by ``columns(lo, hi)``, so the text of a
+    whole file is never held at once."""
+    step = max(1, core._SPAN_ELEMENTS // (len(parts) - 1))
     with Path(path).open("wb") as handle:
-        handle.write(b"{\n")
-        handle.write(memoryview(body)[:-2])  # no comma after the last entry
-        handle.write(b"\n}\n")
+        handle.write(head)
+        for lo in range(rows.start, rows.stop, step):
+            handle.write(_decimal_lines(columns(lo, min(lo + step, rows.stop)), parts))
+        handle.write(tail)
 
 
 def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...]) -> bytes:

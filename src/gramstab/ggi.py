@@ -20,17 +20,14 @@ import numpy as np
 from . import core
 from .core import (
     GraphTopology,
-    _matrix_shape,
+    _check_matrix,
     _over_spans,
+    _require_configs,
+    _require_rows,
     center_normalize_inplace,
     magnitude_scale,
 )
-from .errors import (
-    EmptyGraph,
-    InternalInvariant,
-    ShapeMismatch,
-    TooFewConfigs,
-)
+from .errors import EmptyGraph, InternalInvariant
 
 # Per-edge inner products are summed in groups of about this many matrix
 # elements. The grouping fixes the floating-point summation order, so
@@ -116,17 +113,11 @@ def score_configuration(
     if copy:
         mat = np.array(mat, dtype=np.float64, order="C")
     values = np.asarray(mat, dtype=np.float64)
-    # The shape, so the row count below is a matrix's; NaN and inf are
-    # refused by center_normalize_inplace, with the same message.
-    _matrix_shape(values, config_index=config_index)
+    # The shape, so the row count below is a matrix's; center_normalize_inplace refuses NaN, inf.
+    _check_matrix(values, config_index=config_index)
     if graph.edge_count == 0:
         raise EmptyGraph("graph has no edges")
-    if values.shape[0] != graph.node_count:
-        raise ShapeMismatch(
-            f"config {config_index} has {values.shape[0]} rows but the graph "
-            f"has {graph.node_count} nodes",
-            config_index=config_index,
-        )
+    _require_rows(values.shape[0], graph, config_index)
     if not values.flags.writeable:
         values = values.copy()
     n_degenerate = center_normalize_inplace(values, config_index)
@@ -192,8 +183,7 @@ def ggi_index(
         scores.append(score)
         degenerate_rows.append(n_degenerate)
         idx += 1
-    if idx < 2:
-        raise TooFewConfigs(f"need at least 2 configurations, got {idx}")
+    _require_configs(idx)
     column = np.array(scores)
     column.flags.writeable = False
     return StabilityReport(dispersion(column), column, tuple(degenerate_rows))

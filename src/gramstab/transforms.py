@@ -18,6 +18,7 @@ from .core import (
     GraphTopology,
     _canonical_keys,
     _check_key_nodes,
+    _is_permutation,
     _node_ids,
     _split_keys,
     matrix_values,
@@ -73,7 +74,7 @@ def apply_permutation(
     """
     values = matrix_values(mat)
     mapping = _node_ids(mapping, NotABijection, "mapping entries")
-    if mapping.ndim != 1 or not np.array_equal(np.sort(mapping), np.arange(mapping.size)):
+    if mapping.ndim != 1 or not _is_permutation(mapping):
         raise NotABijection("mapping is not a bijection onto 0..n-1")
     if values.shape[0] != mapping.size or graph.node_count != mapping.size:
         raise ShapeMismatch(

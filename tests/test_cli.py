@@ -966,6 +966,23 @@ def test_synth_refuses_a_graph_too_large_to_draw(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_synth_refuses_a_base_too_large_to_allocate(tmp_path, capsys):
+    # A 1000 x 1e15 base needs 8e18 bytes: refused before --out-dir is made.
+    # It used to exit 3 with numpy's MemoryError and leave graph.edges and
+    # ids.json behind.
+    out_dir = tmp_path / "D"
+    code = run_cli(["synth", "--nodes", "1000", "--avg-degree", "2", "--dim", str(10**15),
+                    "--configs", "2", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "gramstab: error: a 1000 x 1000000000000000 base embedding needs "
+        "8000000000000000000 bytes of float64 values, more than can be allocated\n"
+    )
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("index", ["aligned-cosine", "knn-jaccard", "wasserstein"])
 def test_baseline_preprocess_centers_the_loaded_arrays_in_place(tmp_path, index):
     # The loaded arrays belong to the command, so --preprocess centers them

@@ -665,12 +665,34 @@ def test_decimal_lines_matches_percent_d(case):
     assert _decimal_lines(columns, parts) == expected
 
 
-@pytest.mark.parametrize("count", [1, 2, 9, 10, 11, 9999, 10_000, 10_001])
+@pytest.mark.parametrize("count", [1, 2, 5, 6, 9, 10, 11, 14, 9999, 10_000, 10_001])
 def test_identity_id_map_matches_f_strings(tmp_path, count):
+    # The entries after the first go out a span at a time: at spans of 8
+    # ids (4 entries), 1 and 2 nodes write none or part of one, 5 exactly
+    # one, 6 one plus one entry, and 9 and up several.
     path = tmp_path / "ids.json"
-    _save_identity_id_map(path, count)
-    assert path.read_bytes() == oracles.id_map_text_brute(count).encode()
+    for span in (8, core_mod._SPAN_ELEMENTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_mod, "_SPAN_ELEMENTS", span)
+            _save_identity_id_map(path, count)
+        assert path.read_bytes() == oracles.id_map_text_brute(count).encode()
     assert np.array_equal(load_id_map(path), np.arange(count))
+
+
+def test_identity_id_map_holds_one_span(tmp_path):
+    # 600k nodes, about 18 spans: the whole-map write peaked at about 120
+    # bytes per node (72 MB here); a span at a time holds one span's text
+    # and temporaries, whatever the node count.
+    path = tmp_path / "ids.json"
+    fileio_mod._group_tables()  # built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        _save_identity_id_map(path, 600_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * core_mod._SPAN_ELEMENTS, peak
+    assert path.read_bytes() == oracles.id_map_text_brute(600_000).encode()
 
 
 def test_id_map_must_be_bijection(tmp_path):
