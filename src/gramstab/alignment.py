@@ -61,9 +61,6 @@ def procrustes_align(source, target) -> ProcrustesAlignment:
             cross = np.einsum("ij,ik->jk", a / scales[0], b / scales[1])
     u, s, vt = np.linalg.svd(cross)
     q = u @ vt
-    if s.size == 0 or s[0] == 0.0:
-        degenerate = True
-    else:
-        # Same rank tolerance as numpy's matrix_rank default.
-        degenerate = bool(s[-1] <= s[0] * max(cross.shape) * np.finfo(np.float64).eps)
+    # numpy's matrix_rank tolerance; a zero cross matrix (every s is 0) meets it.
+    degenerate = bool(s[-1] <= s[0] * max(cross.shape) * np.finfo(np.float64).eps)
     return ProcrustesAlignment(q=q, degenerate=degenerate)

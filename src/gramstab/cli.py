@@ -21,8 +21,6 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import (
     METRICS,
@@ -32,9 +30,8 @@ from .baselines import (
     second_order_cosine_index,
     wasserstein_index,
 )
-from .core import _start, center_normalize_inplace, validate_ensemble
-from .errors import (GramstabError, InstanceTooLarge, InternalInvariant, ShapeMismatch,
-                     TooFewConfigs)
+from .core import _allocate, _start, center_normalize_inplace, validate_ensemble
+from .errors import GramstabError, InternalInvariant, ShapeMismatch, TooFewConfigs
 from .fileio import (
     EdgeListResult,
     Manifest,
@@ -215,12 +212,9 @@ def _cmd_synth(args) -> int:
     # Drawn first, so that its refusals (a node count past core._KEY_NODES,
     # a candidate-key buffer too large) come before the base's.
     graph = random_graph(args.nodes, args.avg_degree, args.seed)
-    try:
-        np.empty((args.nodes, args.dim))  # the base's size, never touched: no page is written
-    except (ValueError, MemoryError):  # past numpy's size limit, or the host's memory
-        raise InstanceTooLarge(f"a {args.nodes} x {args.dim} base embedding needs "
-                               f"{8 * args.nodes * args.dim} bytes of float64 values, "
-                               f"more than can be allocated") from None
+    # The base's size, never touched: no page is written.
+    _allocate((args.nodes, args.dim), float, f"a {args.nodes} x {args.dim} base embedding needs",
+              "values")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph_path = out_dir / "graph.edges"

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonFiniteScore, ShapeMismatch, TooFewConfigs
+from .errors import InstanceTooLarge, NonFiniteInput, NonFiniteScore, ShapeMismatch, TooFewConfigs
 
 # A row whose centered norm is below this times its configuration's magnitude
 # (the larger of its largest centered row norm and largest |column mean|) is
@@ -108,6 +108,33 @@ def _pair_keys(node_count: int, pairs: np.ndarray, out: np.ndarray) -> int:
     loops = a == b
     out[loops] = -1  # sorts ahead of every edge key, which is at least 1
     return int(np.count_nonzero(loops))
+
+
+def _allocate(shape, dtype, what: str, kind: str, *, path=None) -> np.ndarray:
+    """``np.empty(shape, dtype)`` for a size an input sets. Past numpy's size limit
+    (a ValueError) or the host's memory it raises InstanceTooLarge("{what} N
+    bytes of {dtype} {kind}, more than ..."), naming ``path`` when given."""
+    try:
+        return np.empty(shape, dtype=dtype)
+    except (ValueError, MemoryError):
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
+        raise InstanceTooLarge(f"{what} {nbytes} bytes of {dtype.name} {kind}, "
+                               f"more than can be allocated", path=path) from None
+
+
+def _check_integer(value, name: str) -> None:
+    """Raise ShapeMismatch unless ``value`` is an int or a numpy integer, not a
+    bool: as a count, 2.5 would make 2 nodes and True 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(value, name: str) -> None:
+    """Raise ShapeMismatch unless ``value``, a node count or a dimension, is an integer >= 1."""
+    _check_integer(value, name)
+    if value < 1:
+        raise ShapeMismatch(f"{name} must be >= 1, got {value}")
 
 
 def _check_key_nodes(node_count: int) -> None:
@@ -203,6 +230,12 @@ def _edge_endpoints(pairs, node_count: int) -> np.ndarray:
     return arr
 
 
+def _check_shape(shape: tuple, where: str = "", **labels) -> None:
+    """Raise ShapeMismatch, prefixed by ``where``, unless ``shape`` is at least 1x1."""
+    if shape[0] < 1 or shape[1] < 1:
+        raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {shape}", **labels)
+
+
 def _check_matrix(arr: np.ndarray, *, finite: bool = False, config_index: int | None = None,
                   path=None) -> None:
     """Check that ``arr`` is 2-D, at least 1x1 and, if ``finite``, free of NaN
@@ -211,9 +244,7 @@ def _check_matrix(arr: np.ndarray, *, finite: bool = False, config_index: int | 
     if arr.ndim != 2:
         raise ShapeMismatch(f"{where}expected a 2-D matrix, got ndim={arr.ndim}",
                             config_index=config_index, path=path)
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"{where}matrix must be at least 1x1, got shape {arr.shape}",
-                            config_index=config_index, path=path)
+    _check_shape(arr.shape, where, config_index=config_index, path=path)
     if finite and not np.isfinite(arr).all():
         raise NonFiniteInput(f"{where}matrix contains NaN or infinite values",
                              config_index=config_index, path=path)
@@ -250,16 +281,16 @@ class GraphTopology:
 
     ``edges`` has shape (E, 2) with each row (i, j) satisfying i < j,
     rows unique and sorted lexicographically. The implied adjacency is
-    symmetric with a zero diagonal. Use :meth:`from_pairs` to build one
-    from raw, possibly dirty pair data.
+    symmetric with a zero diagonal. ``node_count`` is an int or a numpy
+    integer >= 1; a bool or a float raises ShapeMismatch. Use
+    :meth:`from_pairs` to build one from raw, possibly dirty pair data.
     """
 
     node_count: int
     edges: np.ndarray
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ShapeMismatch(f"node_count must be >= 1, got {self.node_count}")
+        _check_count(self.node_count, "node_count")
         edges = _edge_endpoints(self.edges, self.node_count)
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
@@ -285,6 +316,7 @@ class GraphTopology:
         duplicates_dropped)``. ``node_count`` is at most ``_KEY_NODES``
         (about 3.04e9); build larger topologies from canonical edges.
         """
+        _check_count(node_count, "node_count")
         _check_key_nodes(node_count)
         arr = _edge_endpoints(pairs, node_count)
         # The keys, then in place the edges: with the caller's pairs, two

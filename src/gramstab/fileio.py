@@ -26,13 +26,13 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .core import GraphTopology, _is_permutation, _run_starts, matrix_values
+from .core import (GraphTopology, _allocate, _check_shape, _is_permutation, _run_starts,
+                   matrix_values)
 from .errors import (
     EmptyGraph,
     ManifestError,
     NotABijection,
     ParseError,
-    ShapeMismatch,
     TrailingBytes,
     TruncatedFile,
 )
@@ -482,9 +482,7 @@ def _read_gge1(path: Path, handle) -> np.ndarray:
     if actual >= expected:  # else the header itself is cut short
         rows, cols = _HEADER.unpack(handle.read(_HEADER.size))
         # A zero side passes the size check however large the other side is.
-        if rows < 1 or cols < 1:
-            raise ShapeMismatch(f"matrix must be at least 1x1, got shape {(rows, cols)}",
-                                path=path)
+        _check_shape((rows, cols), path=path)
         expected += rows * cols * 8
     if actual < expected:
         raise TruncatedFile(f"truncated file, expected {expected} bytes but found {actual}",
@@ -492,7 +490,13 @@ def _read_gge1(path: Path, handle) -> np.ndarray:
     if actual > expected:
         raise TrailingBytes(f"{actual - expected} trailing bytes, expected {expected} bytes "
                             f"but found {actual}", path=path)
-    return np.fromfile(handle, dtype="<f8", count=rows * cols).reshape(rows, cols)
+    values = _allocate(rows * cols, "<f8", f"a {rows} x {cols} embedding needs", "values",
+                       path=path)
+    found = expected - values.nbytes + handle.readinto(values)
+    if found < expected:  # the file shrank after the size check
+        raise TruncatedFile(f"truncated file, expected {expected} bytes but found {found}",
+                            path=path)
+    return values.reshape(rows, cols)
 
 
 def _read_csv(path: Path, lines: Iterator[str]) -> np.ndarray:

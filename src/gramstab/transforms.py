@@ -16,14 +16,17 @@ import numpy as np
 
 from .core import (
     GraphTopology,
+    _allocate,
     _canonical_keys,
+    _check_count,
+    _check_integer,
     _check_key_nodes,
     _is_permutation,
     _node_ids,
     _split_keys,
     matrix_values,
 )
-from .errors import InstanceTooLarge, NotABijection, ShapeMismatch
+from .errors import NotABijection, ShapeMismatch
 
 GENERATOR_NAME = "numpy-default_rng-pcg64"
 
@@ -50,10 +53,11 @@ def random_orthogonal(dim: int, seed: SeedLike) -> np.ndarray:
     """Random (dim, dim) orthogonal matrix, deterministic per seed.
 
     Built by QR-orthogonalizing a seeded Gaussian matrix with the usual
-    sign fix on R's diagonal (uniform over the orthogonal group).
+    sign fix on R's diagonal (uniform over the orthogonal group). ``dim``
+    is an int or a numpy integer >= 1; a bool or a float raises
+    ShapeMismatch.
     """
-    if dim < 1:
-        raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
+    _check_count(dim, "dimension")
     rng = np.random.default_rng(seed)
     gaussian = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gaussian)
@@ -119,11 +123,12 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     so its peak is that one int64 key per candidate plus a span's pairs
     and temporaries: about 2.35 times the bytes of the edges it returns
     at 2 * 10^4 nodes and 2 * 10^5 edges. Refused before anything is
-    drawn: a node count below 2 or past ``core._KEY_NODES`` (about
-    3.04e9), and a degree that is not finite and > 0; a finite degree
-    past the complete graph draws it. A key buffer too large to allocate
-    raises InstanceTooLarge.
+    drawn: a node count that is not an integer, below 2 or past
+    ``core._KEY_NODES`` (about 3.04e9), and a degree that is not finite
+    and > 0; a finite degree past the complete graph draws it. A key
+    buffer too large to allocate raises InstanceTooLarge.
     """
+    _check_integer(node_count, "node_count")
     if node_count < 2:
         raise ShapeMismatch(f"need at least 2 nodes to draw edges, got {node_count}")
     _check_key_nodes(node_count)
@@ -142,12 +147,7 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     keys = np.empty(0, dtype=np.int64)
     draw = max(4 * target, 1024)
     while keys.size < target:
-        try:
-            merged = np.empty(keys.size + draw, dtype=np.int64)
-        except (ValueError, MemoryError):  # past numpy's size limit, or the host's memory
-            nbytes = 8 * (keys.size + draw)
-            raise InstanceTooLarge(f"{target} edges need {nbytes} bytes of int64 candidate "
-                                   f"keys, more than can be allocated") from None
+        merged = _allocate(keys.size + draw, np.int64, f"{target} edges need", "candidate keys")
         merged[:keys.size] = keys
         count, _ = _canonical_keys(node_count, draw, candidates, merged)
         keys = merged
@@ -177,14 +177,13 @@ def synthetic_ensemble(
     iterator that draws each when it is asked for, so a caller that lets
     each go before asking for the next holds the base and one
     configuration. Wrap it in ``list()`` to keep them all. The arguments
-    are checked first: ``node_count < 1`` or ``dim < 1`` raises
-    ShapeMismatch, and a negative or non-finite ``noise`` the ValueError
-    of :func:`perturb_gaussian`.
+    are checked first: a ``node_count`` or ``dim`` that is not an int or
+    a numpy integer >= 1 (a bool or a float, say) raises ShapeMismatch,
+    and a negative or non-finite ``noise`` the ValueError of
+    :func:`perturb_gaussian`.
     """
-    if node_count < 1:
-        raise ShapeMismatch(f"node_count must be >= 1, got {node_count}")
-    if dim < 1:
-        raise ShapeMismatch(f"dimension must be >= 1, got {dim}")
+    _check_count(node_count, "node_count")
+    _check_count(dim, "dimension")
     _check_noise(noise)
     base = _stream(seed, _TAG_BASE).standard_normal((node_count, dim))
     # A generator expression holds no name for the configuration it yielded,

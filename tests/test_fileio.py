@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -114,6 +115,19 @@ def test_truncated_header_and_payload(tmp_path, values):
     with pytest.raises(TrailingBytes) as err:
         load_embeddings(padded)
     assert f"expected {len(whole)} bytes but found {len(whole) + 8}" in str(err.value)
+
+
+def test_gge1_that_shrinks_after_its_size_check(tmp_path, monkeypatch, values):
+    # The payload is read into a fresh array: a file cut short after the
+    # size check must not leave part of that array unread.
+    path = tmp_path / "m.gge1"
+    save_embeddings(path, values, fmt="gge1")
+    whole = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    fake = os.stat_result((0,) * 6 + (whole, 0, 0, 0))  # st_size is field 6
+    monkeypatch.setattr(fileio_mod.os, "fstat", lambda fd: fake)
+    with pytest.raises(TruncatedFile, match=f"expected {whole} bytes but found {whole - 8}$"):
+        load_embeddings(path)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):

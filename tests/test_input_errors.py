@@ -7,6 +7,7 @@ files replaced, so that the paths in the messages are relative.
 
 import struct
 
+import numpy as np
 import pytest
 
 from gramstab.cli import run_cli
@@ -159,3 +160,33 @@ def test_input_error_exit_code_and_stderr(tmp_path, monkeypatch, capsys, files, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ggi", "--manifest", "m.json"],
+    _VALIDATE,
+    ["baseline", "--manifest", "m.json", "--index", "hausdorff"],
+], ids=["ggi", "validate", "baseline"])
+def test_gge1_payload_the_host_cannot_allocate(tmp_path, monkeypatch, capsys, argv):
+    # A header that promises more values than the host can hold, 1000 x 1e9
+    # say, exited 3 with numpy's MemoryError. The MemoryError is faked here
+    # for a small file, not provoked.
+    monkeypatch.chdir(tmp_path)
+    rows, cols = 4, 1009  # 4036 values: no other array of these runs has that size
+    for name, content in {**_FILES, "m.json": _GGE1}.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    (tmp_path / "a.gge1").write_bytes(b"GGE1" + struct.pack("<QQ", rows, cols)
+                                      + bytes(8 * rows * cols))
+    empty = np.empty
+
+    def refusing_empty(shape, *args, **kwargs):
+        if shape == rows * cols:
+            raise MemoryError((shape,), np.dtype(np.float64))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing_empty)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("gramstab: error: a.gge1: a 4 x 1009 embedding needs 32288 bytes of "
+                            "float64 values, more than can be allocated\n")

@@ -69,20 +69,48 @@ def test_permutation_refuses_non_integer_mapping(mapping):
         apply_permutation(np.zeros((3, 2)), random_graph(3, 2.0, 0), mapping)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: GraphTopology(0, []),
-    lambda: GraphTopology(3, [[0, 3]]),
-    lambda: random_orthogonal(0, 1),
-    lambda: random_graph(1, 2.0, 0),
-    lambda: apply_permutation(np.zeros((2, 2)), random_graph(3, 2.0, 0), [2, 0, 1]),
+# Not counts: casting would make 2 nodes of 2.5 and 1 of True, and numpy
+# failed on 3.0 with its own TypeError.
+_NOT_COUNTS = [2.5, 3.0, True]
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: GraphTopology(0, []), None, id="no-nodes"),
+    pytest.param(lambda: GraphTopology(3, [[0, 3]]), None, id="endpoint-out-of-range"),
+    pytest.param(lambda: random_orthogonal(0, 1), None, id="orthogonal-dim-0"),
+    pytest.param(lambda: random_graph(1, 2.0, 0), None, id="graph-one-node"),
+    pytest.param(lambda: apply_permutation(np.zeros((2, 2)), GraphTopology(3, [[0, 1]]),
+                                           [2, 0, 1]), None, id="permutation-rows"),
     # Past _KEY_NODES, refused before the candidates' buffer is allocated.
-    lambda: random_graph(4_000_000_000, 1e-6, 0),
-    lambda: random_graph(4_000_000_000, 1e9, 0),
-], ids=["no-nodes", "endpoint-out-of-range", "orthogonal-dim-0", "graph-one-node",
-        "permutation-rows", "graph-past-key-limit", "graph-past-key-limit-dense"])
-def test_sizes_out_of_range_raise_shape_mismatch(build):
-    with pytest.raises(ShapeMismatch):
+    pytest.param(lambda: random_graph(4_000_000_000, 1e-6, 0), None, id="graph-past-key-limit"),
+    pytest.param(lambda: random_graph(4_000_000_000, 1e9, 0), None,
+                 id="graph-past-key-limit-dense"),
+    *(pytest.param(build, f"^{what} must be an integer, got {count!r}$", id=f"{name}-{count}")
+      for count in _NOT_COUNTS for name, what, build in [
+          ("topology-nodes", "node_count", lambda c=count: GraphTopology(c, [])),
+          ("from-pairs-nodes", "node_count", lambda c=count: GraphTopology.from_pairs(c, [])),
+          ("graph-nodes", "node_count", lambda c=count: random_graph(c, 2.0, 0)),
+          ("synthetic-nodes", "node_count", lambda c=count: synthetic_ensemble(c, 2, 2)),
+          ("synthetic-dim", "dimension", lambda c=count: synthetic_ensemble(10, c, 2)),
+          ("orthogonal-dim", "dimension", lambda c=count: random_orthogonal(c, 0)),
+      ]),
+])
+def test_sizes_out_of_range_raise_shape_mismatch(monkeypatch, build, message):
+    # Each is refused before anything is allocated or drawn.
+    monkeypatch.setattr(transforms_mod, "_stream", _no_stream)
+    monkeypatch.setattr(transforms_mod.np, "empty", _no_stream)
+    with pytest.raises(ShapeMismatch, match=message):
         build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    # The integer rule refuses floats and bools, not numpy's integers.
+    nodes, dim = np.int64(6), np.int32(3)
+    assert GraphTopology(nodes, [[0, 1]]).node_count == 6
+    assert GraphTopology.from_pairs(nodes, [[1, 0]])[0].edges.tolist() == [[0, 1]]
+    assert random_graph(nodes, 2.0, 0).node_count == 6
+    assert next(synthetic_ensemble(nodes, dim, 2)).shape == (6, 3)
+    assert random_orthogonal(dim, 0).shape == (3, 3)
 
 
 def test_permutation_inverse_round_trips():
@@ -241,8 +269,9 @@ def test_synthetic_checks_its_arguments_when_called(monkeypatch, dim, noise, err
         synthetic_ensemble(10, dim, 2, noise=noise)
 
 
-def _no_stream(*args):
-    raise AssertionError("a stream was opened before the arguments were checked")
+def _no_stream(*args, **kwargs):
+    raise AssertionError("a stream was opened or an array allocated before the arguments "
+                         "were checked")
 
 
 @pytest.mark.parametrize("node_count", [0, -1])
