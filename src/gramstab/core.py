@@ -154,9 +154,9 @@ def _canonical_keys(node_count: int, rows: int, pairs, keys: np.ndarray) -> tupl
     and the number of self-loop rows. Needs node_count <= ``_KEY_NODES``
     (see :func:`_check_key_nodes`).
 
-    ``pairs(lo, hi)`` returns rows lo to hi as an (hi - lo, 2) int64
-    array; it is called in order, a span of ``_SPAN_ELEMENTS`` rows at a
-    time, so a caller may slice its pairs or draw each span. The keys are
+    ``pairs(lo, hi)`` returns rows lo to hi as an (hi - lo, 2) int32 or
+    int64 array; it is called in order, a span of ``_SPAN_ELEMENTS`` rows
+    at a time, so a caller may slice its pairs or draw each span. The keys are
     written into the last ``rows`` slots of ``keys``; slots before them
     may hold sorted distinct keys of an earlier call, which are merged
     in. ``keys`` is sorted in place, and then a first-difference mask per
@@ -183,23 +183,34 @@ def _canonical_keys(node_count: int, rows: int, pairs, keys: np.ndarray) -> tupl
     return count, n_self
 
 
-def _split_keys(keys: np.ndarray, count: int, node_count: int) -> np.ndarray:
-    """Resize ``keys`` to the (count, 2) edge array (key // node_count,
-    key % node_count) of its first ``count`` keys, as
-    :func:`_canonical_keys` leaves them, and return it.
+def _split_keys(buffer: np.ndarray, count: int, node_count: int) -> np.ndarray:
+    """Resize ``buffer`` to the (count, 2) edge array (key // node_count,
+    key % node_count) of the first ``count`` int64 keys in its bytes, as
+    :func:`_canonical_keys` leaves them, and return it, in the dtype of
+    :func:`_index_dtype`.
 
-    ``keys`` is an int64 array that owns its data and has at least
-    ``2 * count`` slots. It is split in place, last span of
+    ``buffer`` is an array that owns its data. It is resized to the
+    edges' bytes first, and then split in place, last span of
     ``_SPAN_ELEMENTS`` keys first, so that a span's edges overwrite only
     keys already split and the span's own, which are copied out first
     (left to numpy, the overlap would copy both edge columns instead).
+    int32 edges take the keys' own bytes, so they need ``count`` key
+    slots; int64 edges need ``2 * count``.
     """
+    dtype = _index_dtype(node_count)
+    buffer.resize(2 * count * dtype.itemsize // buffer.itemsize, refcheck=False)
+    keys, flat = buffer.view(np.int64), buffer.view(dtype)
     for hi in range(count, 0, -_SPAN_ELEMENTS):
         lo = max(hi - _SPAN_ELEMENTS, 0)
-        edges = keys[2 * lo:2 * hi].reshape(-1, 2)
+        edges = flat[2 * lo:2 * hi].reshape(-1, 2)
         np.divmod(keys[lo:hi].copy(), node_count, out=(edges[:, 0], edges[:, 1]))
-    keys.resize((count, 2), refcheck=False)  # in place: the loop's views are not used again
-    return keys
+    return flat.reshape(count, 2)
+
+
+def _index_dtype(node_count: int) -> np.dtype:
+    """The dtype of a graph's edges: int32 when every row index below
+    ``node_count`` fits in it, int64 past 2**31 nodes."""
+    return np.dtype(np.int32 if node_count <= 2**31 else np.int64)
 
 
 def _node_ids(ids, error: type, what: str) -> np.ndarray:
@@ -281,9 +292,14 @@ class GraphTopology:
 
     ``edges`` has shape (E, 2) with each row (i, j) satisfying i < j,
     rows unique and sorted lexicographically. The implied adjacency is
-    symmetric with a zero diagonal. ``node_count`` is an int or a numpy
-    integer >= 1; a bool or a float raises ShapeMismatch. Use
-    :meth:`from_pairs` to build one from raw, possibly dirty pair data.
+    symmetric with a zero diagonal. Its dtype is int32 when every row
+    index fits, that is up to 2**31 nodes, and int64 past that, however
+    the edges were given: 8 bytes per edge below 2**31 nodes. Cast it to
+    int64 before arithmetic that can pass 2**31 - 1, such as keys i * n + j:
+    numpy keeps int32 times a Python int in int32, and it wraps silently.
+    ``node_count`` is an int or a numpy integer >= 1; a bool or a float
+    raises ShapeMismatch. Use :meth:`from_pairs` to build one from raw,
+    possibly dirty pair data.
     """
 
     node_count: int
@@ -292,41 +308,56 @@ class GraphTopology:
     def __post_init__(self):
         _check_count(self.node_count, "node_count")
         edges = _edge_endpoints(self.edges, self.node_count)
-        object.__setattr__(self, "edges", edges)
-        if edges.size == 0:
-            return
-        if (edges[:, 0] >= edges[:, 1]).any():
+        if edges.size and (edges[:, 0] >= edges[:, 1]).any():
             raise ShapeMismatch(
                 "edges must be canonical unordered pairs (i < j, no self-loops)"
             )
         a, b = edges[:-1], edges[1:]  # row by row: no keys to overflow
         if ((b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] <= a[:, 1]))).any():
             raise ShapeMismatch("edges must be unique and sorted lexicographically")
+        object.__setattr__(self, "edges", edges.astype(_index_dtype(self.node_count), copy=False))
+
+    @classmethod
+    def _canonical(cls, node_count: int, edges: np.ndarray) -> "GraphTopology":
+        """A topology of ``edges`` that are already canonical, in range and
+        of :func:`_index_dtype`, as :func:`_split_keys` returns them: the
+        constructor's checks would only re-read what the keys guarantee."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "node_count", node_count)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
     @property
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
     @classmethod
-    def from_pairs(cls, node_count: int, pairs) -> tuple["GraphTopology", int, int]:
+    def from_pairs(cls, node_count: int, pairs, *,
+                   copy: bool = True) -> tuple["GraphTopology", int, int]:
         """Canonicalize raw pairs into a topology.
 
         Self-loops are dropped and duplicate / reversed pairs collapse to
         one unordered edge. Returns ``(topology, self_loops_dropped,
         duplicates_dropped)``. ``node_count`` is at most ``_KEY_NODES``
         (about 3.04e9); build larger topologies from canonical edges.
+
+        The keys and then the edges are written into one buffer: a copy
+        of the pairs in the edges' dtype, 8 bytes per pair below 2**31
+        nodes. With ``copy=False`` an int64 array of pairs that owns its
+        data is that buffer itself, and its contents are lost; any other
+        input is copied.
         """
         _check_count(node_count, "node_count")
         _check_key_nodes(node_count)
         arr = _edge_endpoints(pairs, node_count)
-        # The keys, then in place the edges: with the caller's pairs, two
-        # arrays of their size.
-        keys = np.empty(arr.size, dtype=np.int64)
-        count, n_self = _canonical_keys(
-            node_count, arr.shape[0], lambda lo, hi: arr[lo:hi], keys[:arr.shape[0]]
-        )
-        n_dup = arr.shape[0] - n_self - count
-        return cls(node_count, _split_keys(keys, count, node_count)), n_self, n_dup
+        if copy or not (arr.flags.owndata and arr.flags.c_contiguous and arr.flags.writeable):
+            arr = arr.astype(_index_dtype(node_count))
+        rows = arr.shape[0]
+        keys = arr.reshape(-1).view(np.int64)[:rows]  # the first ``rows`` int64s of its bytes
+        # Each span's pairs are copied out before its keys overwrite them.
+        count, n_self = _canonical_keys(node_count, rows, lambda lo, hi: arr[lo:hi].copy(), keys)
+        edges = _split_keys(arr, count, node_count)
+        return cls._canonical(node_count, edges), n_self, rows - n_self - count
 
 
 def magnitude_scale(values: np.ndarray) -> float:

@@ -151,12 +151,16 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     does not (``1_000``, non-ASCII digits), so the result never depends
     on which path ran.
 
-    Memory, without ``ids``: past the parse, the (E, 2) int64 pairs plus
-    one int64 array of their size, the ranking keys and then the edges
-    of :meth:`GraphTopology.from_pairs`, plus the distinct ids, a bool
-    per pair and temporaries of ``core._SPAN_ELEMENTS`` ids. The pairs are
-    ranked in place. Traced, the peak is 2.2-2.4 times the pairs' bytes
-    at 200k-400k lines.
+    Memory: ingest runs inside the parsed (E, 2) int64 pairs. Their ids
+    are ranked there, or looked up there with ``ids``, and then
+    :meth:`GraphTopology.from_pairs` sorts their keys there and splits
+    them into the graph's int32 edges, which keep half the pairs' bytes.
+    Beside them are the distinct ids, temporaries of
+    ``core._SPAN_ELEMENTS`` ids and, while packed ids are ranked, int32
+    ranks of half the pairs' size (ids spread over 63 bits are ranked
+    through an int64 ``argsort`` order of their size). Traced, the peak
+    without ``ids`` is 1.59-1.64 times the pairs' bytes at 200k-400k
+    lines of 40-bit ids.
     """
     path = Path(path)
     if ids is not None:
@@ -172,7 +176,7 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
         raise EmptyGraph("no edges found", path=path)
     if ids is None:
         ids = _rank_ids(pairs)
-    graph, n_self, n_dup = GraphTopology.from_pairs(ids.size, pairs)
+    graph, n_self, n_dup = GraphTopology.from_pairs(ids.size, pairs, copy=False)
     if graph.edge_count == 0:
         raise EmptyGraph("no edges left after dropping self-loops", path=path)
     return EdgeListResult(graph, ids, self_loops_dropped=n_self, duplicates_dropped=n_dup)
@@ -205,31 +209,37 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     leaves room for a position beside it in an int64 (``max - min <
     2**(63 - bits)``, with ``bits`` the width of the largest position),
     each id is packed with its position as ``(id - min) << bits |
-    position`` and the keys are sorted by value: the high bits come out
-    as the sorted ids and the low bits as their order. That sort is 3-4
-    times faster than ``argsort``: 12 against 41-45 ms for 800k ids,
-    where the room is 2**43, enough for 40-bit crawl ids. A wider span,
-    such as ids hashed to 63 bits, is ranked by ``argsort``. Ranks need
-    no stable sort, and numpy's default kind sorts int64 several times
-    faster than ``kind="stable"``.
+    position``, in ``pairs`` itself, and sorted there by value: the high
+    bits come out as the sorted ids and the low bits as their order.
+    That sort is 3-4 times faster than ``argsort``: 12 against 41-45 ms
+    for 800k ids, where the room is 2**43, enough for 40-bit crawl ids.
+    A wider span, such as ids hashed to 63 bits, is ranked by
+    ``argsort``. Ranks need no stable sort, and numpy's default kind
+    sorts int64 several times faster than ``kind="stable"``.
 
-    Memory: ``pairs`` plus one int64 array of its size, the sorted keys
-    or the ``argsort`` order, and two chunks of scratch. The positions
-    are packed, the runs of equal ids found, the ranks counted and put,
-    ``core._SPAN_ELEMENTS`` ids at a time, and the distinct ids are moved to
-    the front of that array, which is then shrunk to them.
+    Memory: ``pairs`` plus, when packed, the ranks in the dtype of
+    :func:`core._index_dtype` (int32, half the pairs' bytes), which are
+    copied back into ``pairs`` at the end; or, through ``argsort``, its
+    int64 order, the pairs' size, while the ranks go straight into
+    ``pairs``. Beside those, one chunk of scratch and the distinct ids.
+    The positions are packed, the runs of equal ids found, the ranks
+    counted and put, ``core._SPAN_ELEMENTS`` ids at a time, and the
+    distinct ids are moved to the front of the sorted array.
     """
-    flat = pairs.ravel()
+    flat = pairs.ravel()  # a view: ``pairs`` is C-contiguous
     low = int(flat.min())
     bits = (flat.size - 1).bit_length()
     packed = int(flat.max()) - low < 1 << (63 - bits)
     step = min(core._SPAN_ELEMENTS, flat.size)
-    # Two chunks of scratch that every chunk reuses, the first holding the
-    # positions of one chunk while they are packed: temporaries allocated
-    # anew for each chunk would each be given fresh pages.
-    scratch = np.arange(step)
+    ranks = np.empty(flat.size, dtype=core._index_dtype(flat.size)) if packed else flat
+    # One chunk of scratch that every chunk reuses (temporaries allocated
+    # anew for each chunk would each be given fresh pages): the positions of
+    # one chunk while they are packed, then its order or, through argsort,
+    # its ids. Past the last chunk int32 positions may wrap; they are not read.
+    scratch = np.arange(step, dtype=ranks.dtype)
     if packed:
-        keys = flat - low
+        keys = flat
+        keys -= low
         keys <<= bits
         for lo in range(0, keys.size, step):
             span = keys[lo:lo + step]
@@ -238,11 +248,9 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
         keys.sort()
     else:
         keys = np.argsort(flat)
-    rank_scratch = np.empty_like(scratch)
     count, last = 0, -1  # distinct ids so far, and the one before the chunk
     for lo in range(0, keys.size, step):
         span = keys[lo:lo + step]
-        ranks = rank_scratch[:span.size]
         if packed:
             order = np.bitwise_and(span, (1 << bits) - 1, out=scratch[:span.size])
             ids = span
@@ -252,25 +260,33 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
             order, ids = span, np.take(flat, span, out=scratch[:span.size], mode="clip")
         first = _run_starts(ids, last)
         last = ids[-1]
-        np.copyto(ranks, first)
-        np.cumsum(ranks, out=ranks)
-        ranks += count - 1
-        np.put(pairs, order, ranks)  # the ids there have been read
-        kept = int(np.count_nonzero(first))
-        keys[count:count + kept] = ids[first]
-        count += kept
-    keys.resize(count, refcheck=False)  # in place: the loop's views of it are not used again
+        distinct = ids[first]
+        # The ids are read: their bytes take the ranks, in the ranks' dtype.
+        # Assigning through ``order`` casts int32 positions a buffer at a
+        # time, where np.put would copy them all to int64 first.
+        put = ids.view(ranks.dtype)[:ids.size]
+        np.copyto(put, first)
+        np.cumsum(put, out=put)  # a cumsum of ``first`` itself would copy it
+        put += count - 1
+        ranks[order] = put  # through argsort, the ids there have been read
+        keys[count:count + distinct.size] = distinct
+        count += distinct.size
     if packed:
-        keys += low
+        sorted_ids = keys[:count] + low
+        flat[...] = ranks
+        return sorted_ids
+    keys.resize(count, refcheck=False)  # in place: the loop's views of it are not used again
     return keys
 
 
 def _lookup_ids(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
-    """Map each id to its row, the i with ``ids[i]`` equal to it, given
-    distinct ``ids``; None if an id is missing.
+    """Map each id in ``pairs``, in place, to its row, the i with
+    ``ids[i]`` equal to it, given distinct ``ids``; return ``pairs``, or
+    None if an id is missing (``pairs`` then holds rows and ids).
 
     Non-negative ids below ``_DENSE_ID_SPREAD`` times their count index a
     table of rows directly; other ids are looked up by binary search.
+    Either way ``core._SPAN_ELEMENTS`` ids at a time.
     """
     if ids.dtype != np.int64:
         # Ids beyond int64 (numpy would compare them with int64 ids as
@@ -280,19 +296,27 @@ def _lookup_ids(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     # edge list without edges.
     top = int(ids.max(initial=-1))
     if ids.min(initial=0) >= 0 and top < _DENSE_ID_SPREAD * ids.size:
-        table = np.full(top + 1, -1, dtype=np.int64)
-        table[ids] = np.arange(ids.size)
         if pairs.min(initial=0) < 0 or pairs.max(initial=0) > top:
             return None
-        mapped = table[pairs]
-        return None if (mapped < 0).any() else mapped
-    order = np.argsort(ids)
-    keys = ids[order]
-    pos = np.searchsorted(keys, pairs)
-    found = pos < keys.size
-    if not found.all() or (keys[pos] != pairs).any():
-        return None
-    return order[pos]
+        table = np.full(top + 1, -1, dtype=np.int64)
+        table[ids] = np.arange(ids.size)
+        rows = table.take
+    else:
+        order = np.argsort(ids)
+        keys = ids[order]
+
+        def rows(span: np.ndarray) -> np.ndarray:
+            pos = np.searchsorted(keys, span)
+            np.minimum(pos, keys.size - 1, out=pos)  # an id past the last key is missing
+            return np.where(keys[pos] == span, order[pos], -1)
+
+    flat = pairs.ravel()  # a view: ``pairs`` is C-contiguous
+    for lo in range(0, flat.size, core._SPAN_ELEMENTS):
+        span = flat[lo:lo + core._SPAN_ELEMENTS]
+        span[...] = rows(span)
+        if span.min() < 0:
+            return None
+    return pairs
 
 
 def _scan_edge_lines(path: Path, ids: np.ndarray | None) -> np.ndarray:
@@ -380,17 +404,21 @@ def _save_decimal_lines(path, head: bytes, rows: range, columns, parts, tail=b""
     ids at a time, each given by ``columns(lo, hi)``, so the text of a
     whole file is never held at once."""
     step = max(1, core._SPAN_ELEMENTS // (len(parts) - 1))
+    scratch = np.empty(0, dtype=np.uint32)
     with Path(path).open("wb") as handle:
         handle.write(head)
         for lo in range(rows.start, rows.stop, step):
-            handle.write(_decimal_lines(columns(lo, min(lo + step, rows.stop)), parts))
+            handle.write(_decimal_lines(columns(lo, min(lo + step, rows.stop)), parts, scratch))
         handle.write(tail)
 
 
-def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...]) -> bytes:
-    """The non-negative (R, C) int64 ``columns`` as decimal text, row after
-    row: ``parts[0]``, column 0, ``parts[1]``, ..., column C-1,
-    ``parts[C]``. ``b""`` when R is 0.
+def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...],
+                   scratch: np.ndarray | None = None) -> bytes:
+    """The non-negative (R, C) integer ``columns`` as decimal text, row
+    after row: ``parts[0]``, column 0, ``parts[1]``, ..., column C-1,
+    ``parts[C]``. ``b""`` when R is 0. The text and its mask are laid out
+    in ``scratch``, a uint32 array that owns its data, grown in place when
+    it is too small, so that the calls of one file reuse its pages.
 
     Array code only. Each row is laid out in 4-byte words: each part in
     as few words as hold it, then each column in as many 4-digit groups
@@ -405,8 +433,13 @@ def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...]) -> bytes:
     count, cols = columns.shape
     groups = [-(-len(str(int(columns[:, c].max(initial=0)))) // 4) for c in range(cols)]
     width = sum(-(-len(part) // 4) for part in parts) + sum(groups)
-    text = np.empty((count, width), dtype=np.uint32)
-    keep = np.empty_like(text)
+    words = count * width
+    if scratch is None:
+        scratch = np.empty(2 * words, dtype=np.uint32)
+    elif scratch.size < 2 * words:
+        scratch.resize(2 * words, refcheck=False)  # no view of it outlives a call
+    text = scratch[:words].reshape(count, width)
+    keep = scratch[words:2 * words].reshape(count, width)
     word = 0
     for c, part in enumerate(parts):
         pad = bytes(-len(part) % 4)
@@ -417,7 +450,7 @@ def _decimal_lines(columns: np.ndarray, parts: tuple[bytes, ...]) -> bytes:
             word += 1
         if c == cols:
             break
-        rest = columns[:, c].copy()
+        rest = columns[:, c].astype(np.int64)  # int64 whatever the columns hold: no product wraps
         above = np.empty_like(rest)
         for g in range(groups[c] - 1, -1, -1):  # the lowest group first
             np.floor_divide(rest, 10_000, out=above)

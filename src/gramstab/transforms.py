@@ -23,6 +23,7 @@ from .core import (
     _check_key_nodes,
     _is_permutation,
     _node_ids,
+    _require_configs,
     _split_keys,
     matrix_values,
 )
@@ -121,8 +122,9 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
     to draw, sort and shuffle some 4 million candidate keys. The
     candidates are drawn a span at a time straight into the key buffer,
     so its peak is that one int64 key per candidate plus a span's pairs
-    and temporaries: about 2.35 times the bytes of the edges it returns
-    at 2 * 10^4 nodes and 2 * 10^5 edges. Refused before anything is
+    and temporaries: about 2.35 times 16 bytes per edge it returns at
+    2 * 10^4 nodes and 2 * 10^5 edges, whose int32 edges then take the
+    first keys' own bytes. Refused before anything is
     drawn: a node count that is not an integer, below 2 or past
     ``core._KEY_NODES`` (about 3.04e9), and a degree that is not finite
     and > 0; a finite degree past the complete graph draws it. A key
@@ -154,9 +156,9 @@ def random_graph(node_count: int, avg_degree: float, seed: SeedLike) -> GraphTop
         keys.resize(count, refcheck=False)  # in place: ``merged`` names the same array
         draw *= 2
     rng.shuffle(keys)  # what rng.permutation(keys) draws, without its copy
-    keys.resize(2 * target, refcheck=False)  # the first target keys, then room for their edges
-    keys[:target].sort()
-    return GraphTopology(node_count, _split_keys(keys, target, node_count))
+    keys.resize(target, refcheck=False)  # the first target keys
+    keys.sort()
+    return GraphTopology._canonical(node_count, _split_keys(keys, target, node_count))
 
 
 def synthetic_ensemble(
@@ -177,13 +179,17 @@ def synthetic_ensemble(
     iterator that draws each when it is asked for, so a caller that lets
     each go before asking for the next holds the base and one
     configuration. Wrap it in ``list()`` to keep them all. The arguments
-    are checked first: a ``node_count`` or ``dim`` that is not an int or
-    a numpy integer >= 1 (a bool or a float, say) raises ShapeMismatch,
-    and a negative or non-finite ``noise`` the ValueError of
+    are checked first: a ``node_count``, ``dim`` or ``n_configs`` that is
+    not an int or a numpy integer (a bool or a float, say), or a
+    ``node_count`` or ``dim`` below 1, raises ShapeMismatch; an
+    ``n_configs`` below 2, which no index can score, TooFewConfigs; and a
+    negative or non-finite ``noise`` the ValueError of
     :func:`perturb_gaussian`.
     """
     _check_count(node_count, "node_count")
     _check_count(dim, "dimension")
+    _check_integer(n_configs, "n_configs")
+    _require_configs(n_configs)
     _check_noise(noise)
     base = _stream(seed, _TAG_BASE).standard_normal((node_count, dim))
     # A generator expression holds no name for the configuration it yielded,

@@ -51,6 +51,8 @@ def main() -> int:
         "budget_bytes": budget_bytes,
         "matrix_bytes": matrix_bytes,
         "edge_bytes": edge_bytes,
+        "graph_bytes_per_edge": edge_bytes / graph.edge_count,
+        "peak_bytes_per_edge": peak_bytes / graph.edge_count,
         "node_count": NODE_COUNT,
         "dim": DIM,
         "n_edges": graph.edge_count,

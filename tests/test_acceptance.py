@@ -239,7 +239,9 @@ def test_criterion_08_scaled_performance():
     assert stats["peak_bytes"] < stats["budget_bytes"]
     print(f"\nPASS scaled performance: {stats['wall_seconds']:.1f} s < 60 s, "
           f"peak {stats['peak_bytes']/1e6:.1f} MB < budget "
-          f"{stats['budget_bytes']/1e6:.1f} MB (2 x matrix + edge list)")
+          f"{stats['budget_bytes']/1e6:.1f} MB (2 x matrix + edge list); "
+          f"graph {stats['graph_bytes_per_edge']:.1f} B/edge, "
+          f"pipeline peak {stats['peak_bytes_per_edge']:.1f} B/edge")
 
 
 def test_criterion_09_cli_determinism(tmp_path):

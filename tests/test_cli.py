@@ -119,7 +119,7 @@ def test_synth_output_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(argv, digest, id=f"argv{number}-{digest}")
     for number, argv, digest in [
-        (0, ["ggi"], "3b38c97c5c9e26c39a9fe777399baee77c0b95f173453ec6529c51392d0d3bb5"),
+        (0, ["ggi"], "97f367cd7436e03b7f4b4b348d823eec8f06c78837ccbb97f2b63ed58bd510a4"),
         (3, ["validate"], "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
         (4, ["baseline", "--index", "aligned-cosine"],
          "014ed4ccf9aa41fb295adc5c8fd0f012a59ee6221ac402069b7d8f5d9b24ac40"),
@@ -170,10 +170,10 @@ _RENAMED_IDS = {
 
 @pytest.mark.parametrize("ids, argv, digest", [
     ("sparse", ["validate"], "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
-    ("sparse", ["ggi"], "9518d90ce0953d6d87f81589024ab9b2098cad03b870cf219cd0501fa1e500d4"),
+    ("sparse", ["ggi"], "2e898bdec2305ba72eda0d383bb0676bfadaf9bdcb3cea4eb42f7eee7f067ed0"),
     ("past int64", ["validate"],
      "8941b8735ee3f263dbb874d156f4bc73a4dcc1589df565ae8b0afc37ca06e9ce"),
-    ("past int64", ["ggi"], "aa17aa9ba5ad81ccc09efeb0f4d48efc16ec30ea8204b4d4a88af4c0cdd4695e"),
+    ("past int64", ["ggi"], "8158f374e498b37c25eff423b7e854aa6b60f21d51be7ce2dfa7ae980f072fc7"),
 ])
 def test_report_bytes_through_an_id_map_are_pinned(tmp_path, monkeypatch, capsys, ids, argv,
                                                    digest):

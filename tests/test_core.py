@@ -17,7 +17,10 @@ from gramstab import (
     NonFiniteScore,
     ShapeMismatch,
     TooFewConfigs,
+    apply_permutation,
     center_normalize_inplace,
+    load_edge_list,
+    random_graph,
     validate_ensemble,
 )
 import gramstab.core as core_mod
@@ -108,6 +111,45 @@ def test_empty_pair_list_builds_an_edgeless_graph():
     # numpy types [] as float64, but it holds no endpoint to refuse.
     assert GraphTopology(3, []).edge_count == 0
     assert GraphTopology.from_pairs(3, [])[0].edge_count == 0
+
+
+def _edge_list_graph(tmp_path, ids=None):
+    path = tmp_path / "g.edges"
+    path.write_text("# g\n10 500\n500 9000\n9000 10\n10 10\n")
+    return load_edge_list(path, ids).graph
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda tmp: GraphTopology(5, [[0, 1], [3, 4]]), id="constructor-list"),
+    pytest.param(lambda tmp: GraphTopology(5, np.array([[0, 1], [3, 4]])), id="constructor-int64"),
+    pytest.param(lambda tmp: GraphTopology(5, np.array([[0, 1]], dtype=np.int32)),
+                 id="constructor-int32"),
+    pytest.param(lambda tmp: GraphTopology(5, []), id="constructor-empty"),
+    pytest.param(lambda tmp: GraphTopology.from_pairs(5, [[1, 0], [4, 3], [2, 2]])[0],
+                 id="from-pairs"),
+    pytest.param(lambda tmp: GraphTopology.from_pairs(5, np.array([[1, 0], [4, 3]]),
+                                                      copy=False)[0], id="from-pairs-in-place"),
+    pytest.param(lambda tmp: GraphTopology.from_pairs(2**31, [[2**31 - 1, 0]])[0],
+                 id="from-pairs-2^31-nodes"),
+    pytest.param(lambda tmp: random_graph(50, 4.0, 1), id="random-graph"),
+    pytest.param(lambda tmp: apply_permutation(np.zeros((5, 2)), GraphTopology(5, [[0, 1]]),
+                                               [4, 3, 2, 1, 0])[1], id="permutation"),
+    pytest.param(_edge_list_graph, id="edge-list"),
+    pytest.param(lambda tmp: _edge_list_graph(tmp, np.array([9000, 500, 10])),
+                 id="edge-list-id-map"),
+])
+def test_edges_are_int32_below_2_31_nodes(tmp_path, build):
+    # Every constructor path hands back int32 edges while every row index
+    # fits, whatever dtype its input had: 8 bytes per edge, not 16.
+    assert build(tmp_path).edges.dtype == np.int32
+
+
+def test_edges_are_int64_past_2_31_nodes():
+    edges = [[0, 1], [1, 2**31], [2, 2**31 + 4]]
+    graph = GraphTopology(2**31 + 5, edges)
+    assert graph.edges.dtype == np.int64 and graph.edges.tolist() == edges
+    graph, _, _ = GraphTopology.from_pairs(2**31 + 5, [[2**31 + 4, 2], *edges[:2]])
+    assert graph.edges.dtype == np.int64 and graph.edges.tolist() == edges
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Edge-restricted Gram summaries and their dispersion."""
 
+import math
 import threading
 import time
 import tracemalloc
@@ -57,33 +58,28 @@ def test_edge_summary_matches_dense_mask_property(seed):
 
 
 def test_blockwise_accumulation_is_exact(monkeypatch):
-    # Force many blocks by shrinking the block sizes; totals must agree
-    # with the single-pass value bit for bit is too strict, 1e-12 is not.
-    # The gather block alone never changes the sum's order, so shrinking
-    # only it must leave the score bit for bit unchanged.
+    # Gather blocks and folded buffers of a few edges leave the score bit
+    # for bit unchanged: it is the exact sum of the products, rounded once.
     import gramstab.core as core_mod
-    import gramstab.ggi as ggi_mod
 
     graph, configs = _random_instance(7, n_nodes=200, dim=3)
     whole = _edge_mean_inner(configs[0], graph.edges)
     monkeypatch.setattr(core_mod, "_SPAN_ELEMENTS", 8)
     assert _edge_mean_inner(configs[0], graph.edges) == whole
-    monkeypatch.setattr(ggi_mod, "_BLOCK_ELEMENTS", 16)
-    chunked = _edge_mean_inner(configs[0], graph.edges)
-    assert abs(whole - chunked) <= 1e-12
+    assert whole == _exact_edge_mean(configs[0], graph.edges)
 
 
-def _grouped_gather_mean(values, edges, block_elements):
-    """The kernel as it was before gathers were split from summation
-    groups: gather, dot and sum one group of edges at a time."""
-    block = max(1, block_elements // values.shape[1])
-    total = 0.0
-    for start in range(0, edges.shape[0], block):
-        chunk = edges[start : start + block]
-        total += float(
-            np.einsum("ij,ij->i", values[chunk[:, 0]], values[chunk[:, 1]]).sum()
-        )
-    return total / edges.shape[0]
+def _edge_products(values, edges):
+    """Each edge's inner product, taken as the kernel takes it: one row-wise
+    einsum over C-ordered copies of its endpoint rows."""
+    values = np.ascontiguousarray(values)
+    return np.einsum("ij,ij->i", values[edges[:, 0]], values[edges[:, 1]])
+
+
+def _exact_edge_mean(values, edges):
+    """The exact-sum oracle: the sum of the per-edge products correctly
+    rounded, by math.fsum, over |E|."""
+    return math.fsum(_edge_products(values, edges)) / edges.shape[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,19 +88,16 @@ def _grouped_gather_mean(values, edges, block_elements):
     n_edges=st.integers(min_value=1, max_value=600),
     dim=st.integers(min_value=1, max_value=24),
     span_elements=st.integers(min_value=1, max_value=400),
-    block_elements=st.integers(min_value=1, max_value=3000),
 )
-# |E| below one gather block (the modules' real block sizes)
-@example(seed=1, n_edges=37, dim=5, span_elements=65_536, block_elements=2_097_152)
+# |E| below one gather block (the module's real block size)
+@example(seed=1, n_edges=37, dim=5, span_elements=65_536)
 # |E| not a multiple of the gather block
-@example(seed=2, n_edges=203, dim=4, span_elements=64, block_elements=2_097_152)
+@example(seed=2, n_edges=203, dim=4, span_elements=64)
 # d beyond the gather budget: one edge per gather
-@example(seed=3, n_edges=50, dim=13, span_elements=8, block_elements=2_097_152)
-# several summation groups, not aligned to gather blocks
-@example(seed=4, n_edges=500, dim=3, span_elements=40, block_elements=100)
-def test_edge_mean_matches_grouped_gather_exactly(
-    seed, n_edges, dim, span_elements, block_elements
-):
+@example(seed=3, n_edges=50, dim=13, span_elements=8)
+# folded buffers not aligned to gather blocks
+@example(seed=4, n_edges=500, dim=3, span_elements=40)
+def test_edge_mean_matches_grouped_gather_exactly(seed, n_edges, dim, span_elements):
     import gramstab.core as core_mod
     import gramstab.ggi as ggi_mod
 
@@ -118,22 +111,55 @@ def test_edge_mean_matches_grouped_gather_exactly(
     layouts = [values, np.asfortranarray(values), wide[:, ::2]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
-        mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
         fast = [ggi_mod._edge_mean_inner(layout, edges) for layout in layouts]
-    assert fast == [_grouped_gather_mean(values, edges, block_elements)] * 3
+    assert fast == [_exact_edge_mean(values, edges)] * 3
 
 
 @pytest.mark.parametrize("dim", [8, 128, 512])
 def test_edge_mean_matches_grouped_gather_at_scale(dim):
-    # The module's own block sizes over several gather blocks and, at
-    # d >= 128, several summation groups.
+    # The module's own block sizes over several gather blocks and folded
+    # buffers.
     import gramstab.ggi as ggi_mod
 
     rng = np.random.default_rng(dim)
     values = rng.normal(size=(2000, dim))
     edges = rng.integers(0, 2000, size=(40_003, 2))
     fast = ggi_mod._edge_mean_inner(values, edges)
-    assert fast == _grouped_gather_mean(values, edges, ggi_mod._BLOCK_ELEMENTS)
+    assert fast == _exact_edge_mean(values, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_edges=st.integers(min_value=1, max_value=400),
+    dim=st.integers(min_value=1, max_value=8),
+    span_elements=st.integers(min_value=1, max_value=64),
+)
+@example(seed=0, n_edges=1, dim=1, span_elements=1)
+@example(seed=5, n_edges=399, dim=3, span_elements=7)
+def test_scores_do_not_depend_on_edge_order_or_cpus(seed, n_edges, dim, span_elements):
+    # Each score is the same float for 1, 2, 3 or 5 CPUs, with gather blocks
+    # and folded buffers of a few edges, and for any order of the edge rows
+    # or of the endpoints within a row; and it is within one ulp of the
+    # exact sum of the products, rounded, over |E|.
+    import gramstab.core as core_mod
+    import gramstab.ggi as ggi_mod
+
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(30, dim))
+    center_normalize_inplace(values)
+    edges = rng.integers(0, 30, size=(n_edges, 2)).astype(np.int32)
+    shuffled = edges[rng.permutation(n_edges)]
+    flipped = np.where(rng.random((n_edges, 1)) < 0.5, shuffled, shuffled[:, ::-1])
+    scores = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
+        for cpus in (1, 2, 3, 5):
+            mp.setattr(core_mod, "_cpu_count", lambda: cpus)
+            scores += [ggi_mod._edge_mean_inner(values, order) for order in (edges, flipped)]
+    assert scores == [scores[0]] * len(scores)
+    exact = _exact_edge_mean(values, edges)
+    assert abs(scores[0] - exact) <= math.ulp(exact)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,25 +169,24 @@ def test_edge_mean_matches_grouped_gather_at_scale(dim):
     dim=st.integers(min_value=1, max_value=6),
     n_edges=st.integers(min_value=1, max_value=300),
     span_elements=st.integers(min_value=1, max_value=64),
-    block_elements=st.integers(min_value=1, max_value=500),
     scale=st.sampled_from([1.0, 1e200]),
     degenerate=st.booleans(),
     fortran=st.booleans(),
 )
 # |E| below one gather block (the module's real block sizes)
 @example(seed=1, rows=20, dim=5, n_edges=37, span_elements=65_536,
-         block_elements=2_097_152, scale=1.0, degenerate=False, fortran=False)
-# spans that split gather blocks (7 edges) and summation groups (17 edges)
+         scale=1.0, degenerate=False, fortran=False)
+# spans that split gather blocks (7 edges)
 @example(seed=2, rows=40, dim=3, n_edges=299, span_elements=21,
-         block_elements=51, scale=1.0, degenerate=False, fortran=False)
+         scale=1.0, degenerate=False, fortran=False)
 # fewer rows than workers
 @example(seed=3, rows=3, dim=2, n_edges=4, span_elements=1,
-         block_elements=3, scale=1.0, degenerate=False, fortran=False)
+         scale=1.0, degenerate=False, fortran=False)
 # the rescale path, and degenerate rows under it
 @example(seed=4, rows=30, dim=4, n_edges=200, span_elements=12,
-         block_elements=40, scale=1e200, degenerate=True, fortran=False)
+         scale=1e200, degenerate=True, fortran=False)
 def test_worker_count_does_not_change_bits(
-    seed, rows, dim, n_edges, span_elements, block_elements, scale, degenerate, fortran,
+    seed, rows, dim, n_edges, span_elements, scale, degenerate, fortran,
 ):
     # Center-normalize and the edge mean give the serial path's bits for
     # any number of CPUs, including more CPUs than rows or gather blocks.
@@ -184,7 +209,6 @@ def test_worker_count_does_not_change_bits(
     results = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core_mod, "_SPAN_ELEMENTS", span_elements)
-        mp.setattr(ggi_mod, "_BLOCK_ELEMENTS", block_elements)
         for cpus in (1, 2, 3, 5):
             mp.setattr(core_mod, "_cpu_count", lambda: cpus)
             work = values.copy(order="A")
@@ -234,8 +258,8 @@ class _EdgesFailingPast(np.ndarray):
 
 
 def test_no_score_from_a_partly_gathered_span(monkeypatch):
-    # The last of three spans fails; the other two have written their
-    # dots, but the kernel raises rather than sum the unwritten ones.
+    # The last of three spans fails; the other two have folded their
+    # dots, but the kernel raises rather than sum the spans it has.
     import gramstab.core as core_mod
     import gramstab.ggi as ggi_mod
 
@@ -346,6 +370,25 @@ def test_converted_input_is_copied_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * n * dim * 8, peak / (n * dim * 8)
+
+
+def test_scoring_holds_nothing_per_edge():
+    # Beyond the configuration it centers in place, scoring holds two gather
+    # blocks and one buffer of products per CPU, whatever |E| is. A float per
+    # edge would add 1.4 MB from 20k to 200k edges.
+    n, dim = 2000, 16
+    values = np.random.default_rng(3).normal(size=(n, dim))
+    peaks = []
+    for degree in (20, 200):
+        graph = random_graph(n, degree, 3)
+        work = values.copy()
+        tracemalloc.start()
+        try:
+            score_configuration(work, graph, copy=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 class _CountedArray:

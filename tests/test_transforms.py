@@ -12,6 +12,7 @@ from gramstab import (
     InstanceTooLarge,
     NotABijection,
     ShapeMismatch,
+    TooFewConfigs,
     apply_permutation,
     ggi_index,
     perturb_gaussian,
@@ -103,6 +104,23 @@ def test_sizes_out_of_range_raise_shape_mismatch(monkeypatch, build, message):
         build()
 
 
+@pytest.mark.parametrize("n_configs, error", [
+    (2.5, ShapeMismatch), (True, ShapeMismatch),
+    (0, TooFewConfigs), (-1, TooFewConfigs), (1, TooFewConfigs),
+    (np.int64(3), None),
+])
+def test_synthetic_ensemble_checks_its_config_count(monkeypatch, n_configs, error):
+    # A float or a bool is not a count, and under two configurations no index
+    # is defined; both are refused before the base is drawn. They used to be
+    # a bare TypeError, one configuration for True and none for 0 or -1.
+    if error is None:
+        assert len(list(synthetic_ensemble(6, 3, n_configs))) == 3
+        return
+    monkeypatch.setattr(transforms_mod, "_stream", _no_stream)
+    with pytest.raises(error):
+        synthetic_ensemble(6, 3, n_configs)
+
+
 def test_numpy_integer_counts_are_accepted():
     # The integer rule refuses floats and bools, not numpy's integers.
     nodes, dim = np.int64(6), np.int32(3)
@@ -187,8 +205,9 @@ def test_random_graph_matches_row_masking_oracle(node_count, degree_share, seed)
 
 def test_random_graph_peaks_at_its_candidate_keys():
     # The candidates are drawn a span at a time into one int64 key per
-    # candidate pair (four per edge): twice the edges' bytes, plus a span.
-    # Drawing them as one (4|E|, 2) array beside their keys peaked at 6x.
+    # candidate pair (four per edge): 32 bytes per edge, plus a span, in
+    # units of 16 bytes per edge whatever the edges' dtype. Drawing them as
+    # one (4|E|, 2) array beside their keys peaked at 6x.
     np.random.default_rng(0)  # numpy imports numpy.random on first use, outside the trace
     tracemalloc.start()
     try:
@@ -197,7 +216,7 @@ def test_random_graph_peaks_at_its_candidate_keys():
     finally:
         tracemalloc.stop()
     assert graph.edge_count == 200_000
-    assert peak < 2.5 * graph.edges.nbytes, peak / graph.edges.nbytes
+    assert peak < 2.5 * 16 * graph.edge_count, peak / (16 * graph.edge_count)
 
 
 def test_random_graph_caps_at_complete_graph():
