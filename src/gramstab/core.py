@@ -89,9 +89,9 @@ def _over_spans(count: int, work, min_span: int) -> None:
 
 def _run_starts(values: np.ndarray, last) -> np.ndarray:
     """The boolean mask of the sorted ``values`` that differ from the one
-    before them, with ``last`` before the first: where each run starts."""
+    before them, ``last`` (None: none) before the first: where runs start."""
     first = np.empty(values.size, dtype=bool)
-    first[0] = values[0] != last
+    first[0] = last is None or values[0] != last
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
 
@@ -214,13 +214,13 @@ def _index_dtype(node_count: int) -> np.dtype:
 
 
 def _node_ids(ids, error: type, what: str) -> np.ndarray:
-    """``ids`` as an int64 array. A non-empty float, bool or complex array
-    raises ``error``: casting it would make 1.7 node 1 and True node 1.
-    An empty list, which numpy types as float64, holds no ids."""
+    """``ids`` as an int32 or int64 array, int64 unless given as int32. A non-empty
+    float, bool or complex array raises ``error``: casting it would make 1.7 node 1
+    and True node 1. An empty list, which numpy types as float64, holds no ids."""
     arr = np.asarray(ids)
     if arr.size and arr.dtype.kind in "fbc":
         raise error(f"{what} must be integers, got {arr.dtype} values")
-    return arr.astype(np.int64, copy=False)
+    return arr if arr.dtype in (np.int32, np.int64) else arr.astype(np.int64)
 
 
 def _is_permutation(ids: np.ndarray) -> bool:
@@ -229,7 +229,7 @@ def _is_permutation(ids: np.ndarray) -> bool:
 
 
 def _edge_endpoints(pairs, node_count: int) -> np.ndarray:
-    """``pairs`` as an (E, 2) int64 array of ids in ``range(node_count)``,
+    """``pairs`` as an (E, 2) :func:`_node_ids` array of ids in ``range(node_count)``,
     or a ShapeMismatch. Any empty array is (0, 2); no other is reshaped."""
     arr = _node_ids(pairs, ShapeMismatch, "edge endpoints")
     if arr.size == 0:
@@ -350,7 +350,7 @@ class GraphTopology:
         _check_count(node_count, "node_count")
         _check_key_nodes(node_count)
         arr = _edge_endpoints(pairs, node_count)
-        if copy or not (arr.flags.owndata and arr.flags.c_contiguous and arr.flags.writeable):
+        if copy or not (arr.dtype == np.int64 and arr.flags.owndata and arr.flags.carray):
             arr = arr.astype(_index_dtype(node_count))
         rows = arr.shape[0]
         keys = arr.reshape(-1).view(np.int64)[:rows]  # the first ``rows`` int64s of its bytes

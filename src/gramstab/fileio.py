@@ -44,13 +44,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 # %.17g round-trips any float64 exactly.
 _CSV_FORMAT = "%.17g"
 
-# Ids that are non-negative and below this many times their count are
-# looked up through a dense table. The table beat binary search at every
-# spread measured, up to 256 times the id count, so memory sets the
-# cutoff: at 8 the table takes at most 64 bytes per id, eight times the
-# ids array, and it lives only while one edge list loads.
-_DENSE_ID_SPREAD = 8
-
 # Bytes per read when hashing a file.
 _HASH_BUFFER = 1 << 18
 
@@ -152,21 +145,22 @@ def load_edge_list(path, ids: np.ndarray | None = None) -> EdgeListResult:
     on which path ran.
 
     Memory: ingest runs inside the parsed (E, 2) int64 pairs. Their ids
-    are ranked there, or looked up there with ``ids``, and then
-    :meth:`GraphTopology.from_pairs` sorts their keys there and splits
-    them into the graph's int32 edges, which keep half the pairs' bytes.
-    Beside them are the distinct ids, temporaries of
-    ``core._SPAN_ELEMENTS`` ids and, while packed ids are ranked, int32
-    ranks of half the pairs' size (ids spread over 63 bits are ranked
-    through an int64 ``argsort`` order of their size). Traced, the peak
-    without ``ids`` is 1.59-1.64 times the pairs' bytes at 200k-400k
-    lines of 40-bit ids.
+    are ranked there by :func:`_rank_ids`, with or without ``ids``, which
+    is read only at the distinct ids, and :meth:`GraphTopology.from_pairs`
+    sorts their keys there and splits them into the graph's int32 edges,
+    which keep half the pairs' bytes. Beside them are the distinct ids,
+    temporaries of ``core._SPAN_ELEMENTS`` ids and the ranking's array:
+    for dense ids a table of at most half the pairs' bytes, for packed
+    ids int32 ranks of half their bytes, for ids spread over 63 bits an
+    int64 ``argsort`` order of their size. Traced, the peak is 1.2 times
+    the pairs' bytes at 1M lines of dense ids and 1.57-1.64 times at
+    200k-1M lines of 40-bit ids, with or without ``ids``.
     """
     path = Path(path)
     if ids is not None:
         _require_distinct(ids, "ids")
     pairs = _read_pairs(path)
-    if pairs is not None and ids is not None:
+    if pairs is not None and pairs.size and ids is not None:
         pairs = _lookup_ids(pairs, ids)
     elif pairs is not None and pairs.size and pairs.min() < 0:
         pairs = None
@@ -202,34 +196,49 @@ def _read_pairs(path: Path) -> np.ndarray | None:
 
 
 def _rank_ids(pairs: np.ndarray) -> np.ndarray:
-    """Replace each non-negative id in ``pairs``, in place, by its rank
-    among the distinct ids, and return those, sorted.
+    """Replace each id in ``pairs``, in place, by its rank among the
+    distinct ids, and return those, sorted. The ids' span, ``max - min``,
+    alone picks the way, and every pass that needs scratch goes
+    ``core._SPAN_ELEMENTS`` ids at a time.
 
-    One sort, whose order carries the ranks back. When the ids' span
-    leaves room for a position beside it in an int64 (``max - min <
-    2**(63 - bits)``, with ``bits`` the width of the largest position),
-    each id is packed with its position as ``(id - min) << bits |
-    position``, in ``pairs`` itself, and sorted there by value: the high
-    bits come out as the sorted ids and the low bits as their order.
-    That sort is 3-4 times faster than ``argsort``: 12 against 41-45 ms
-    for 800k ids, where the room is 2**43, enough for 40-bit crawl ids.
-    A wider span, such as ids hashed to 63 bits, is ranked by
-    ``argsort``. Ranks need no stable sort, and numpy's default kind
-    sorts int64 several times faster than ``kind="stable"``.
+    Ids at least twice as many as the values of their span (``2 * (span
+    + 1) <= count``) mark an int64 table over it, whose ``cumsum`` less
+    one ranks them, and the pairs are taken through it. The table holds
+    at most 4 bytes per id, no more than the packed sort's ranks.
 
-    Memory: ``pairs`` plus, when packed, the ranks in the dtype of
-    :func:`core._index_dtype` (int32, half the pairs' bytes), which are
-    copied back into ``pairs`` at the end; or, through ``argsort``, its
-    int64 order, the pairs' size, while the ranks go straight into
-    ``pairs``. Beside those, one chunk of scratch and the distinct ids.
-    The positions are packed, the runs of equal ids found, the ranks
-    counted and put, ``core._SPAN_ELEMENTS`` ids at a time, and the
-    distinct ids are moved to the front of the sorted array.
+    Otherwise one sort, whose order carries the ranks back. When the span
+    leaves room for a position beside it in an int64 (``span < 2**(63 -
+    bits)``, with ``bits`` the width of the largest position), each id is
+    packed with its position as ``(id - min) << bits | position``, in
+    ``pairs`` itself, and sorted there by value: the high bits come out
+    as the sorted ids and the low bits as their order. That sort is 3-4
+    times faster than ``argsort``: 12 against 41-45 ms for 800k ids,
+    where the room is 2**43, enough for 40-bit crawl ids. A wider span,
+    such as ids hashed to 63 bits, is ranked by ``argsort``. Ranks need
+    no stable sort, and numpy's default kind sorts int64 several times
+    faster than ``kind="stable"``.
+
+    Memory: ``pairs``, the distinct ids, one chunk of scratch and the
+    table; or the packed ranks in the dtype of :func:`core._index_dtype`
+    (int32, half the pairs' bytes), copied back into ``pairs`` at the
+    end; or ``argsort``'s int64 order, the pairs' size, while the ranks
+    go straight into ``pairs``. A sort's distinct ids are moved to the
+    front of the sorted array.
     """
     flat = pairs.ravel()  # a view: ``pairs`` is C-contiguous
     low = int(flat.min())
+    id_span = int(flat.max()) - low
+    if 2 * (id_span + 1) <= flat.size:
+        flat -= low
+        table = np.zeros(id_span + 1, dtype=np.int64)
+        table[flat] = 1  # an int64 index is not copied
+        ids = np.flatnonzero(table) + low
+        np.cumsum(table, out=table)
+        table -= 1
+        _take_through(table, flat)
+        return ids
     bits = (flat.size - 1).bit_length()
-    packed = int(flat.max()) - low < 1 << (63 - bits)
+    packed = id_span < 1 << (63 - bits)
     step = min(core._SPAN_ELEMENTS, flat.size)
     ranks = np.empty(flat.size, dtype=core._index_dtype(flat.size)) if packed else flat
     # One chunk of scratch that every chunk reuses (temporaries allocated
@@ -248,7 +257,7 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
         keys.sort()
     else:
         keys = np.argsort(flat)
-    count, last = 0, -1  # distinct ids so far, and the one before the chunk
+    count, last = 0, None  # distinct ids so far, and the one before the chunk
     for lo in range(0, keys.size, step):
         span = keys[lo:lo + step]
         if packed:
@@ -279,43 +288,33 @@ def _rank_ids(pairs: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _take_through(table: np.ndarray, flat: np.ndarray) -> None:
+    """Replace each value v of the int64 ``flat`` by ``table[v]``, in place,
+    ``core._SPAN_ELEMENTS`` values at a time through one reused buffer."""
+    out = np.empty(min(core._SPAN_ELEMENTS, flat.size), dtype=np.int64)
+    for lo in range(0, flat.size, out.size):
+        span = flat[lo:lo + out.size]
+        # mode="clip" writes straight into ``out``; "raise" copies it.
+        span[...] = np.take(table, span, out=out[:span.size], mode="clip")
+
+
 def _lookup_ids(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     """Map each id in ``pairs``, in place, to its row, the i with
     ``ids[i]`` equal to it, given distinct ``ids``; return ``pairs``, or
-    None if an id is missing (``pairs`` then holds rows and ids).
-
-    Non-negative ids below ``_DENSE_ID_SPREAD`` times their count index a
-    table of rows directly; other ids are looked up by binary search.
-    Either way ``core._SPAN_ELEMENTS`` ids at a time.
-    """
-    if ids.dtype != np.int64:
+    None if an id is missing. :func:`_rank_ids` ranks the non-empty
+    pairs, only the distinct ids it returns are searched for in ``ids``,
+    and the ranks are taken through the rows found."""
+    if ids.dtype != np.int64 or not ids.size:
         # Ids beyond int64 (numpy would compare them with int64 ids as
-        # float64) or not integers: the rescan looks them up exactly.
+        # float64), not integers or none: the rescan looks them up exactly.
         return None
-    # ``initial`` keeps the bounds checks valid on empty ``ids`` and on an
-    # edge list without edges.
-    top = int(ids.max(initial=-1))
-    if ids.min(initial=0) >= 0 and top < _DENSE_ID_SPREAD * ids.size:
-        if pairs.min(initial=0) < 0 or pairs.max(initial=0) > top:
-            return None
-        table = np.full(top + 1, -1, dtype=np.int64)
-        table[ids] = np.arange(ids.size)
-        rows = table.take
-    else:
-        order = np.argsort(ids)
-        keys = ids[order]
-
-        def rows(span: np.ndarray) -> np.ndarray:
-            pos = np.searchsorted(keys, span)
-            np.minimum(pos, keys.size - 1, out=pos)  # an id past the last key is missing
-            return np.where(keys[pos] == span, order[pos], -1)
-
-    flat = pairs.ravel()  # a view: ``pairs`` is C-contiguous
-    for lo in range(0, flat.size, core._SPAN_ELEMENTS):
-        span = flat[lo:lo + core._SPAN_ELEMENTS]
-        span[...] = rows(span)
-        if span.min() < 0:
-            return None
+    present = _rank_ids(pairs)
+    order = np.argsort(ids)
+    # An id past the largest in ``ids`` is searched for at the largest.
+    rows = order[np.minimum(np.searchsorted(ids, present, sorter=order), ids.size - 1)]
+    if not np.array_equal(ids[rows], present):  # an id is missing
+        return None
+    _take_through(rows, pairs.ravel())
     return pairs
 
 

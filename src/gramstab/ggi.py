@@ -7,8 +7,8 @@ never materialized: only edge-indexed inner products are computed, so
 the cost is O(|E| d) time per configuration. Its extra memory does not
 grow with |E|: for each CPU the process may use, two gather blocks of
 ``core._SPAN_ELEMENTS`` values (1 MB per CPU), which stay in L2 cache
-while their row-wise dot products are taken, and a 64 KB buffer of
-those products, which is added into exact sums as it fills.
+while their row-wise dot products are taken, and two 64 KB buffers:
+those products, and the scratch that adds them into exact sums.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ class StabilityReport:
         return self.scores.size
 
 
-def _fold(dots: np.ndarray, width: int, bins: dict[int, float]) -> None:
-    """Add ``dots``, which it overwrites, into ``bins`` exactly: bin b holds
-    a sum of multiples of 2**(b * width), and ``_FOLDS`` bins from the
-    one that holds max |dots| down are filled.
+def _fold(dots: np.ndarray, part: np.ndarray, width: int, bins: dict[int, float]) -> None:
+    """Add ``dots`` into ``bins`` exactly, overwriting it and the scratch
+    ``part`` of its size: bin b holds a sum of multiples of 2**(b *
+    width), and ``_FOLDS`` bins from the one that holds max |dots| down
+    are filled.
 
     Each value is split, from the top bin down, into its nearest multiple
     of the bin's unit, fl(fl(sigma + r) - sigma) with sigma = 1.5 *
@@ -77,7 +78,6 @@ def _fold(dots: np.ndarray, width: int, bins: dict[int, float]) -> None:
         return
     # The smallest top bin b with max |dots| <= 2**(b * width - 1), less one.
     top = -(-(math.frexp(peak)[1] + 1) // width) - 1
-    part = np.empty_like(dots)
     for b in range(top, top - _FOLDS, -1):
         sigma = math.ldexp(1.5, b * width + 52)
         np.add(dots, sigma, out=part)
@@ -121,7 +121,7 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
     def gather_span(lo: int, hi: int) -> None:
         sources = np.empty((min(gather, hi - lo), dim))
         targets = np.empty_like(sources)
-        dots = np.empty(min(fold, hi - lo))
+        dots, part = np.empty((2, min(fold, hi - lo)))
         bins: dict[int, float] = {}
         for block in range(lo, hi, fold):
             end = min(block + fold, hi)
@@ -137,7 +137,7 @@ def _edge_mean_inner(values: np.ndarray, edges: np.ndarray) -> float:
                 np.take(values, chunk[:, 1], axis=0, out=right, mode="clip")
                 np.einsum("ij,ij->i", left, right,
                           out=dots[start - block : start - block + chunk.shape[0]])
-            _fold(dots[: end - block], width, bins)
+            _fold(dots[: end - block], part[: end - block], width, bins)
         spans.append(bins)  # only once the whole span is in its bins
 
     _over_spans(n_edges, gather_span, gather)

@@ -144,6 +144,21 @@ def test_edges_are_int32_below_2_31_nodes(tmp_path, build):
     assert build(tmp_path).edges.dtype == np.int32
 
 
+def test_constructor_checks_int32_edges_in_their_dtype():
+    # 1M int32 edges: the range, i < j and order checks read them as int32
+    # and keep them, where a cast to int64 and back peaked at 3.0 times
+    # their bytes.
+    edges = random_graph(100_000, 20.0, 0).edges
+    tracemalloc.start()
+    try:
+        graph = GraphTopology(100_000, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * edges.nbytes, peak / edges.nbytes
+    assert graph.edges.dtype == np.int32 and np.array_equal(graph.edges, edges)
+
+
 def test_edges_are_int64_past_2_31_nodes():
     edges = [[0, 1], [1, 2**31], [2, 2**31 + 4]]
     graph = GraphTopology(2**31 + 5, edges)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramstab import (
@@ -233,6 +233,45 @@ def test_sparse_id_ingest_holds_the_pairs_and_one_array(tmp_path, top):
     assert result.duplicates_dropped == (~loops).sum() - expected.shape[0]
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense-ids", "sparse-id-map"])
+def test_dense_ids_and_a_sparse_id_map_ingest_in_the_pairs(tmp_path, sparse):
+    # 200k lines over 20k nodes. Dense ids without an id map are ranked
+    # through a table of at most half the pairs' bytes, no sort: 1.40 times
+    # the pairs' bytes, against 1.64 through the packed sort. Random 40-bit
+    # ids through an id map are ranked by the packed sort, beside int32
+    # ranks of half the pairs' bytes, and only the distinct ids are
+    # searched for in the map, not every pair.
+    rng = np.random.default_rng(37)
+    lines, nodes = 200_000, 20_000
+    pairs = rng.integers(0, nodes, size=(lines, 2))
+    ids = rng.permutation(np.unique(rng.integers(0, 2**40, size=2 * nodes))[:nodes])
+    ids = ids if sparse else np.arange(nodes)
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in ids[pairs].tolist()))
+    row_ids = _written_id_map(tmp_path / "ids.json", dict(zip(ids.tolist(), range(nodes))))
+    searched, original = [], np.searchsorted
+
+    def searchsorted(keys, values, *args, **kwargs):
+        searched.append(np.size(values))
+        return original(keys, values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio_mod.np, "searchsorted", searchsorted)
+        tracemalloc.start()
+        try:
+            result = load_edge_list(path, ids=row_ids if sparse else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (1.75 if sparse else 1.5) * pairs.nbytes, peak / pairs.nbytes
+    assert searched == ([nodes] if sparse else [])
+    loops = pairs[:, 0] == pairs[:, 1]  # row k holds id ids[k] either way
+    expected = np.unique(np.sort(pairs[~loops], axis=1), axis=0)
+    np.testing.assert_array_equal(result.ids, ids)
+    np.testing.assert_array_equal(result.graph.edges, expected)
+    assert result.self_loops_dropped == loops.sum()
+
+
 def test_edge_list_counts_drops(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 0\n1 1\n0 1\n0 2\n")
@@ -412,45 +451,33 @@ def test_edge_list_matches_per_line_oracle(text, id_map):
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
 
 
-_SPREAD = fileio_mod._DENSE_ID_SPREAD
-
-
 @st.composite
-def _id_keys(draw):
-    """Distinct id-map keys on either side of the dense-table cutoff."""
-    n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["permutation", "gaps", "negative", "near 2**63"]))
-    if kind == "permutation":
-        return list(range(n))
-    if kind == "gaps":
-        # The largest key just below, at or just past _SPREAD * n.
-        top = _SPREAD * n + draw(st.integers(-2, 1))
-        rest = draw(st.lists(st.integers(0, top - 1), min_size=n - 1, max_size=n - 1, unique=True))
-        return rest + [top]
-    if kind == "negative":
-        return draw(st.lists(st.integers(-3 * n, 3 * n), min_size=n, max_size=n, unique=True)
-                    .filter(lambda keys: min(keys) < 0))
-    return draw(st.lists(st.integers(2**63 - 4 * n, 2**63 - 1), min_size=n, max_size=n,
-                         unique=True))
+def _branch_span(draw, size: int, branch: str) -> int:
+    """The widest span of ``size`` ids that _rank_ids ranks through a
+    table ("dense") or packs beside a position ("packed"), or the
+    narrowest past it."""
+    widest = size // 2 - 1 if branch == "dense" else (1 << (63 - (size - 1).bit_length())) - 1
+    return widest + draw(st.integers(0, 1))
 
 
 @st.composite
 def _id_lookup_case(draw):
-    """An id map and pairs of its ids: all of them, then maybe one unmapped."""
-    keys = draw(_id_keys())
-    rows = draw(st.permutations(range(len(keys))))
-    ids = keys + draw(st.lists(st.sampled_from(keys), max_size=30))
+    """Ids to pair up, their span on either side of _rank_ids' dense cutoff
+    or of its packed room, anywhere in int64, and an id map of them or
+    None; the map may hold ids the pairs do not and lack one they do."""
+    size = 2 * draw(st.integers(1, 20))
+    span = draw(_branch_span(size, draw(st.sampled_from(["dense", "packed"]))))
+    low = draw(st.sampled_from([-2**63, -1, 0, 2**63 - 1 - span])
+               | st.integers(-2**63, 2**63 - 1 - span))
+    ids = [low, low + span] + draw(st.lists(st.integers(low, low + span),
+                                            min_size=size - 2, max_size=size - 2))
     ids = draw(st.permutations(ids))
     if draw(st.booleans()):
-        present = set(keys)
-        gaps = [k for k in range(max(min(keys), 0), max(keys)) if k not in present][:3]
-        unmapped = draw(st.sampled_from(
-            [-1, max(keys) + 1, min(keys) - 1, *gaps] if max(keys) < 2**63 - 1 else [-1, *gaps]))
-        assume(unmapped not in keys)
-        ids[draw(st.integers(0, len(ids) - 1))] = unmapped
-    if len(ids) % 2:
-        ids.append(keys[0])
-    return dict(zip(keys, rows)), ids
+        return None, ids
+    keys = sorted(set(ids) | set(draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=2))))
+    if len(keys) > 1 and draw(st.booleans()):
+        keys.remove(draw(st.sampled_from(keys)))
+    return dict(zip(keys, draw(st.permutations(range(len(keys)))))), ids
 
 
 @settings(max_examples=300, deadline=None)
@@ -459,22 +486,14 @@ def _id_lookup_case(draw):
 @example(case=({0: 2, 1: 0, 3: 1}, [0, 1, 2, 3]))
 @example(case=({0: 2, 1: 0, 3: 1}, [0, 1, -1, 3]))
 @example(case=({0: 2, 1: 0, 3: 1}, [0, 1, 4, 3]))
-def test_dense_id_table_matches_binary_search(case):
+@example(case=({-1: 1, 2**62: 0}, [-1, 2**62]))  # argsort, from the id -1
+def test_edge_list_ids_match_the_oracle_in_every_ranking(case):
+    # Through the dense table, the packed sort and argsort, with an id map
+    # and without: the same edges, ids and tallies as the per-line oracle,
+    # or its ParseError line for a negative id or one the map lacks.
     id_map, ids = case
-    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
     text = "# ids\n" + "".join(f"{a} {b}\n" for a, b in zip(ids[::2], ids[1::2]))
     with tempfile.TemporaryDirectory() as tmp:
-        row_ids = _written_id_map(Path(tmp) / "ids.json", id_map)
-        dense = fileio_mod._lookup_ids(pairs.copy(), row_ids)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fileio_mod, "_DENSE_ID_SPREAD", 0)
-            searched = fileio_mod._lookup_ids(pairs.copy(), row_ids)
-        if all(i in id_map for i in ids):
-            expected = np.array([id_map[i] for i in ids]).reshape(-1, 2)
-            assert np.array_equal(dense, expected) and np.array_equal(searched, expected)
-        else:
-            assert dense is None and searched is None
-        # Through the loader: an unmapped id is the oracle's ParseError line.
         path = Path(tmp) / "g.edges"
         path.write_text(text)
         assert _library_outcome(path, id_map) == _oracle_outcome(path, id_map)
@@ -482,24 +501,22 @@ def test_dense_id_table_matches_binary_search(case):
 
 @st.composite
 def _rank_case(draw):
-    """Non-negative int64 ids, an even number of them, on either side of
-    the span _rank_ids packs beside a position."""
+    """Int64 ids, an even number of them, on either side of the spans
+    _rank_ids ranks through a table and packs beside a position."""
     size = 2 * draw(st.integers(1, 40))
-    room = 1 << (63 - (size - 1).bit_length())
-    kind = draw(st.sampled_from(["below 2**40", "span", "near 2**63", "few"]))
-    if kind == "below 2**40":
-        ids = draw(st.lists(st.integers(0, 2**40 - 1), min_size=size, max_size=size))
-    elif kind == "span":
-        # The widest span that is packed, or the narrowest that is not.
-        span = room - draw(st.integers(0, 1))
-        low = draw(st.integers(0, 2**63 - 1 - span))
+    kind = draw(st.sampled_from(["40-bit", "dense", "packed", "int64 ends", "few"]))
+    if kind == "40-bit":
+        ids = draw(st.lists(st.integers(-2**40, 2**40 - 1), min_size=size, max_size=size))
+    elif kind in ("dense", "packed"):
+        span = draw(_branch_span(size, kind))
+        low = draw(st.integers(-2**63, 2**63 - 1 - span))
         ids = [low, low + span] + draw(st.lists(st.integers(low, low + span),
                                                 min_size=size - 2, max_size=size - 2))
-    elif kind == "near 2**63":
-        ids = draw(st.lists(st.integers(2**63 - 4 * size, 2**63 - 1),
-                            min_size=size, max_size=size))
+    elif kind == "int64 ends":
+        low = draw(st.sampled_from([-2**63, 2**63 - 4 * size]))
+        ids = draw(st.lists(st.integers(low, low + 4 * size - 1), min_size=size, max_size=size))
     else:  # one, two or three distinct ids
-        distinct = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1,
+        distinct = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
                                  max_size=min(3, size), unique=True))
         ids = distinct + draw(st.lists(st.sampled_from(distinct), min_size=size - len(distinct),
                                        max_size=size - len(distinct)))
@@ -511,17 +528,21 @@ def _rank_case(draw):
 @example(pairs=np.array([[7, 7]]))
 @example(pairs=np.array([[0, 2**62 - 1]]))  # span 2**62 - 1: packed
 @example(pairs=np.array([[0, 2**62]]))  # span 2**62: argsort
+@example(pairs=np.array([[-1, 2**62]]))  # argsort, whose first id is -1
 @example(pairs=np.array([[2**63 - 1, 2**63 - 2], [2**63 - 1, 2**63 - 3]]))
 @example(pairs=np.array([[0, 2**63 - 1], [5, 0]]))
 def test_rank_ids_matches_unique(pairs):
     flat = pairs.ravel()
     expected_ids, expected_ranks = np.unique(flat, return_inverse=True)
+    span = int(flat.max()) - int(flat.min())
     room = 1 << (63 - (flat.size - 1).bit_length())
-    calls, original = [], np.argsort
+    calls, originals = [], {name: getattr(np, name) for name in ("argsort", "flatnonzero")}
 
-    def argsort(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return originals[name](*args, **kwargs)
+        return call
 
     # Runs of equal ids cross the boundaries of chunks of 1, 3 and the
     # default count of ids; the ranks and ids do not depend on them.
@@ -529,24 +550,25 @@ def test_rank_ids_matches_unique(pairs):
         calls.clear()
         ranked = pairs.copy()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fileio_mod.np, "argsort", argsort)
+            for name in originals:
+                mp.setattr(fileio_mod.np, name, counted(name))
             mp.setattr(core_mod, "_SPAN_ELEMENTS", chunk)
             ids = fileio_mod._rank_ids(ranked)
         assert ids.dtype == np.int64 and np.array_equal(ids, expected_ids)
         assert np.array_equal(ranked, expected_ranks.reshape(pairs.shape))
-        # The ids alone pick the branch: argsort only when their span leaves no room.
-        assert bool(calls) == (int(flat.max()) - int(flat.min()) >= room)
+        # The ids alone pick the branch: the table when they are dense,
+        # argsort only when their span leaves no room to pack.
+        dense = 2 * (span + 1) <= flat.size
+        assert calls == (["flatnonzero"] if dense else ["argsort"] if span >= room else [])
 
 
-@pytest.mark.parametrize("spread", [_SPREAD, 0])
 @pytest.mark.parametrize("ids, twice", [
-    ([0, 1, 2, 1], 1),  # dense at the default spread
-    ([-5, 40, 7, -5], -5),  # binary search at any spread
+    ([0, 1, 2, 1], 1),
+    ([-5, 40, 7, -5], -5),
     ([0, 1, 2**64, 2**64], 2**64),  # the rescan
 ])
-def test_repeated_caller_id_is_not_a_bijection(tmp_path, monkeypatch, spread, ids, twice):
+def test_repeated_caller_id_is_not_a_bijection(tmp_path, ids, twice):
     # A dict or a table would keep one row of a repeated id and drop the other.
-    monkeypatch.setattr(fileio_mod, "_DENSE_ID_SPREAD", spread)
     path = tmp_path / "g.edges"
     path.write_text(f"{ids[0]} {ids[1]}\n")
     with pytest.raises(NotABijection, match=f"id {twice} twice"):
