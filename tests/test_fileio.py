@@ -562,15 +562,17 @@ def test_rank_ids_matches_unique(pairs):
         assert calls == (["flatnonzero"] if dense else ["argsort"] if span >= room else [])
 
 
+@pytest.mark.parametrize("repeats", [0, 8])
 @pytest.mark.parametrize("ids, twice", [
     ([0, 1, 2, 1], 1),
     ([-5, 40, 7, -5], -5),
     ([0, 1, 2**64, 2**64], 2**64),  # the rescan
 ])
-def test_repeated_caller_id_is_not_a_bijection(tmp_path, ids, twice):
+def test_repeated_caller_id_is_not_a_bijection(tmp_path, ids, twice, repeats):
     # A dict or a table would keep one row of a repeated id and drop the other.
+    # Repeated, the first case's edge is dense enough for _rank_ids' table.
     path = tmp_path / "g.edges"
-    path.write_text(f"{ids[0]} {ids[1]}\n")
+    path.write_text(f"{ids[0]} {ids[1]}\n" * (1 + repeats))
     with pytest.raises(NotABijection, match=f"id {twice} twice"):
         load_edge_list(path, ids=np.array(ids, dtype=object if twice == 2**64 else np.int64))
 
